@@ -10,7 +10,6 @@ bit-identical outputs, so timing is deliberately kept out of the files.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import dataclasses
 import hashlib
 import json
@@ -21,7 +20,7 @@ from pathlib import Path
 
 from . import __version__
 from .evaluate import corpus_bleu, summarize_run
-from .exceptions import ContractError, ModelFormatError, RegdecodeError
+from .exceptions import ContractError, ModelFormatError, NoHypothesisError, RegdecodeError
 from .models import load_model, save_ngram_model, train_ngram
 from .objectives import MAP_OBJECTIVE, Objective, RegularizerKind, parse_objective
 from .randmodels import exactness_instance, set_limit_instance, tie_free_instance
@@ -37,6 +36,8 @@ from .search import (
 SEED_ENV_VAR = "REGDECODE_SEED"
 
 EXACTNESS_LAMBDAS = (0.5, 2.0, 10.0)
+# The thm1 suite's greedy weight: Objective weights must be finite. The thm2
+# suite ranks sets in the exact large-weight limit (brute_force_set, lam=inf).
 LIMIT_LAMBDA = 1e6
 
 
@@ -91,15 +92,14 @@ def _decode_one(decoder: str, model, source, objective, config):
     raise ContractError(f"unknown decoder {decoder!r}")
 
 
-def _decode_corpus(decoder, model, sources, objective, config, workers=1):
-    if workers <= 1:
-        return [_decode_one(decoder, model, src, objective, config) for src in sources]
-    with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [
-            pool.submit(_decode_one, decoder, model, src, objective, config)
-            for src in sources
-        ]
-        return [f.result() for f in futures]  # input order regardless of completion
+def _decode_corpus(decoder, model, sources, objective, config):
+    records = []
+    for line_no, src in enumerate(sources, start=1):
+        try:
+            records.append(_decode_one(decoder, model, src, objective, config))
+        except NoHypothesisError as exc:
+            raise NoHypothesisError(f"input line {line_no}: {exc}") from exc
+    return records
 
 
 def _record_json(source: list[str], record) -> dict:
@@ -145,9 +145,7 @@ def cmd_decode(args) -> int:
     if args.decoder == "greedy" and args.objective.strip():
         print("note: the greedy decoder ignores --objective", file=sys.stderr)
     config = SearchConfig(beam_width=1 if args.k is None else args.k, n_max=args.n_max)
-    records = _decode_corpus(
-        args.decoder, model, sources, objective, config, workers=args.workers
-    )
+    records = _decode_corpus(args.decoder, model, sources, objective, config)
     out = Path(args.out)
     with out.open("w", encoding="utf-8") as fh:
         for source, record in zip(sources, records):
@@ -159,7 +157,6 @@ def cmd_decode(args) -> int:
             "objective": objective.describe(),
             "k": args.k,
             "n_max": args.n_max,
-            "workers": args.workers,
         },
         model_digest=_digest(args.model),
         input_digest=_digest(args.input),
@@ -198,9 +195,7 @@ def cmd_sweep(args) -> int:
             objective = Objective(((RegularizerKind(kind), lam),))
         for k in ks:
             config = SearchConfig(beam_width=k, n_max=args.n_max)
-            records = _decode_corpus(
-                args.decoder, model, sources, objective, config, workers=args.workers
-            )
+            records = _decode_corpus(args.decoder, model, sources, objective, config)
             rows.append(summarize_run(lam, k, records, references))
     out = Path(args.out)
     with out.open("w", encoding="utf-8") as fh:
@@ -287,7 +282,7 @@ def _suite_thm2(seed: int, trials: int):
         model, k, n_max = set_limit_instance(seed * 1_000_003 + i)
         config = SearchConfig(beam_width=k, n_max=n_max)
         beam = beam_search(model, None, MAP_OBJECTIVE, config)
-        chosen = brute_force_set(model, None, k, LIMIT_LAMBDA, n_max)
+        chosen = brute_force_set(model, None, k, math.inf, n_max)
         checks += 1
         beam_ids = sorted(h.token_ids for h in beam.beam_set)
         set_ids = sorted(h.token_ids for h in chosen)
@@ -382,7 +377,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="e.g. 'greedy=5,square=2' or 'len=norm' (empty = plain log-probability)")
     p.add_argument("--k", type=int, default=None, help="beam width (beam decoder only)")
     p.add_argument("--n-max", type=int, default=50, dest="n_max")
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_decode)
 
@@ -397,7 +391,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--decoder", choices=["greedy", "beam", "exact", "brute"], default="exact")
     p.add_argument("--n-max", type=int, default=50, dest="n_max")
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_sweep)
 

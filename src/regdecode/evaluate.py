@@ -114,21 +114,6 @@ def summarize_run(
     )
 
 
-def sweep_rows(
-    runs: Sequence[tuple[float, int, Sequence]],
-    references: Sequence[TokenSeq],
-) -> list[SweepRow]:
-    """One row per (lambda, k) run; every run must cover the same inputs."""
-    rows = []
-    for lam, k, records in runs:
-        if len(records) != len(references):
-            raise ContractError(
-                f"run lambda={lam} k={k} covers {len(records)} inputs, expected {len(references)}"
-            )
-        rows.append(summarize_run(lam, k, records, references))
-    return rows
-
-
 def pearson(xs: Sequence[float], ys: Sequence[float]) -> float:
     if len(xs) != len(ys):
         raise ContractError("series lengths differ")

@@ -5,8 +5,9 @@ model (contexts are full target prefixes, optionally keyed by source) and
 an add-k smoothed n-gram model trained from a token corpus. Both return
 natural-log probabilities over the ordinary tokens plus the end marker.
 
-Models are immutable after construction and safe to share between
-concurrent read-only queries.
+Distributions are fixed at construction. ``NGramModel`` fills a private
+cache of context rows on first use, so its instances are not meant to be
+shared between threads.
 """
 
 from __future__ import annotations
@@ -303,18 +304,41 @@ def train_ngram(corpus: Iterable[TokenSeq], order: int, add_k: float) -> NGramMo
 
 
 def load_ngram_model(path: str | Path) -> NGramModel:
+    """Every malformed file ends in ``ModelFormatError``: a missing field, an
+    unknown token, a count that is not a non-negative integer, or a bad
+    order or smoothing constant."""
     try:
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as exc:
         raise ModelFormatError(f"cannot parse n-gram model {path}: {exc}") from exc
-    if raw.get("kind") != "ngram":
+    if not isinstance(raw, dict) or raw.get("kind") != "ngram":
         raise ModelFormatError(f"{path} is not an n-gram model file")
-    vocab = Vocabulary(tuple(raw["vocab"]), bos=raw.get("bos", "<s>"), eos=raw.get("eos", "</s>"))
-    counts: dict[tuple[int, ...], dict[int, int]] = {}
-    for ctx_str, events in raw["counts"].items():
-        ctx = tuple(vocab.id_of(t) for t in ctx_str.split())
-        counts[ctx] = {vocab.id_of(t): int(c) for t, c in events.items()}
-    return NGramModel(vocab, int(raw["order"]), float(raw["add_k"]), counts)
+    missing = [name for name in ("vocab", "order", "add_k", "counts") if name not in raw]
+    if missing:
+        raise ModelFormatError(f"n-gram model {path} is missing {', '.join(missing)}")
+    if not isinstance(raw["counts"], dict) or not all(
+        isinstance(events, dict) for events in raw["counts"].values()
+    ):
+        raise ModelFormatError(f"n-gram model {path}: counts must map contexts to token counts")
+    try:
+        vocab = Vocabulary(
+            tuple(raw["vocab"]), bos=raw.get("bos", "<s>"), eos=raw.get("eos", "</s>")
+        )
+        counts: dict[tuple[int, ...], dict[int, int]] = {}
+        for ctx_str, events in raw["counts"].items():
+            ctx = tuple(vocab.id_of(t) for t in ctx_str.split())
+            counts[ctx] = {vocab.id_of(t): _event_count(c, ctx_str, t) for t, c in events.items()}
+        return NGramModel(vocab, int(raw["order"]), float(raw["add_k"]), counts)
+    except (VocabularyError, ContractError, TypeError, ValueError) as exc:
+        raise ModelFormatError(f"bad n-gram model {path}: {exc}") from exc
+
+
+def _event_count(value, ctx: str, token: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise ValueError(
+            f"count of {token!r} after {ctx!r} must be a non-negative integer, got {value!r}"
+        )
+    return value
 
 
 def save_ngram_model(model: NGramModel, path: str | Path) -> None:

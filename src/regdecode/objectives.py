@@ -16,7 +16,6 @@ from typing import Sequence
 
 from .exceptions import ContractError
 from .models import SequenceModel, _source_key
-from .surprisal import trace as compute_trace
 
 Trace = Sequence[float]
 
@@ -104,10 +103,6 @@ class Objective:
             math.isfinite(self.length_lambda) and self.length_lambda >= 0
         ):
             raise ContractError("length reward weight must be finite and >= 0")
-
-    @property
-    def needs_minima(self) -> bool:
-        return any(kind is RegularizerKind.GREEDY for kind, _ in self.regularizers)
 
     @property
     def is_prefix_monotone(self) -> bool:

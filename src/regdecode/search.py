@@ -2,11 +2,14 @@
 
 All decoders share one tie-breaking rule so their outputs are directly
 comparable: higher total score first, then higher log-probability, then
-the lexicographically smallest token-id sequence. Exact search runs
-Dijkstra-style on prefix scores when every active penalty can only grow
-under extension; otherwise it orders the queue by an optimistic bound
-(the prefix log-probability, adjusted for any length transform) and stops
-once the best complete hypothesis provably dominates the queue.
+the lexicographically smallest token-id sequence. Beam and exact search
+grow prefixes through one extension step, ``_children``. Exact search is
+a single best-first loop: it orders open prefixes by their own score when
+every active penalty can only grow under extension (Dijkstra), otherwise
+by an optimistic bound (the prefix log-probability, adjusted for any
+length transform), and stops once the best complete hypothesis found so
+far beats every bound left in the queue. The brute-force oracles keep
+their own enumeration so they stay independent of the search code.
 """
 
 from __future__ import annotations
@@ -14,7 +17,6 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-import time
 from dataclasses import dataclass, field
 
 from .exceptions import ContractError, NoHypothesisError, SearchSpaceError
@@ -28,16 +30,12 @@ BRUTE_FORCE_PREFIX_GUARD = 10**7
 class SearchConfig:
     beam_width: int = 1
     n_max: int = 50
-    empty_string_pruning: bool = True
-    tie_break: str = "score-logprob-lex"
 
     def __post_init__(self) -> None:
         if self.beam_width < 1:
             raise ContractError("beam width must be >= 1")
         if self.n_max < 1:
             raise ContractError("n_max must be >= 1")
-        if self.tie_break != "score-logprob-lex":
-            raise ContractError(f"unknown tie-break rule {self.tie_break!r}")
 
 
 @dataclass(frozen=True)
@@ -70,7 +68,6 @@ class DecodeRecord:
     beam_set: list[Hypothesis] = field(default_factory=list)
     nodes_expanded: int = 0
     optimality_certificate: bool = False
-    wall_time: float = 0.0
 
 
 def _make_hypothesis(model: SequenceModel, ids, trace, minima, log_prob, breakdown) -> Hypothesis:
@@ -86,9 +83,21 @@ def _make_hypothesis(model: SequenceModel, ids, trace, minima, log_prob, breakdo
     )
 
 
+def _children(model: SequenceModel, source_key: str, ids, trace, minima, log_prob):
+    """Every allowed one-token extension of a prefix, in token-id order, as
+    (token id, trace, stepwise minima, log-probability); one model call."""
+    dist = model.next_log_probs_ids(source_key, ids).tolist()
+    step_min = -max(dist)
+    c_minima = minima + (step_min,)
+    return [
+        (tid, trace + (-logv,), c_minima, log_prob + logv)
+        for tid, logv in enumerate(dist)
+        if logv != -math.inf
+    ]
+
+
 def greedy_search(model: SequenceModel, source, config: SearchConfig) -> DecodeRecord:
     """Stepwise argmax until the end marker; ties go to the lowest token id."""
-    start = time.perf_counter()
     vocab = model.vocabulary
     source_key = _source_key(source)
     eos = vocab.eos_id
@@ -109,9 +118,7 @@ def greedy_search(model: SequenceModel, source, config: SearchConfig) -> DecodeR
         if best_tid == eos:
             breakdown = score_parts(MAP_OBJECTIVE, trace, minima, log_prob)
             hyp = _make_hypothesis(model, ids, trace, minima, log_prob, breakdown)
-            return DecodeRecord(
-                best=hyp, nodes_expanded=expanded, wall_time=time.perf_counter() - start
-            )
+            return DecodeRecord(best=hyp, nodes_expanded=expanded)
     raise NoHypothesisError(f"greedy path did not terminate within n_max={config.n_max}")
 
 
@@ -126,7 +133,6 @@ def beam_search(
     Stops early once all survivors have ended; survivors still open at
     n_max are dropped as invalid.
     """
-    start = time.perf_counter()
     vocab = model.vocabulary
     source_key = _source_key(source)
     eos = vocab.eos_id
@@ -140,19 +146,15 @@ def beam_search(
         if all(node[0][-1] == eos for node in beams):
             break
         candidates: list[Node] = []
-        for ids, trace, minima, log_prob, breakdown in beams:
+        for node in beams:
+            ids, trace, minima, log_prob, _ = node
             if ids[-1] == eos:
-                candidates.append((ids, trace, minima, log_prob, breakdown))
+                candidates.append(node)
                 continue
-            dist = model.next_log_probs_ids(source_key, ids).tolist()
             expanded += 1
-            step_min = -max(dist)
-            for tid, logv in enumerate(dist):
-                if logv == -math.inf:
-                    continue
-                c_trace = trace + (-logv,)
-                c_minima = minima + (step_min,)
-                c_lp = log_prob + logv
+            for tid, c_trace, c_minima, c_lp in _children(
+                model, source_key, ids, trace, minima, log_prob
+            ):
                 c_breakdown = score_parts(objective, c_trace, c_minima, c_lp)
                 candidates.append(((*ids, tid), c_trace, c_minima, c_lp, c_breakdown))
         candidates.sort(key=lambda n: (-n[4].total, -n[3], n[0]))
@@ -165,135 +167,67 @@ def beam_search(
         )
     hyps = [_make_hypothesis(model, *node) for node in finished]
     hyps.sort(key=Hypothesis.sort_key)
-    return DecodeRecord(
-        best=hyps[0],
-        beam_set=hyps,
-        nodes_expanded=expanded,
-        wall_time=time.perf_counter() - start,
-    )
-
-
-def _empty_hypothesis(model: SequenceModel, source_key: str, objective: Objective) -> Hypothesis | None:
-    vocab = model.vocabulary
-    ids = (vocab.bos_id, vocab.eos_id)
-    dist = model.next_log_probs_ids(source_key, ids[:1]).tolist()
-    logv = dist[vocab.eos_id]
-    if logv == -math.inf:
-        return None
-    trace = (-logv,)
-    minima = (-max(dist),)
-    breakdown = score_parts(objective, trace, minima, logv)
-    return _make_hypothesis(model, ids, trace, minima, logv, breakdown)
+    return DecodeRecord(best=hyps[0], beam_set=hyps, nodes_expanded=expanded)
 
 
 def exact_search(
     model: SequenceModel, source, objective: Objective, config: SearchConfig
 ) -> DecodeRecord:
-    """Optimal decoding with a certificate, restricted to |y| <= n_max."""
-    start = time.perf_counter()
+    """Optimal decoding with a certificate, restricted to |y| <= n_max.
+
+    One best-first loop over open prefixes, keyed by an upper bound on the
+    score of any completion: the prefix's own score when the objective is
+    prefix-monotone (Dijkstra), otherwise ``Objective.optimistic_bound``.
+    End-marker children are scored on the spot and the best is kept as the
+    incumbent; the root's end-marker child is the empty string, so unless
+    the model forbids it the incumbent exists after the first expansion.
+    Open children whose bound is below the incumbent are never queued. The
+    loop stops once the best open bound is strictly below the incumbent's
+    score (equal bounds are still expanded so tie-breaking matches the
+    brute-force oracle).
+    """
+    vocab = model.vocabulary
     source_key = _source_key(source)
-    if objective.is_prefix_monotone:
-        best, expanded = _exact_monotone(model, source_key, objective, config)
-    else:
-        best, expanded = _exact_bounded(model, source_key, objective, config)
+    eos = vocab.eos_id
+    n_max = config.n_max
+    monotone = objective.is_prefix_monotone
+
+    def bound(trace, minima, log_prob) -> float:
+        if monotone:
+            return score_parts(objective, trace, minima, log_prob).total
+        return objective.optimistic_bound(log_prob, n_max)
+
+    best_key = best = None  # the incumbent's sort key and its node
+    floor = -math.inf  # the incumbent's score
+    heap = [(-bound((), (), 0.0), -0.0, (vocab.bos_id,), (), ())]
+    expanded = 0
+    while heap:
+        neg_bound, neg_lp, ids, trace, minima = heapq.heappop(heap)
+        if -neg_bound < floor:
+            break
+        expanded += 1
+        can_grow = len(ids) < n_max  # a non-end child still has a step left
+        for tid, c_trace, c_minima, c_lp in _children(
+            model, source_key, ids, trace, minima, -neg_lp
+        ):
+            c_ids = (*ids, tid)
+            if tid == eos:
+                breakdown = score_parts(objective, c_trace, c_minima, c_lp)
+                key = (-breakdown.total, -c_lp, c_ids)
+                if best_key is None or key < best_key:
+                    best_key, best = key, (c_ids, c_trace, c_minima, c_lp, breakdown)
+                    floor = breakdown.total
+            elif can_grow:
+                c_bound = bound(c_trace, c_minima, c_lp)
+                if c_bound >= floor:
+                    heapq.heappush(heap, (-c_bound, -c_lp, c_ids, c_trace, c_minima))
     if best is None:
-        raise NoHypothesisError(
-            f"no complete hypothesis within n_max={config.n_max}"
-        )
+        raise NoHypothesisError(f"no complete hypothesis within n_max={n_max}")
     return DecodeRecord(
-        best=best,
+        best=_make_hypothesis(model, *best),
         nodes_expanded=expanded,
         optimality_certificate=True,
-        wall_time=time.perf_counter() - start,
     )
-
-
-def _exact_monotone(model, source_key, objective, config):
-    """Dijkstra ordering on prefix scores; penalties only grow under
-    extension, so the first complete pop is the argmax."""
-    vocab = model.vocabulary
-    eos = vocab.eos_id
-    n_max = config.n_max
-    empty = _empty_hypothesis(model, source_key, objective)
-    empty_score = empty.score if (config.empty_string_pruning and empty is not None) else -math.inf
-
-    root = score_parts(objective, (), (), 0.0)
-    heap = [(-root.total, -0.0, (vocab.bos_id,), (), (), 0.0, root)]
-    expanded = 0
-    while heap:
-        neg_total, _, ids, trace, minima, log_prob, breakdown = heapq.heappop(heap)
-        if ids[-1] == eos:
-            hyp = _make_hypothesis(model, ids, trace, minima, log_prob, breakdown)
-            return hyp, expanded
-        steps = len(ids) - 1
-        if steps >= n_max:
-            continue
-        dist = model.next_log_probs_ids(source_key, ids).tolist()
-        expanded += 1
-        step_min = -max(dist)
-        for tid, logv in enumerate(dist):
-            if logv == -math.inf:
-                continue
-            if tid != eos and steps + 1 >= n_max:
-                continue  # could never reach the end marker in time
-            c_trace = trace + (-logv,)
-            c_minima = minima + (step_min,)
-            c_lp = log_prob + logv
-            c_breakdown = score_parts(objective, c_trace, c_minima, c_lp)
-            assert c_breakdown.total <= -neg_total + 1e-9, "penalty shrank under extension"
-            if c_breakdown.total < empty_score:
-                continue
-            heapq.heappush(
-                heap, (-c_breakdown.total, -c_lp, (*ids, tid), c_trace, c_minima, c_lp, c_breakdown)
-            )
-    return None, expanded
-
-
-def _exact_bounded(model, source_key, objective, config):
-    """Best-first on optimistic bounds with the non-monotone stopping rule:
-    finish once the best complete hypothesis scores at least as high as
-    every bound left in the queue (equal bounds are still expanded so tie
-    breaking matches the brute-force oracle)."""
-    vocab = model.vocabulary
-    eos = vocab.eos_id
-    n_max = config.n_max
-    best = _empty_hypothesis(model, source_key, objective)
-    best_key = best.sort_key() if best is not None else None
-    empty_score = best.score if (config.empty_string_pruning and best is not None) else -math.inf
-
-    heap = [(-objective.optimistic_bound(0.0, n_max), -0.0, (vocab.bos_id,), (), (), 0.0)]
-    expanded = 0
-    while heap:
-        neg_bound, _, ids, trace, minima, log_prob = heapq.heappop(heap)
-        if best is not None and -neg_bound < best.score:
-            break
-        steps = len(ids) - 1
-        if steps >= n_max:
-            continue
-        dist = model.next_log_probs_ids(source_key, ids).tolist()
-        expanded += 1
-        step_min = -max(dist)
-        for tid, logv in enumerate(dist):
-            if logv == -math.inf:
-                continue
-            c_trace = trace + (-logv,)
-            c_minima = minima + (step_min,)
-            c_lp = log_prob + logv
-            if tid == eos:
-                c_breakdown = score_parts(objective, c_trace, c_minima, c_lp)
-                cand = _make_hypothesis(model, (*ids, tid), c_trace, c_minima, c_lp, c_breakdown)
-                if best_key is None or cand.sort_key() < best_key:
-                    best, best_key = cand, cand.sort_key()
-                continue
-            if steps + 1 >= n_max:
-                continue
-            c_bound = objective.optimistic_bound(c_lp, n_max)
-            if c_bound < empty_score:
-                continue
-            if best is not None and c_bound < best.score:
-                continue
-            heapq.heappush(heap, (-c_bound, -c_lp, (*ids, tid), c_trace, c_minima, c_lp))
-    return best, expanded
 
 
 def _enumerated_prefix_count(n_tokens: int, n_max: int) -> int:
@@ -333,7 +267,6 @@ def brute_force(
     model: SequenceModel, source, objective: Objective, n_max: int
 ) -> DecodeRecord:
     """Exhaustive argmax over every complete hypothesis of at most n_max steps."""
-    start = time.perf_counter()
     if n_max < 1:
         raise ContractError("n_max must be >= 1")
     n_tokens = len(model.vocabulary.tokens)
@@ -355,12 +288,7 @@ def brute_force(
             best = _make_hypothesis(model, ids, trace, minima, log_prob, breakdown)
     if best is None:
         raise NoHypothesisError(f"no complete hypothesis within n_max={n_max}")
-    return DecodeRecord(
-        best=best,
-        nodes_expanded=count,
-        optimality_certificate=True,
-        wall_time=time.perf_counter() - start,
-    )
+    return DecodeRecord(best=best, nodes_expanded=count, optimality_certificate=True)
 
 
 def brute_force_set(
@@ -369,6 +297,8 @@ def brute_force_set(
     """Exhaustive argmax of the size-k set objective: summed member
     log-probability minus ``lam`` times the set deviation penalty.
 
+    ``lam=math.inf`` is the large-weight limit: sets rank by penalty
+    first, then by higher summed log-probability, then by token ids.
     Tiny instances only; the candidate pool is every distinct complete
     hypothesis of at most n_max steps, chosen k at a time.
     """
@@ -389,8 +319,10 @@ def brute_force_set(
         members = [c[0] for c in combo]
         set_lp = sum(c[3] for c in combo)
         penalty = r_beam_ids(members, model, source_key, k, n_max) if lam != 0.0 else 0.0
-        total = set_lp - lam * penalty
-        key = (-total, -set_lp, tuple(members))
+        if lam == math.inf:
+            key = (penalty, -set_lp, tuple(members))
+        else:
+            key = (-(set_lp - lam * penalty), -set_lp, tuple(members))
         if best_key is None or key < best_key:
             best_key = key
             best = combo

@@ -1,7 +1,10 @@
 import json
 
+import pytest
+
 from regdecode import (
     MAP_OBJECTIVE,
+    ModelFormatError,
     SearchConfig,
     beam_search,
     load_ngram_model,
@@ -116,15 +119,77 @@ def test_decode_bad_objective_is_usage_error(tmp_path, capsys):
     assert "coverage" in capsys.readouterr().err
 
 
-def test_decode_workers_preserve_input_order(tmp_path):
+def test_decode_calls_exact_search_through_cli_global(tmp_path, monkeypatch):
+    """The benchmark times decodes by rebinding ``regdecode.cli.exact_search``
+    (and the other public decoders); the CLI must look them up at call time."""
+    from regdecode import cli
+
+    calls = []
+    original = cli.exact_search
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "exact_search", counting)
     inputs = tmp_path / "in.txt"
     inputs.write_text("s1\ns2\ns3\n")
-    seq = tmp_path / "seq.jsonl"
-    par = tmp_path / "par.jsonl"
-    base = ["decode", FIXTURES / "m3.json", inputs, "--decoder", "exact", "--n-max", "6"]
-    assert run(base + ["--out", seq]) == 0
-    assert run(base + ["--workers", "4", "--out", par]) == 0
-    assert seq.read_text() == par.read_text()
+    assert run(["decode", FIXTURES / "m3.json", inputs, "--decoder", "exact", "--n-max", "6",
+                "--out", tmp_path / "out.jsonl"]) == 0
+    assert calls == [["s1"], ["s2"], ["s3"]]
+
+
+def _ngram_spec(**changes):
+    spec = {"kind": "ngram", "vocab": ["a", "b"], "order": 2, "add_k": 0.5,
+            "counts": {"<s>": {"a": 2, "</s>": 1}, "a": {"b": 1}}}
+    spec.update(changes)
+    return {k: v for k, v in spec.items() if v is not None}
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        _ngram_spec(counts=None),
+        _ngram_spec(counts={"<s>": {"zz": 1}}),
+        _ngram_spec(counts={"zz": {"a": 1}}),
+        _ngram_spec(counts={"<s>": {"a": -3}}),
+        _ngram_spec(counts={"<s>": {"a": 1.5}}),
+        _ngram_spec(order=0),
+        _ngram_spec(counts=[1, 2]),
+    ],
+    ids=["missing-counts", "unknown-token", "unknown-context", "negative-count",
+         "fractional-count", "bad-order", "counts-not-a-map"],
+)
+def test_decode_malformed_ngram_model_is_format_error(tmp_path, capsys, spec):
+    model = tmp_path / "lm.json"
+    model.write_text(json.dumps(spec))
+    inputs = tmp_path / "in.txt"
+    inputs.write_text("x\n")
+    with pytest.raises(ModelFormatError):
+        load_ngram_model(model)
+    code = run(["decode", model, inputs, "--decoder", "greedy", "--out", tmp_path / "o.jsonl"])
+    assert code == 3
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_no_hypothesis_error_names_input_line(tmp_path, capsys):
+    """The default row never ends; only the first source has a row that does."""
+    model = tmp_path / "m.json"
+    model.write_text(json.dumps({
+        "vocab": ["a"], "source_keyed": True,
+        "entries": {"s1": {"<s>": {"a": 0.0, "</s>": 1.0}}},
+        "default": {"a": 1.0, "</s>": 0.0},
+    }))
+    inputs = tmp_path / "in.txt"
+    inputs.write_text("s1\ns2\n")
+    refs = tmp_path / "refs.txt"
+    refs.write_text("a\na\n")
+    assert run(["decode", model, inputs, "--decoder", "exact", "--n-max", "3",
+                "--out", tmp_path / "o.jsonl"]) == 2
+    assert "input line 2: no complete hypothesis within n_max=3" in capsys.readouterr().err
+    assert run(["sweep", model, inputs, refs, "--objective-kind", "none",
+                "--decoder", "beam", "--n-max", "3", "--out", tmp_path / "rows.csv"]) == 2
+    assert "input line 2:" in capsys.readouterr().err
 
 
 def test_sweep_single_lambda_matches_decode(tmp_path, m3):

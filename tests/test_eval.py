@@ -12,7 +12,6 @@ from regdecode import (
     exact_search,
     pearson,
     summarize_run,
-    sweep_rows,
 )
 
 from .reference_bleu import compute_bleu
@@ -129,10 +128,10 @@ def test_empty_rate_on_degenerate_fixture(m3):
     assert row.mean_len == 0.0
 
 
-def test_sweep_rows_alignment_check(m1):
+def test_summarize_run_alignment_check(m1):
     rec = exact_search(m1, None, MAP_OBJECTIVE, SearchConfig(n_max=5))
     with pytest.raises(ContractError):
-        sweep_rows([(0.0, 1, [rec])], [["a"], ["b"]])
+        summarize_run(0.0, 1, [rec], [["a"], ["b"]])
 
 
 def test_sigma_non_increasing_on_shaped_fixture(m4):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from regdecode import (
     ContractError,
@@ -20,7 +22,12 @@ from regdecode import (
     greedy_search,
     parse_objective,
 )
-from regdecode.randmodels import exactness_instance, random_table_model, tie_free_instance
+from regdecode.randmodels import (
+    exactness_instance,
+    random_table_model,
+    set_limit_instance,
+    tie_free_instance,
+)
 
 
 def chain_model():
@@ -158,22 +165,14 @@ def test_exact_agrees_with_brute_under_length_modes(m1, m4):
             assert e.best.token_ids == b.best.token_ids
 
 
-def test_exact_pruning_does_not_change_result():
-    rng = np.random.default_rng(9)
-    objective = Objective(((RegularizerKind.LOCAL, 2.0),))
-    for _ in range(20):
-        model = random_table_model(rng, 3)
-        on = exact_search(model, None, objective, SearchConfig(n_max=5, empty_string_pruning=True))
-        off = exact_search(model, None, objective, SearchConfig(n_max=5, empty_string_pruning=False))
-        assert on.best.token_ids == off.best.token_ids
-        assert on.nodes_expanded <= off.nodes_expanded
-
-
 def test_bound_admissible_on_small_models():
     """Every queue bound must dominate the true score of every completion
-    that extends the bounded prefix."""
+    that extends the bounded prefix. A non-monotone objective is bounded by
+    ``optimistic_bound``; a prefix-monotone one by the prefix's own score."""
     rng = np.random.default_rng(17)
-    objective = Objective(((RegularizerKind.VARIANCE, 3.0),))
+    bounded = Objective(((RegularizerKind.VARIANCE, 3.0),))
+    monotone = parse_objective("greedy=1,square=0.5")
+    assert monotone.is_prefix_monotone and not bounded.is_prefix_monotone
     from regdecode.search import enumerate_complete
     from regdecode.objectives import score_parts
 
@@ -182,13 +181,18 @@ def test_bound_admissible_on_small_models():
         n_max = 4
         completions = list(enumerate_complete(model, "", n_max))
         for ids, trace, minima, lp in completions:
-            total = score_parts(objective, trace, minima, lp).total
-            # Prefix log-probabilities recomputed independently step by step.
-            run = 0.0
+            total = score_parts(bounded, trace, minima, lp).total
+            mono_total = score_parts(monotone, trace, minima, lp).total
+            # Prefix traces recomputed independently step by step.
+            run, steps, mins = 0.0, [], []
             for t in range(1, len(ids)):
-                bound = objective.optimistic_bound(run, n_max)
-                assert bound >= total - 1e-9
-                run += float(model.next_log_probs_ids("", ids[:t])[ids[t]])
+                assert bounded.optimistic_bound(run, n_max) >= total - 1e-9
+                prefix_score = score_parts(monotone, steps, mins, run).total
+                assert prefix_score >= mono_total - 1e-9
+                dist = model.next_log_probs_ids("", ids[:t])
+                run += float(dist[ids[t]])
+                steps.append(-float(dist[ids[t]]))
+                mins.append(-float(dist.max()))
 
 
 def test_exact_no_hypothesis_error():
@@ -241,6 +245,19 @@ def test_brute_force_set_limit_matches_beam(m1):
             continue  # no surviving-beam witness at this width
         chosen = brute_force_set(m1, None, k, 1e6, n_max)
         assert sorted(h.token_ids for h in chosen) == sorted(members)
+
+
+def test_brute_force_set_infinite_weight_matches_beam():
+    """At weight 1e6 a set with a 4e-7 penalty but 0.8 nats more
+    log-probability outranks the beam's zero-penalty set on this instance;
+    the exact large-weight limit (lam=inf) ranks by penalty first."""
+    model, k, n_max = set_limit_instance(607 * 1_000_003 + 0)
+    beam = beam_search(model, None, MAP_OBJECTIVE, SearchConfig(beam_width=k, n_max=n_max))
+    beam_ids = sorted(h.token_ids for h in beam.beam_set)
+    limit = brute_force_set(model, None, k, math.inf, n_max)
+    assert sorted(h.token_ids for h in limit) == beam_ids
+    finite = brute_force_set(model, None, k, 1e6, n_max)
+    assert sorted(h.token_ids for h in finite) != beam_ids
 
 
 def test_brute_force_set_k1_limit_equals_greedy(m1, m2):
@@ -302,3 +319,27 @@ def test_decode_records_are_deterministic(m1):
     g1 = beam_search(m1, None, MAP_OBJECTIVE, SearchConfig(beam_width=3, n_max=5))
     g2 = beam_search(m1, None, MAP_OBJECTIVE, SearchConfig(beam_width=3, n_max=5))
     assert [h.token_ids for h in g1.beam_set] == [h.token_ids for h in g2.beam_set]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_tokens=st.integers(1, 3),
+    n_max=st.integers(1, 4),
+    weights=st.lists(
+        st.sampled_from([0.0, 0.25, 1.0, 3.0]),
+        min_size=len(RegularizerKind),
+        max_size=len(RegularizerKind),
+    ),
+    length=st.sampled_from(["", "len=norm", "len=reward:0.2", "len=reward:1.5"]),
+)
+def test_exact_equals_brute_on_random_objective_mixes(seed, n_tokens, n_max, weights, length):
+    """Exact search matches the brute-force oracle with exact score and
+    token-id equality across random penalty mixes and length transforms."""
+    model = random_table_model(np.random.default_rng(seed), n_tokens)
+    terms = [f"{kind.value}={w}" for kind, w in zip(RegularizerKind, weights) if w]
+    objective = parse_objective(",".join(terms + ([length] if length else [])))
+    e = exact_search(model, None, objective, SearchConfig(n_max=n_max))
+    b = brute_force(model, None, objective, n_max)
+    assert e.best.score == b.best.score
+    assert e.best.token_ids == b.best.token_ids
