@@ -1,7 +1,10 @@
 """Command-line front end: model training, corpus decoding, sweeps, and
 self-verification against the brute-force oracles.
 
-Exit codes: 0 success, 1 verification failure, 2 usage error, 3 I/O error.
+Exit codes: 0 success, 1 verification failure, 2 usage error, 3 I/O or
+format error. A decode with no complete hypothesis within ``--n-max``, or a
+brute-force search above its size guard, is a usage error: the fix is
+always a flag (``--n-max`` or ``--decoder``).
 Every output file gets a sidecar ``<name>.manifest.json`` recording the
 command, configuration, input digests, and seed; identical manifests give
 bit-identical outputs, so timing is deliberately kept out of the files.
@@ -10,7 +13,6 @@ bit-identical outputs, so timing is deliberately kept out of the files.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import hashlib
 import json
 import math
@@ -41,26 +43,7 @@ EXACTNESS_LAMBDAS = (0.5, 2.0, 10.0)
 LIMIT_LAMBDA = 1e6
 
 
-@dataclasses.dataclass
-class RunManifest:
-    command: str
-    config: dict
-    model_digest: str | None
-    input_digest: str | None
-    seed: int
-    versions: dict
-
-    def write_next_to(self, out_path: Path) -> None:
-        payload = dataclasses.asdict(self)
-        manifest_path = out_path.with_name(out_path.name + ".manifest.json")
-        manifest_path.write_text(
-            json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-        )
-
-
-def _digest(path: str | None) -> str | None:
-    if path is None:
-        return None
+def _digest(path: str) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
@@ -69,6 +52,21 @@ def _versions() -> dict:
         "regdecode": __version__,
         "python": ".".join(map(str, sys.version_info[:3])),
     }
+
+
+def _write_manifest(out: Path, args, config: dict, model: str, inputs: str) -> None:
+    """Write the ``<out>.manifest.json`` sidecar of one output file."""
+    payload = {
+        "command": args.command,
+        "config": config,
+        "model_digest": _digest(model),
+        "input_digest": _digest(inputs),
+        "seed": args.seed,
+        "versions": _versions(),
+    }
+    out.with_name(out.name + ".manifest.json").write_text(
+        json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+    )
 
 
 def _default_seed() -> int:
@@ -124,14 +122,8 @@ def cmd_train_ngram(args) -> int:
     model = train_ngram(corpus, args.order, args.add_k)
     out = Path(args.out)
     save_ngram_model(model, out)
-    RunManifest(
-        command="train-ngram",
-        config={"order": args.order, "add_k": args.add_k, "corpus": args.corpus},
-        model_digest=_digest(args.out),
-        input_digest=_digest(args.corpus),
-        seed=args.seed,
-        versions=_versions(),
-    ).write_next_to(out)
+    config = {"order": args.order, "add_k": args.add_k, "corpus": args.corpus}
+    _write_manifest(out, args, config, args.out, args.corpus)
     print(f"trained order-{args.order} model on {len(corpus)} lines -> {args.out}")
     return 0
 
@@ -150,19 +142,13 @@ def cmd_decode(args) -> int:
     with out.open("w", encoding="utf-8") as fh:
         for source, record in zip(sources, records):
             fh.write(json.dumps(_record_json(source, record), sort_keys=True) + "\n")
-    RunManifest(
-        command="decode",
-        config={
-            "decoder": args.decoder,
-            "objective": objective.describe(),
-            "k": args.k,
-            "n_max": args.n_max,
-        },
-        model_digest=_digest(args.model),
-        input_digest=_digest(args.input),
-        seed=args.seed,
-        versions=_versions(),
-    ).write_next_to(out)
+    manifest_config = {
+        "decoder": args.decoder,
+        "objective": objective.describe(),
+        "k": args.k,
+        "n_max": args.n_max,
+    }
+    _write_manifest(out, args, manifest_config, args.model, args.input)
     print(f"decoded {len(sources)} inputs -> {args.out}")
     return 0
 
@@ -185,7 +171,7 @@ def cmd_sweep(args) -> int:
     lambdas = _parse_number_list(args.lambdas, float)
     if not lambdas:
         raise ContractError("lambda list is empty")
-    ks = _parse_number_list(args.ks, int) if args.ks else [1 if args.k is None else args.k]
+    ks = _parse_number_list(args.ks, int) if args.ks else [1]
     kind = args.objective_kind
     rows = []
     for lam in lambdas:
@@ -205,20 +191,14 @@ def cmd_sweep(args) -> int:
                 f"{row.lam!r},{row.k},{row.bleu!r},{row.mean_sigma!r},"
                 f"{row.mean_len!r},{row.empty_rate!r}\n"
             )
-    RunManifest(
-        command="sweep",
-        config={
-            "decoder": args.decoder,
-            "objective_kind": kind,
-            "lambdas": lambdas,
-            "ks": ks,
-            "n_max": args.n_max,
-        },
-        model_digest=_digest(args.model),
-        input_digest=_digest(args.input),
-        seed=args.seed,
-        versions=_versions(),
-    ).write_next_to(out)
+    manifest_config = {
+        "decoder": args.decoder,
+        "objective_kind": kind,
+        "lambdas": lambdas,
+        "ks": ks,
+        "n_max": args.n_max,
+    }
+    _write_manifest(out, args, manifest_config, args.model, args.input)
     print(f"swept {len(rows)} configurations -> {args.out}")
     return 0
 
@@ -387,8 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--objective-kind", dest="objective_kind", default="greedy",
                    choices=["none"] + [k.value for k in RegularizerKind])
     p.add_argument("--lambdas", default="0", help="comma-separated weights")
-    p.add_argument("--ks", default="", help="comma-separated beam widths (optional)")
-    p.add_argument("--k", type=int, default=None)
+    p.add_argument("--ks", default="", help="comma-separated beam widths (default 1)")
     p.add_argument("--decoder", choices=["greedy", "beam", "exact", "brute"], default="exact")
     p.add_argument("--n-max", type=int, default=50, dest="n_max")
     p.add_argument("--out", required=True)
@@ -408,9 +387,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ContractError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (OSError, ModelFormatError) as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 3

@@ -166,12 +166,16 @@ class TableModel(SequenceModel):
         return spec
 
 
-def load_table_model(path: str | Path) -> TableModel:
+def _read_spec(path: str | Path, what: str):
+    """The parsed JSON of a model file; ``what`` names the file in errors."""
     try:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
+        return json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as exc:
-        raise ModelFormatError(f"cannot parse table model {path}: {exc}") from exc
-    return table_model_from_spec(raw)
+        raise ModelFormatError(f"cannot parse {what} {path}: {exc}") from exc
+
+
+def load_table_model(path: str | Path) -> TableModel:
+    return table_model_from_spec(_read_spec(path, "table model"))
 
 
 def table_model_from_spec(raw: Mapping) -> TableModel:
@@ -307,10 +311,10 @@ def load_ngram_model(path: str | Path) -> NGramModel:
     """Every malformed file ends in ``ModelFormatError``: a missing field, an
     unknown token, a count that is not a non-negative integer, or a bad
     order or smoothing constant."""
-    try:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ModelFormatError(f"cannot parse n-gram model {path}: {exc}") from exc
+    return _ngram_model_from_spec(_read_spec(path, "n-gram model"), path)
+
+
+def _ngram_model_from_spec(raw, path: str | Path) -> NGramModel:
     if not isinstance(raw, dict) or raw.get("kind") != "ngram":
         raise ModelFormatError(f"{path} is not an n-gram model file")
     missing = [name for name in ("vocab", "order", "add_k", "counts") if name not in raw]
@@ -349,10 +353,7 @@ def save_ngram_model(model: NGramModel, path: str | Path) -> None:
 
 def load_model(path: str | Path) -> SequenceModel:
     """Dispatch on the optional ``kind`` field; plain specs are table models."""
-    try:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ModelFormatError(f"cannot parse model {path}: {exc}") from exc
+    raw = _read_spec(path, "model")
     if isinstance(raw, dict) and raw.get("kind") == "ngram":
-        return load_ngram_model(path)
+        return _ngram_model_from_spec(raw, path)
     return table_model_from_spec(raw)

@@ -28,9 +28,11 @@ class RegularizerKind(str, enum.Enum):
     SQUARE = "square"
 
 
-def r_greedy(trace: Trace, stepwise_minima: Trace) -> float:
+def r_greedy(trace: Trace, stepwise_minima: Trace | None) -> float:
     """Sum of squared gaps between each step's surprisal and the best
     achievable surprisal at that step; zero iff every step is locally optimal."""
+    if stepwise_minima is None:
+        raise ContractError("greedy regularizer needs stepwise minima")
     if len(trace) != len(stepwise_minima):
         raise ContractError("trace and stepwise minima must have equal length")
     return sum((u - m) ** 2 for u, m in zip(trace, stepwise_minima))
@@ -70,7 +72,15 @@ def r_square(trace: Trace) -> float:
     return sum(u * u for u in trace)
 
 
-_MONOTONE_KINDS = frozenset({RegularizerKind.GREEDY, RegularizerKind.SQUARE, RegularizerKind.MAX})
+# Each penalty's spec on a nonempty (trace, minima) pair, and whether
+# extending a prefix can only raise it.
+_PENALTIES = {
+    RegularizerKind.GREEDY: (r_greedy, True),
+    RegularizerKind.VARIANCE: (lambda trace, _: r_variance(trace), False),
+    RegularizerKind.LOCAL: (lambda trace, _: r_local(trace), False),
+    RegularizerKind.MAX: (lambda trace, _: r_max(trace), True),
+    RegularizerKind.SQUARE: (lambda trace, _: r_square(trace), True),
+}
 
 LengthMode = str  # "none" | "reward" | "normalize"
 
@@ -90,9 +100,13 @@ class Objective:
     length_lambda: float = 0.0
 
     def __post_init__(self) -> None:
+        seen = set()
         for kind, lam in self.regularizers:
             if not isinstance(kind, RegularizerKind):
                 raise ContractError(f"unknown regularizer {kind!r}")
+            if kind in seen:
+                raise ContractError(f"regularizer {kind.value!r} given twice")
+            seen.add(kind)
             if not (math.isfinite(lam) and lam >= 0):
                 raise ContractError(f"weight for {kind.value} must be finite and >= 0")
         if self.length_mode not in ("none", "reward", "normalize"):
@@ -109,7 +123,7 @@ class Objective:
         """True when extending a prefix can never raise its score, which
         lets best-first search stop at the first complete pop."""
         return self.length_mode == "none" and all(
-            kind in _MONOTONE_KINDS for kind, _ in self.regularizers
+            _PENALTIES[kind][1] for kind, _ in self.regularizers
         )
 
     def optimistic_bound(self, log_prob: float, n_max: int) -> float:
@@ -122,12 +136,21 @@ class Objective:
         return log_prob
 
     def describe(self) -> str:
-        parts = [f"{kind.value}={lam:g}" for kind, lam in self.regularizers]
+        """The ``parse_objective`` spec of this objective; it parses back to
+        an equal one."""
+        parts = [f"{kind.value}={_weight_text(lam)}" for kind, lam in self.regularizers]
         if self.length_mode == "reward":
-            parts.append(f"len=reward:{self.length_lambda:g}")
+            parts.append(f"len=reward:{_weight_text(self.length_lambda)}")
         elif self.length_mode == "normalize":
             parts.append("len=norm")
         return ",".join(parts)
+
+
+def _weight_text(lam: float) -> str:
+    # The short form when it reads back as the same float, so manifests
+    # written before stay byte-identical; repr otherwise.
+    text = f"{lam:g}"
+    return text if float(text) == lam else repr(float(lam))
 
 
 MAP_OBJECTIVE = Objective()
@@ -139,23 +162,6 @@ class ScoreBreakdown:
     penalties: dict[str, float] = field(default_factory=dict)
     length_term: float = 0.0
     total: float = 0.0
-
-
-def _penalty_value(kind: RegularizerKind, trace: Trace, minima: Trace | None) -> float:
-    # Empty traces (the bare begin-marker prefix) carry zero penalty.
-    if len(trace) == 0:
-        return 0.0
-    if kind is RegularizerKind.GREEDY:
-        if minima is None:
-            raise ContractError("greedy regularizer needs stepwise minima")
-        return r_greedy(trace, minima)
-    if kind is RegularizerKind.VARIANCE:
-        return r_variance(trace)
-    if kind is RegularizerKind.LOCAL:
-        return r_local(trace)
-    if kind is RegularizerKind.MAX:
-        return r_max(trace)
-    return r_square(trace)
 
 
 def score_parts(
@@ -178,7 +184,8 @@ def score_parts(
         length_term = objective.length_lambda * n
         total += length_term
     for kind, lam in objective.regularizers:
-        value = _penalty_value(kind, trace, minima)
+        # Empty traces (the bare begin-marker prefix) carry zero penalty.
+        value = _PENALTIES[kind][0](trace, minima) if n else 0.0
         penalties[kind.value] = value
         total -= lam * value
     return ScoreBreakdown(log_prob=log_prob, penalties=penalties, length_term=length_term, total=total)
@@ -306,7 +313,8 @@ def parse_objective(spec: str) -> Objective:
 
     Grammar: ``kind=weight`` pairs drawn from greedy, variance, local,
     max, square, plus at most one ``len=reward:WEIGHT`` or ``len=norm``.
-    The empty string is the plain log-probability objective.
+    The empty string is the plain log-probability objective. Weight
+    ranges and repeated kinds are left to ``Objective`` to reject.
     """
     spec = spec.strip()
     if not spec:
@@ -314,7 +322,6 @@ def parse_objective(spec: str) -> Objective:
     regs = []
     length_mode = "none"
     length_lambda = 0.0
-    seen = set()
     for part in spec.split(","):
         part = part.strip()
         if not part:
@@ -339,18 +346,12 @@ def parse_objective(spec: str) -> Objective:
             kind = RegularizerKind(key)
         except ValueError:
             raise ContractError(f"unknown regularizer {key!r}") from None
-        if kind in seen:
-            raise ContractError(f"regularizer {key!r} given twice")
-        seen.add(kind)
         regs.append((kind, _parse_weight(value, part)))
     return Objective(tuple(regs), length_mode, length_lambda)
 
 
 def _parse_weight(text: str, part: str) -> float:
     try:
-        value = float(text)
+        return float(text)
     except ValueError:
         raise ContractError(f"bad weight in {part!r}") from None
-    if not (math.isfinite(value) and value >= 0):
-        raise ContractError(f"weight in {part!r} must be finite and >= 0")
-    return value

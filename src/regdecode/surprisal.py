@@ -11,8 +11,8 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .exceptions import ContractError
 from .models import SequenceModel
+from .objectives import r_variance
 
 Trace = tuple[float, ...]
 
@@ -42,13 +42,10 @@ class SurprisalStats:
 
 def stats(trace_values: Sequence[float]) -> SurprisalStats:
     """Population statistics over the trace entries (the bos step excluded)."""
+    variance = r_variance(trace_values)  # rejects an empty trace
     n = len(trace_values)
-    if n == 0:
-        raise ContractError("trace must be nonempty")
-    mean = sum(trace_values) / n
-    variance = sum((u - mean) ** 2 for u in trace_values) / n
     return SurprisalStats(
-        mean=mean,
+        mean=sum(trace_values) / n,
         variance=variance,
         std_dev=math.sqrt(variance),
         max=max(trace_values),

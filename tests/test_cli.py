@@ -192,6 +192,16 @@ def test_no_hypothesis_error_names_input_line(tmp_path, capsys):
     assert "input line 2:" in capsys.readouterr().err
 
 
+def test_brute_force_above_guard_is_usage_error(tmp_path, capsys):
+    inputs = tmp_path / "in.txt"
+    inputs.write_text("x\n")
+    assert run(["decode", FIXTURES / "m1.json", inputs, "--decoder", "brute", "--n-max", "50",
+                "--out", tmp_path / "o.jsonl"]) == 2
+    err = capsys.readouterr().err
+    assert "exceed the brute-force guard" in err
+    assert "Traceback" not in err
+
+
 def test_sweep_single_lambda_matches_decode(tmp_path, m3):
     out = tmp_path / "rows.csv"
     assert run([

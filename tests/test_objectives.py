@@ -191,6 +191,8 @@ def test_objective_validation():
         Objective(length_mode="both")
     with pytest.raises(ContractError):
         Objective(length_mode="none", length_lambda=1.0)
+    with pytest.raises(ContractError):
+        Objective(((RegularizerKind.SQUARE, 1.0), (RegularizerKind.SQUARE, 2.0)))
 
 
 def test_parse_objective_round_trip():
@@ -205,6 +207,11 @@ def test_parse_objective_round_trip():
     rew = parse_objective("variance=1,len=reward:0.25")
     assert rew.length_mode == "reward" and rew.length_lambda == 0.25
     assert parse_objective(rew.describe()) == rew
+    for spec in ("greedy=0.1234567", "len=reward:0.3333333333"):
+        obj = parse_objective(spec)
+        assert parse_objective(obj.describe()) == obj
+    # Weights that read back from the short form keep it.
+    assert parse_objective("greedy=5,square=2").describe() == "greedy=5,square=2"
 
 
 def test_parse_objective_errors():

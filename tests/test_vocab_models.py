@@ -13,10 +13,13 @@ from regdecode import (
     TableModel,
     Vocabulary,
     VocabularyError,
+    load_model,
     load_table_model,
+    save_ngram_model,
     save_table_model,
     train_ngram,
 )
+import regdecode.models
 from regdecode.randmodels import random_table_model
 
 
@@ -161,6 +164,21 @@ def test_ngram_rejects_bad_parameters():
 
 
 # --- table model files
+
+
+def test_load_model_parses_an_ngram_file_once(tmp_path, monkeypatch):
+    path = tmp_path / "lm.json"
+    save_ngram_model(train_ngram([["a", "b"], ["b", "a"]], order=2, add_k=1.0), path)
+    real_loads = json.loads
+    calls = []
+
+    def counting_loads(*args, **kwargs):
+        calls.append(args)
+        return real_loads(*args, **kwargs)
+
+    monkeypatch.setattr(regdecode.models.json, "loads", counting_loads)
+    assert load_model(path).order == 2
+    assert len(calls) == 1
 
 
 def test_table_round_trip(tmp_path, m1):
