@@ -16,10 +16,7 @@ from .models import (
     SequenceModel,
     TableModel,
     load_model,
-    load_ngram_model,
-    load_table_model,
-    save_ngram_model,
-    save_table_model,
+    save_model,
     train_ngram,
 )
 from .objectives import (
@@ -78,8 +75,6 @@ __all__ = [
     "exact_search",
     "greedy_search",
     "load_model",
-    "load_ngram_model",
-    "load_table_model",
     "parse_objective",
     "pearson",
     "r_beam",
@@ -88,8 +83,7 @@ __all__ = [
     "r_max",
     "r_square",
     "r_variance",
-    "save_ngram_model",
-    "save_table_model",
+    "save_model",
     "score",
     "score_parts",
     "stats",

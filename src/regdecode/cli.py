@@ -23,7 +23,7 @@ from pathlib import Path
 from . import __version__
 from .evaluate import corpus_bleu, summarize_run
 from .exceptions import ContractError, ModelFormatError, NoHypothesisError, RegdecodeError
-from .models import load_model, save_ngram_model, train_ngram
+from .models import load_model, save_model, train_ngram
 from .objectives import MAP_OBJECTIVE, Objective, RegularizerKind, parse_objective
 from .randmodels import exactness_instance, set_limit_instance, tie_free_instance
 from .search import (
@@ -121,7 +121,7 @@ def cmd_train_ngram(args) -> int:
     corpus = _read_token_lines(args.corpus)
     model = train_ngram(corpus, args.order, args.add_k)
     out = Path(args.out)
-    save_ngram_model(model, out)
+    save_model(model, out)
     config = {"order": args.order, "add_k": args.add_k, "corpus": args.corpus}
     _write_manifest(out, args, config, args.out, args.corpus)
     print(f"trained order-{args.order} model on {len(corpus)} lines -> {args.out}")
@@ -129,11 +129,11 @@ def cmd_train_ngram(args) -> int:
 
 
 def cmd_decode(args) -> int:
+    if args.k is not None and args.decoder != "beam":
+        raise ContractError(f"--k is a beam width: it needs --decoder beam, not {args.decoder}")
     model = load_model(args.model)
     sources = _read_token_lines(args.input)
     objective = parse_objective(args.objective)
-    if args.decoder in ("exact", "brute") and args.k is not None:
-        print(f"note: --k is ignored by the {args.decoder} decoder", file=sys.stderr)
     if args.decoder == "greedy" and args.objective.strip():
         print("note: the greedy decoder ignores --objective", file=sys.stderr)
     config = SearchConfig(beam_width=1 if args.k is None else args.k, n_max=args.n_max)
@@ -161,6 +161,8 @@ def _parse_number_list(text: str, cast) -> list:
 
 
 def cmd_sweep(args) -> int:
+    if args.ks and args.decoder != "beam":
+        raise ContractError(f"--ks are beam widths: they need --decoder beam, not {args.decoder}")
     model = load_model(args.model)
     sources = _read_token_lines(args.input)
     references = _read_token_lines(args.refs)
@@ -367,7 +369,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--objective-kind", dest="objective_kind", default="greedy",
                    choices=["none"] + [k.value for k in RegularizerKind])
     p.add_argument("--lambdas", default="0", help="comma-separated weights")
-    p.add_argument("--ks", default="", help="comma-separated beam widths (default 1)")
+    p.add_argument("--ks", default="",
+                   help="comma-separated beam widths (beam decoder only; default 1)")
     p.add_argument("--decoder", choices=["greedy", "beam", "exact", "brute"], default="exact")
     p.add_argument("--n-max", type=int, default=50, dest="n_max")
     p.add_argument("--out", required=True)

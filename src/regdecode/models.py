@@ -15,7 +15,6 @@ from __future__ import annotations
 import json
 import logging
 import math
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -63,14 +62,7 @@ class SequenceModel:
         ``prefix`` must start with the begin marker and may contain the end
         marker only as its final element.
         """
-        vocab = self.vocabulary
-        if not prefix or prefix[0] != vocab.bos:
-            raise ContractError("prefix must start with the begin-of-sequence marker")
-        if vocab.eos in prefix[1:-1]:
-            raise ContractError("end marker may only appear as the final prefix element")
-        if vocab.bos in prefix[1:]:
-            raise ContractError("begin marker may only appear as the first prefix element")
-        return self.next_log_probs_ids(_source_key(source), vocab.encode(prefix))
+        return self.next_log_probs_ids(_source_key(source), self.vocabulary.prefix_ids(prefix))
 
     def next_log_probs_ids(self, source_key: str, prefix_ids: tuple[int, ...]) -> np.ndarray:
         """Unvalidated fast path used by the decoders; ids include the leading bos."""
@@ -138,10 +130,10 @@ class TableModel(SequenceModel):
         table = {}
         vocab = self.vocabulary
         for ctx, dist in ctxs.items():
-            parts = ctx.split()
-            if not parts or parts[0] != vocab.bos:
-                raise ModelFormatError(f"{where}[{ctx!r}]: context must start with {vocab.bos!r}")
-            ids = vocab.encode(parts)
+            try:
+                ids = vocab.prefix_ids(ctx.split())
+            except ContractError as exc:
+                raise ModelFormatError(f"{where}[{ctx!r}]: {exc}") from exc
             table[ids] = _dist_to_log_array(dist, vocab, f"{where}[{ctx!r}]")
         return table
 
@@ -166,19 +158,7 @@ class TableModel(SequenceModel):
         return spec
 
 
-def _read_spec(path: str | Path, what: str):
-    """The parsed JSON of a model file; ``what`` names the file in errors."""
-    try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ModelFormatError(f"cannot parse {what} {path}: {exc}") from exc
-
-
-def load_table_model(path: str | Path) -> TableModel:
-    return table_model_from_spec(_read_spec(path, "table model"))
-
-
-def table_model_from_spec(raw: Mapping) -> TableModel:
+def _table_model_from_spec(raw: Mapping) -> TableModel:
     try:
         tokens = tuple(raw["vocab"])
         entries = raw.get("entries", {})
@@ -196,12 +176,6 @@ def table_model_from_spec(raw: Mapping) -> TableModel:
         )
     except (VocabularyError, ContractError) as exc:
         raise ModelFormatError(f"bad table model spec: {exc}") from exc
-
-
-def save_table_model(model: TableModel, path: str | Path) -> None:
-    Path(path).write_text(
-        json.dumps(model.to_spec(), indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
 
 
 class NGramModel(SequenceModel):
@@ -253,14 +227,6 @@ class NGramModel(SequenceModel):
         self._cache[ctx] = arr
         return arr
 
-    def conditional_prob(self, context_tokens: TokenSeq, token: str) -> float:
-        """Smoothed probability of one event, for inspection and tests."""
-        ctx = tuple(self.vocabulary.id_of(t) for t in context_tokens)
-        tid = self.vocabulary.id_of(token)
-        counts = self._counts.get(ctx, {})
-        total = sum(counts.values())
-        return (counts.get(tid, 0) + self.add_k) / (total + self.add_k * self.vocabulary.dist_size)
-
     def to_spec(self) -> dict:
         vocab = self.vocabulary
         counts = {
@@ -290,33 +256,21 @@ def train_ngram(corpus: Iterable[TokenSeq], order: int, add_k: float) -> NGramMo
     lines = [list(line) for line in corpus]
     if not lines:
         raise ContractError("corpus must be nonempty")
-    if order < 1:
-        raise ContractError("order must be >= 1")
-    if not add_k > 0:
-        raise ContractError("add_k must be > 0")
     tokens = sorted({t for line in lines for t in line})
     vocab = Vocabulary(tuple(tokens))
     counts: dict[tuple[int, ...], dict[int, int]] = {}
     pad = (vocab.bos_id,) * (order - 1)
+    need = len(pad)  # never negative, so any order reaches NGramModel's check
     for line in lines:
         ids = pad + tuple(vocab.id_of(t) for t in line) + (vocab.eos_id,)
-        for i in range(order - 1, len(ids)):
-            ctx = ids[i - order + 1 : i]
+        for i in range(need, len(ids)):
+            ctx = ids[i - need : i]
             events = counts.setdefault(ctx, {})
             events[ids[i]] = events.get(ids[i], 0) + 1
     return NGramModel(vocab, order, add_k, counts)
 
 
-def load_ngram_model(path: str | Path) -> NGramModel:
-    """Every malformed file ends in ``ModelFormatError``: a missing field, an
-    unknown token, a count that is not a non-negative integer, or a bad
-    order or smoothing constant."""
-    return _ngram_model_from_spec(_read_spec(path, "n-gram model"), path)
-
-
-def _ngram_model_from_spec(raw, path: str | Path) -> NGramModel:
-    if not isinstance(raw, dict) or raw.get("kind") != "ngram":
-        raise ModelFormatError(f"{path} is not an n-gram model file")
+def _ngram_model_from_spec(raw: dict, path: str | Path) -> NGramModel:
     missing = [name for name in ("vocab", "order", "add_k", "counts") if name not in raw]
     if missing:
         raise ModelFormatError(f"n-gram model {path} is missing {', '.join(missing)}")
@@ -345,15 +299,24 @@ def _event_count(value, ctx: str, token: str) -> int:
     return value
 
 
-def save_ngram_model(model: NGramModel, path: str | Path) -> None:
+def load_model(path: str | Path) -> SequenceModel:
+    """Dispatch on the optional ``kind`` field; plain specs are table models.
+
+    Every malformed file ends in ``ModelFormatError``. For an n-gram file
+    that is a missing field, an unknown token, a count that is not a
+    non-negative integer, or a bad order or smoothing constant.
+    """
+    try:
+        raw = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, json.JSONDecodeError) as exc:
+        raise ModelFormatError(f"cannot parse model {path}: {exc}") from exc
+    if isinstance(raw, dict) and raw.get("kind") == "ngram":
+        return _ngram_model_from_spec(raw, path)
+    return _table_model_from_spec(raw)
+
+
+def save_model(model: TableModel | NGramModel, path: str | Path) -> None:
+    """Write ``model.to_spec()`` as the JSON file ``load_model`` reads."""
     Path(path).write_text(
         json.dumps(model.to_spec(), indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
-
-
-def load_model(path: str | Path) -> SequenceModel:
-    """Dispatch on the optional ``kind`` field; plain specs are table models."""
-    raw = _read_spec(path, "model")
-    if isinstance(raw, dict) and raw.get("kind") == "ngram":
-        return _ngram_model_from_spec(raw, path)
-    return table_model_from_spec(raw)

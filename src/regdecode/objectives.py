@@ -198,13 +198,14 @@ def score(
     source=None,
 ) -> ScoreBreakdown:
     """Score a bos-initial token sequence by walking the model."""
-    vocab = model.vocabulary
+    ids = model.vocabulary.prefix_ids(hypothesis, stepped=True)
+    source_key = _source_key(source)
     values = []
     minima = []
     log_prob = 0.0
-    for t in range(1, len(hypothesis)):
-        dist = model.next_log_probs(source, hypothesis[:t])
-        step = float(dist[vocab.id_of(hypothesis[t])])
+    for t in range(1, len(ids)):
+        dist = model.next_log_probs_ids(source_key, ids[:t])
+        step = float(dist[ids[t]])
         log_prob += step
         values.append(-step)
         minima.append(-float(dist.max()))
@@ -228,13 +229,9 @@ def r_beam(
     which reduces exactly to the greedy regularizer at k = 1.
     """
     vocab = model.vocabulary
-    ids = []
-    for hyp in hypothesis_set:
-        if not hyp or hyp[0] != vocab.bos:
-            raise ContractError("each hypothesis must start with the begin marker")
-        if hyp[-1] != vocab.eos:
-            raise ContractError("each hypothesis must be complete")
-        ids.append(vocab.encode(hyp))
+    ids = [vocab.prefix_ids(hyp) for hyp in hypothesis_set]
+    if any(m[-1] != vocab.eos_id for m in ids):
+        raise ContractError("each hypothesis must be complete")
     return r_beam_ids(ids, model, _source_key(source), k, n_max)
 
 

@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .models import SequenceModel
+from .models import SequenceModel, _source_key
 from .objectives import r_variance
 
 Trace = tuple[float, ...]
@@ -23,11 +23,11 @@ def trace(model: SequenceModel, source, tokens: Sequence[str]) -> Trace:
     The entries sum to the negated cumulative log-probability. A step the
     model forbids yields ``inf`` rather than being clipped.
     """
-    vocab = model.vocabulary
+    ids = model.vocabulary.prefix_ids(tokens, stepped=True)
+    source_key = _source_key(source)
     values = []
-    for t in range(1, len(tokens)):
-        dist = model.next_log_probs(source, tokens[:t])
-        values.append(-float(dist[vocab.id_of(tokens[t])]))
+    for t in range(1, len(ids)):
+        values.append(-float(model.next_log_probs_ids(source_key, ids[:t])[ids[t]]))
     return tuple(values)
 
 

@@ -63,7 +63,24 @@ class Vocabulary:
         raise VocabularyError(f"token id {token_id} out of range")
 
     def encode(self, tokens) -> tuple[int, ...]:
-        return tuple(self.id_of(t) for t in tokens)
+        return tuple(map(self.id_of, tokens))
+
+    def prefix_ids(self, tokens, stepped: bool = False) -> tuple[int, ...]:
+        """Ids of a prefix: the begin marker first and nowhere else, the end
+        marker only last.
+
+        With ``stepped`` the last token is one predicted step taken after
+        such a prefix, as in a hypothesis being scored: it may be any token
+        but the begin marker, so an end marker may follow an end marker.
+        A lone begin marker is a valid prefix either way.
+        """
+        if not tokens or tokens[0] != self.bos:
+            raise ContractError("prefix must start with the begin-of-sequence marker")
+        if self.bos in tokens[1:]:
+            raise ContractError("begin marker may only appear as the first prefix element")
+        if self.eos in tokens[1 : -2 if stepped else -1]:
+            raise ContractError("end marker may only appear as the final prefix element")
+        return self.encode(tokens)
 
     def decode(self, ids) -> tuple[str, ...]:
         return tuple(self.token_of(i) for i in ids)

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from regdecode import load_table_model
+from regdecode import load_model
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
@@ -16,24 +16,24 @@ def fixtures_dir():
 
 @pytest.fixture(scope="session")
 def m1():
-    return load_table_model(FIXTURES / "m1.json")
+    return load_model(FIXTURES / "m1.json")
 
 
 @pytest.fixture(scope="session")
 def m2():
-    return load_table_model(FIXTURES / "m2.json")
+    return load_model(FIXTURES / "m2.json")
 
 
 @pytest.fixture(scope="session")
 def m3():
-    return load_table_model(FIXTURES / "m3.json")
+    return load_model(FIXTURES / "m3.json")
 
 
 @pytest.fixture(scope="session")
 def m4():
-    return load_table_model(FIXTURES / "m4.json")
+    return load_model(FIXTURES / "m4.json")
 
 
 @pytest.fixture(scope="session")
 def beam_family():
-    return load_table_model(FIXTURES / "beam_family.json")
+    return load_model(FIXTURES / "beam_family.json")

@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -7,7 +8,7 @@ from regdecode import (
     ModelFormatError,
     SearchConfig,
     beam_search,
-    load_ngram_model,
+    load_model,
     train_ngram,
 )
 from regdecode.cli import main
@@ -24,11 +25,13 @@ def test_train_ngram_round_trip(tmp_path, capsys):
     corpus.write_text("a b\nb a a\n\n")
     out = tmp_path / "model.json"
     assert run(["train-ngram", corpus, "--order", "2", "--add-k", "0.5", "--out", out]) == 0
-    reloaded = load_ngram_model(out)
+    reloaded = load_model(out)
     direct = train_ngram([line.split() for line in ["a b", "b a a", ""]], 2, 0.5)
-    for ctx in (["<s>"], ["a"], ["b"]):
-        for tok in ("a", "b", "</s>"):
-            assert reloaded.conditional_prob(ctx, tok) == direct.conditional_prob(ctx, tok)
+    # One prefix per bigram context: <s>, a and b.
+    for prefix in (["<s>"], ["<s>", "a"], ["<s>", "b"]):
+        assert list(reloaded.next_log_probs(None, prefix)) == list(
+            direct.next_log_probs(None, prefix)
+        )
     assert (tmp_path / "model.json.manifest.json").exists()
 
 
@@ -37,8 +40,10 @@ def test_train_ngram_order_exceeding_line_length(tmp_path):
     corpus.write_text("a\n")
     out = tmp_path / "model.json"
     assert run(["train-ngram", corpus, "--order", "5", "--out", out]) == 0
-    model = load_ngram_model(out)
-    assert model.conditional_prob(["<s>", "<s>", "<s>", "<s>"], "a") > 0
+    model = load_model(out)
+    # The context is four begin markers, the padding of the bare prefix.
+    dist = model.next_log_probs(None, ["<s>"])
+    assert math.exp(dist[model.vocabulary.id_of("a")]) > 0
 
 
 def test_train_ngram_missing_file(tmp_path, capsys):
@@ -92,6 +97,18 @@ def test_decode_exact_sets_certificates(tmp_path):
     ]) == 0
     for line in out.read_text().splitlines():
         assert json.loads(line)["optimality_certificate"] is True
+
+
+@pytest.mark.parametrize("decoder", ["greedy", "exact", "brute"])
+def test_decode_k_needs_beam_decoder(tmp_path, capsys, decoder):
+    inputs = tmp_path / "in.txt"
+    inputs.write_text("x\n")
+    out = tmp_path / "out.jsonl"
+    code = run(["decode", FIXTURES / "m1.json", inputs, "--decoder", decoder, "--k", "7",
+                "--n-max", "6", "--out", out])
+    assert code == 2
+    assert "--k" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_decode_objective_echoed_in_manifest(tmp_path):
@@ -166,7 +183,7 @@ def test_decode_malformed_ngram_model_is_format_error(tmp_path, capsys, spec):
     inputs = tmp_path / "in.txt"
     inputs.write_text("x\n")
     with pytest.raises(ModelFormatError):
-        load_ngram_model(model)
+        load_model(model)
     code = run(["decode", model, inputs, "--decoder", "greedy", "--out", tmp_path / "o.jsonl"])
     assert code == 3
     assert "Traceback" not in capsys.readouterr().err
@@ -241,6 +258,17 @@ def test_sweep_k_non_increasing_bleu(tmp_path):
     bleus = [float(r.split(",")[2]) for r in rows]
     assert len(bleus) == 4
     assert all(a >= b for a, b in zip(bleus, bleus[1:]))
+
+
+def test_sweep_ks_needs_beam_decoder(tmp_path, capsys):
+    out = tmp_path / "rows.csv"
+    code = run([
+        "sweep", FIXTURES / "m3.json", FIXTURES / "m3.inputs.txt", FIXTURES / "m3.refs.txt",
+        "--lambdas", "0", "--ks", "1,2,4", "--decoder", "exact", "--n-max", "6", "--out", out,
+    ])
+    assert code == 2
+    assert "--ks" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_sweep_misaligned_refs_rejected(tmp_path, capsys):

@@ -24,6 +24,7 @@ from regdecode import (
     r_variance,
     score,
     score_parts,
+    trace,
 )
 from regdecode.objectives import r_beam_ids
 from regdecode.randmodels import random_table_model
@@ -308,3 +309,16 @@ def test_r_beam_contract_errors(m1):
         r_beam([["<s>", "a"]], m1, None, 1, 5)
     with pytest.raises(ContractError):
         r_beam([["<s>", "a", "a", "a", "</s>"]], m1, None, 1, 2)
+    # Markers out of place: a begin marker inside, an end marker before the last.
+    with pytest.raises(ContractError):
+        r_beam([["<s>", "a", "<s>", "</s>"]], m1, None, 1, 5)
+    with pytest.raises(ContractError):
+        r_beam([["<s>", "a", "</s>", "b", "</s>"]], m1, None, 1, 5)
+
+
+@pytest.mark.parametrize("tokens", [["<s>", "a", "<s>"], []], ids=["bos-last", "empty"])
+def test_score_and_trace_reject_malformed_sequences(m1, tokens):
+    with pytest.raises(ContractError):
+        score(tokens, MAP_OBJECTIVE, m1)
+    with pytest.raises(ContractError):
+        trace(m1, None, tokens)

@@ -14,9 +14,7 @@ from regdecode import (
     Vocabulary,
     VocabularyError,
     load_model,
-    load_table_model,
-    save_ngram_model,
-    save_table_model,
+    save_model,
     train_ngram,
 )
 import regdecode.models
@@ -101,21 +99,21 @@ def test_extension_never_raises_log_prob():
 
 def test_ngram_hand_count_order2():
     model = train_ngram([["a", "b"]], order=2, add_k=1.0)
-    assert model.conditional_prob(["a"], "b") == pytest.approx((1 + 1) / (1 + 3))
     dist = model.next_log_probs(None, ["<s>", "a"])
-    assert math.exp(dist[model.vocabulary.id_of("b")]) == pytest.approx(0.5)
+    assert math.exp(dist[model.vocabulary.id_of("b")]) == pytest.approx((1 + 1) / (1 + 3))
 
 
 def test_ngram_hand_count_order1():
     model = train_ngram([["a"]], order=1, add_k=1.0)
     # Two events observed (a, then the end marker) over a two-symbol space.
-    assert model.conditional_prob([], "a") == pytest.approx(0.5)
+    dist = model.next_log_probs(None, ["<s>"])
+    assert math.exp(dist[model.vocabulary.id_of("a")]) == pytest.approx(0.5)
 
 
 def test_ngram_empty_line_trains_eos_event():
     model = train_ngram([[]], order=2, add_k=0.5)
-    p = model.conditional_prob(["<s>"], "</s>")
-    assert p == pytest.approx((1 + 0.5) / (1 + 0.5 * 1))
+    dist = model.next_log_probs(None, ["<s>"])
+    assert math.exp(dist[model.vocabulary.eos_id]) == pytest.approx((1 + 0.5) / (1 + 0.5 * 1))
 
 
 def test_ngram_majority_argmax():
@@ -127,8 +125,8 @@ def test_ngram_majority_argmax():
 def test_ngram_unseen_context_is_uniform():
     model = train_ngram([["a", "b"]], order=3, add_k=1.0)
     # Context (a, a) never occurs, so smoothing alone decides: 1/3 each.
-    for tok in ("a", "b", "</s>"):
-        assert model.conditional_prob(["a", "a"], tok) == pytest.approx(1 / 3)
+    dist = model.next_log_probs(None, ["<s>", "a", "a"])
+    assert np.exp(dist) == pytest.approx([1 / 3] * 3)
 
 
 def test_extension_monotone_log_prob_property():
@@ -160,6 +158,8 @@ def test_ngram_rejects_bad_parameters():
     with pytest.raises(ContractError):
         train_ngram([["a"]], order=0, add_k=1.0)
     with pytest.raises(ContractError):
+        train_ngram([["a"]], order=-3, add_k=1.0)
+    with pytest.raises(ContractError):
         train_ngram([["a"]], order=1, add_k=0.0)
 
 
@@ -168,7 +168,7 @@ def test_ngram_rejects_bad_parameters():
 
 def test_load_model_parses_an_ngram_file_once(tmp_path, monkeypatch):
     path = tmp_path / "lm.json"
-    save_ngram_model(train_ngram([["a", "b"], ["b", "a"]], order=2, add_k=1.0), path)
+    save_model(train_ngram([["a", "b"], ["b", "a"]], order=2, add_k=1.0), path)
     real_loads = json.loads
     calls = []
 
@@ -183,8 +183,8 @@ def test_load_model_parses_an_ngram_file_once(tmp_path, monkeypatch):
 
 def test_table_round_trip(tmp_path, m1):
     out = tmp_path / "copy.json"
-    save_table_model(m1, out)
-    again = load_table_model(out)
+    save_model(m1, out)
+    again = load_model(out)
     assert again.to_spec() == m1.to_spec()
     prefix = ["<s>", "a"]
     assert np.allclose(again.next_log_probs(None, prefix), m1.next_log_probs(None, prefix))
@@ -192,8 +192,8 @@ def test_table_round_trip(tmp_path, m1):
 
 def test_source_keyed_table_round_trip(tmp_path, m3):
     out = tmp_path / "copy.json"
-    save_table_model(m3, out)
-    again = load_table_model(out)
+    save_model(m3, out)
+    again = load_model(out)
     assert again.to_spec() == m3.to_spec()
     assert again.source_keyed
     # Known sources hit their own tables; unknown sources fall to the default.
@@ -211,7 +211,7 @@ def test_table_rejects_bad_sum(tmp_path):
         "default": {"a": 0.5, "</s>": 0.4},
     }))
     with pytest.raises(ModelFormatError):
-        load_table_model(path)
+        load_model(path)
 
 
 def test_table_rejects_negative_probability(tmp_path):
@@ -222,14 +222,14 @@ def test_table_rejects_negative_probability(tmp_path):
         "default": {"a": 1.5, "</s>": -0.5},
     }))
     with pytest.raises(ModelFormatError):
-        load_table_model(path)
+        load_model(path)
 
 
 def test_table_rejects_garbage(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{not json")
     with pytest.raises(ModelFormatError):
-        load_table_model(path)
+        load_model(path)
 
 
 def test_table_rejects_unknown_token(tmp_path):
@@ -240,7 +240,19 @@ def test_table_rejects_unknown_token(tmp_path):
         "default": {"a": 0.5, "</s>": 0.5},
     }))
     with pytest.raises(ModelFormatError):
-        load_table_model(path)
+        load_model(path)
+
+
+@pytest.mark.parametrize("context", ["a", "<s> a <s>", "<s> </s> a"])
+def test_table_rejects_context_that_is_not_a_prefix(tmp_path, context):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({
+        "vocab": ["a"],
+        "entries": {context: {"a": 0.5, "</s>": 0.5}},
+        "default": {"a": 0.5, "</s>": 0.5},
+    }))
+    with pytest.raises(ModelFormatError):
+        load_model(path)
 
 
 def test_table_renormalizes_within_tolerance(tmp_path, caplog):
@@ -251,7 +263,7 @@ def test_table_renormalizes_within_tolerance(tmp_path, caplog):
         "default": {"a": 0.5, "</s>": 0.5 + 2e-7},
     }))
     with caplog.at_level(logging.WARNING):
-        model = load_table_model(path)
+        model = load_model(path)
     assert any("renormalizing" in r.message for r in caplog.records)
     dist = model.next_log_probs(None, ["<s>"])
     assert abs(np.exp(dist).sum() - 1.0) < 1e-12
