@@ -131,11 +131,11 @@ def cmd_train_ngram(args) -> int:
 def cmd_decode(args) -> int:
     if args.k is not None and args.decoder != "beam":
         raise ContractError(f"--k is a beam width: it needs --decoder beam, not {args.decoder}")
+    if args.decoder == "greedy" and args.objective.strip():
+        raise ContractError("the greedy decoder scores no --objective: use beam, exact or brute")
     model = load_model(args.model)
     sources = _read_token_lines(args.input)
     objective = parse_objective(args.objective)
-    if args.decoder == "greedy" and args.objective.strip():
-        print("note: the greedy decoder ignores --objective", file=sys.stderr)
     config = SearchConfig(beam_width=1 if args.k is None else args.k, n_max=args.n_max)
     records = _decode_corpus(args.decoder, model, sources, objective, config)
     out = Path(args.out)
@@ -173,8 +173,15 @@ def cmd_sweep(args) -> int:
     lambdas = _parse_number_list(args.lambdas, float)
     if not lambdas:
         raise ContractError("lambda list is empty")
-    ks = _parse_number_list(args.ks, int) if args.ks else [1]
     kind = args.objective_kind
+    if args.decoder == "greedy" and kind != "none" and any(lambdas):
+        raise ContractError(
+            "the greedy decoder scores no objective: a non-zero --lambdas needs "
+            "beam, exact or brute"
+        )
+    ks = _parse_number_list(args.ks, int) if args.ks else [1]
+    if not ks:
+        raise ContractError("beam width list --ks is empty")
     rows = []
     for lam in lambdas:
         if kind == "none" or lam == 0.0:

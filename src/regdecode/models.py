@@ -5,8 +5,13 @@ model (contexts are full target prefixes, optionally keyed by source) and
 an add-k smoothed n-gram model trained from a token corpus. Both return
 natural-log probabilities over the ordinary tokens plus the end marker.
 
-Distributions are fixed at construction. ``NGramModel`` fills a private
-cache of context rows on first use, so its instances are not meant to be
+Distributions are fixed at construction: every row that
+``next_log_probs_ids`` returns is one array the model keeps for its
+lifetime. ``NGramModel`` fills a private cache of context rows on first
+use. Every model also carries ``row_terms``, the decoders' memo of each
+distinct row's scoring terms (``objectives.step_terms``), keyed by the
+row's identity. It holds one entry per distinct row visited and lives as
+long as the model. Because of both memos, instances are not meant to be
 shared between threads.
 """
 
@@ -55,6 +60,7 @@ class SequenceModel:
         absorbed[vocabulary.eos_id] = 0.0
         absorbed.setflags(write=False)
         self._absorbed = absorbed
+        self.row_terms: dict[int, object] = {}
 
     def next_log_probs(self, source: TokenSeq | str | None, prefix: TokenSeq) -> np.ndarray:
         """Log-probability vector over ordinary tokens plus eos.

@@ -12,7 +12,9 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, NamedTuple, Sequence
+
+import numpy as np
 
 from .exceptions import ContractError
 from .models import SequenceModel, _source_key
@@ -28,6 +30,13 @@ class RegularizerKind(str, enum.Enum):
     SQUARE = "square"
 
 
+# The penalty specs square with d * d and sum left to right in explicit
+# loops, the arithmetic that numpy repeats element by element in the
+# expansion kernel below. Python's ``d ** 2`` goes through libm ``pow``,
+# which can be one ulp off the product, and from Python 3.12 ``sum()`` of
+# floats is compensated, which no running sum reproduces.
+
+
 def r_greedy(trace: Trace, stepwise_minima: Trace | None) -> float:
     """Sum of squared gaps between each step's surprisal and the best
     achievable surprisal at that step; zero iff every step is locally optimal."""
@@ -35,15 +44,41 @@ def r_greedy(trace: Trace, stepwise_minima: Trace | None) -> float:
         raise ContractError("greedy regularizer needs stepwise minima")
     if len(trace) != len(stepwise_minima):
         raise ContractError("trace and stepwise minima must have equal length")
-    return sum((u - m) ** 2 for u, m in zip(trace, stepwise_minima))
+    total = 0.0
+    for u, m in zip(trace, stepwise_minima):
+        d = u - m
+        total += d * d
+    return total
+
+
+def _running_sum(trace: Trace) -> float:
+    total = 0.0
+    for u in trace:
+        total += u
+    return total
 
 
 def r_variance(trace: Trace) -> float:
     n = len(trace)
     if n == 0:
         raise ContractError("trace must be nonempty")
-    mu = sum(trace) / n
-    return sum((u - mu) ** 2 for u in trace) / n
+    mu = _running_sum(trace) / n
+    total = 0.0
+    for u in trace:
+        d = u - mu
+        total += d * d
+    return total / n
+
+
+def _local_sum(trace: Trace) -> tuple[float, float]:
+    """(sum of squared adjacent differences, last surprisal), anchored at zero."""
+    prev = 0.0
+    total = 0.0
+    for u in trace:
+        d = u - prev
+        total += d * d
+        prev = u
+    return total, prev
 
 
 def r_local(trace: Trace) -> float:
@@ -52,12 +87,7 @@ def r_local(trace: Trace) -> float:
     n = len(trace)
     if n == 0:
         raise ContractError("trace must be nonempty")
-    prev = 0.0
-    total = 0.0
-    for u in trace:
-        total += (u - prev) ** 2
-        prev = u
-    return total / n
+    return _local_sum(trace)[0] / n
 
 
 def r_max(trace: Trace) -> float:
@@ -69,17 +99,116 @@ def r_max(trace: Trace) -> float:
 def r_square(trace: Trace) -> float:
     if len(trace) == 0:
         raise ContractError("trace must be nonempty")
-    return sum(u * u for u in trace)
+    total = 0.0
+    for u in trace:
+        total += u * u
+    return total
 
 
-# Each penalty's spec on a nonempty (trace, minima) pair, and whether
-# extending a prefix can only raise it.
+class Children(NamedTuple):
+    """What the expansion kernel reads of some children of one row: numpy
+    arrays aligned with ``StepTerms.ids`` for every allowed child, or floats
+    for the end-marker child alone. The same arithmetic serves both."""
+
+    log_prob: np.ndarray | float
+    surprisal: np.ndarray | float
+    gap_sq: np.ndarray | float  # the greedy term (surprisal - step minimum)**2
+    surprisal_sq: np.ndarray | float  # the square term
+
+
+class StepTerms:
+    """One next-token row in the form the expansion kernel reads.
+
+    ``ids`` are the allowed token ids (finite log-probability) in ascending
+    order and ``children`` their terms; forbidden tokens never enter the
+    arrays, so no ``0 * inf`` can arise. ``step_min`` is the step's minimum
+    surprisal. The end marker has the largest id of the row, so when it is
+    allowed it is the last child, and ``end`` holds its terms as floats
+    (``None`` otherwise).
+    """
+
+    __slots__ = ("row", "ids", "step_min", "children", "surprisal_list", "end")
+
+    def __init__(self, row: np.ndarray) -> None:
+        self.row = row
+        self.ids = np.nonzero(row > -math.inf)[0].tolist()
+        self.step_min = -float(row.max())
+        log_prob = row if len(self.ids) == len(row) else row[self.ids]
+        u = -log_prob
+        gap = u - self.step_min
+        self.children = Children(log_prob, u, gap * gap, u * u)
+        self.surprisal_list = u.tolist()
+        self.end = None
+        if self.ids[-1] == len(row) - 1:
+            end_lp = float(row[-1])
+            u, gap = -end_lp, -end_lp - self.step_min
+            self.end = Children(end_lp, u, gap * gap, u * u)
+
+
+def step_terms(model: SequenceModel, source_key: str, prefix_ids: tuple[int, ...]) -> StepTerms:
+    """The next-token row of a prefix as ``StepTerms``: one model call, the
+    terms built once per distinct row and memoized on the model."""
+    row = model.next_log_probs_ids(source_key, prefix_ids)
+    terms = model.row_terms.get(id(row))
+    if terms is None or terms.row is not row:
+        terms = model.row_terms[id(row)] = StepTerms(row)
+    return terms
+
+
+# Incremental forms: the penalty of each child of a prefix with this
+# (possibly empty) trace, from the prefix's partial sum and the children's
+# terms. Each repeats its spec's last loop step on the children, so it
+# equals the spec on the child's trace bit for bit.
+
+
+def _greedy_children(trace, minima, children):
+    return (r_greedy(trace, minima) if trace else 0.0) + children.gap_sq
+
+
+def _variance_children(trace, minima, children):
+    # The mean moves with the child's step, so the squared deviations are
+    # summed again over the prefix, left to right as in the spec.
+    n = len(trace) + 1
+    u = children.surprisal
+    mu = (_running_sum(trace) + u) / n
+    total = 0.0
+    for v in trace:
+        d = v - mu
+        total = total + d * d
+    d = u - mu
+    return (total + d * d) / n
+
+
+def _local_children(trace, minima, children):
+    total, prev = _local_sum(trace)
+    d = children.surprisal - prev
+    return (total + d * d) / (len(trace) + 1)
+
+
+def _max_children(trace, minima, children):
+    u = children.surprisal
+    if not trace:
+        return u
+    top = r_max(trace)
+    return np.where(u > top, u, top)  # max() keeps the first of equal values
+
+
+def _square_children(trace, minima, children):
+    return (r_square(trace) if trace else 0.0) + children.surprisal_sq
+
+
+class _Penalty(NamedTuple):
+    spec: Callable  # (nonempty trace, minima) -> value
+    children: Callable  # (trace, minima, Children) -> child values
+    monotone: bool  # extending a prefix can only raise it
+
+
 _PENALTIES = {
-    RegularizerKind.GREEDY: (r_greedy, True),
-    RegularizerKind.VARIANCE: (lambda trace, _: r_variance(trace), False),
-    RegularizerKind.LOCAL: (lambda trace, _: r_local(trace), False),
-    RegularizerKind.MAX: (lambda trace, _: r_max(trace), True),
-    RegularizerKind.SQUARE: (lambda trace, _: r_square(trace), True),
+    RegularizerKind.GREEDY: _Penalty(r_greedy, _greedy_children, True),
+    RegularizerKind.VARIANCE: _Penalty(lambda trace, _: r_variance(trace), _variance_children, False),
+    RegularizerKind.LOCAL: _Penalty(lambda trace, _: r_local(trace), _local_children, False),
+    RegularizerKind.MAX: _Penalty(lambda trace, _: r_max(trace), _max_children, True),
+    RegularizerKind.SQUARE: _Penalty(lambda trace, _: r_square(trace), _square_children, True),
 }
 
 LengthMode = str  # "none" | "reward" | "normalize"
@@ -123,7 +252,7 @@ class Objective:
         """True when extending a prefix can never raise its score, which
         lets best-first search stop at the first complete pop."""
         return self.length_mode == "none" and all(
-            _PENALTIES[kind][1] for kind, _ in self.regularizers
+            _PENALTIES[kind].monotone for kind, _ in self.regularizers
         )
 
     def optimistic_bound(self, log_prob: float, n_max: int) -> float:
@@ -185,10 +314,34 @@ def score_parts(
         total += length_term
     for kind, lam in objective.regularizers:
         # Empty traces (the bare begin-marker prefix) carry zero penalty.
-        value = _PENALTIES[kind][0](trace, minima) if n else 0.0
+        value = _PENALTIES[kind].spec(trace, minima) if n else 0.0
         penalties[kind.value] = value
         total -= lam * value
     return ScoreBreakdown(log_prob=log_prob, penalties=penalties, length_term=length_term, total=total)
+
+
+def child_scores(
+    objective: Objective, trace: Trace, minima: Trace, log_prob: float, children: Children
+):
+    """(totals, log-probabilities) of children of a prefix, in one vector
+    expression over its row (or one float expression for ``StepTerms.end``).
+
+    This is the expansion kernel of beam and exact search. Each total
+    equals ``score_parts(objective, child trace, child minima, child
+    log-probability).total`` bit for bit: the length transform and the
+    penalties are applied in the same order with the same operations.
+    """
+    n = len(trace) + 1
+    log_probs = log_prob + children.log_prob
+    if objective.length_mode == "normalize":
+        total = log_probs / n
+    elif objective.length_mode == "reward":
+        total = log_probs + objective.length_lambda * n
+    else:
+        total = log_probs
+    for kind, lam in objective.regularizers:
+        total = total - lam * _PENALTIES[kind].children(trace, minima, children)
+    return total, log_probs
 
 
 def score(

@@ -2,26 +2,51 @@
 
 All decoders share one tie-breaking rule so their outputs are directly
 comparable: higher total score first, then higher log-probability, then
-the lexicographically smallest token-id sequence. Beam and exact search
-grow prefixes through one extension step, ``_children``. Exact search is
-a single best-first loop: it orders open prefixes by their own score when
-every active penalty can only grow under extension (Dijkstra), otherwise
-by an optimistic bound (the prefix log-probability, adjusted for any
-length transform), and stops once the best complete hypothesis found so
-far beats every bound left in the queue. The brute-force oracles keep
-their own enumeration so they stay independent of the search code.
+the lexicographically smallest token-id sequence.
+
+Beam and exact search expand a prefix through one kernel,
+``objectives.child_scores``. One model call per expanded prefix fetches
+its next-token row (``objectives.step_terms``, with per-row terms memoized
+on the model), and the kernel scores all of its children in one numpy
+expression from the prefix's penalty partial sums. Traces, minima and
+``ScoreBreakdown``s (through the spec, ``score_parts``) are built only for
+the hypotheses a decoder returns; survivors and queued prefixes carry
+their trace and minima tuples so the partial sums can be recomputed.
+
+Beam search keeps, per step, the candidates at or above the k-th best
+total (an ``np.partition`` threshold, so every tie survives) and orders
+only those by the shared tie-break. Exact search is a single best-first
+loop: it orders open prefixes by their own score when every active
+penalty can only grow under extension (Dijkstra; the kernel's totals are
+the bounds), otherwise by an optimistic bound on the children's
+log-probabilities (adjusted for any length transform, with only the
+end-marker child scored), and stops once the best complete hypothesis
+found so far beats every bound left in the queue. The brute-force oracles
+keep their own enumeration and score with the spec, so they stay
+independent of the search code.
 """
 
 from __future__ import annotations
 
+import bisect
 import heapq
 import itertools
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .exceptions import ContractError, NoHypothesisError, SearchSpaceError
 from .models import SequenceModel, _source_key
-from .objectives import MAP_OBJECTIVE, Objective, ScoreBreakdown, r_beam_ids, score_parts
+from .objectives import (
+    MAP_OBJECTIVE,
+    Objective,
+    ScoreBreakdown,
+    child_scores,
+    r_beam_ids,
+    score_parts,
+    step_terms,
+)
 
 BRUTE_FORCE_PREFIX_GUARD = 10**7
 
@@ -70,7 +95,9 @@ class DecodeRecord:
     optimality_certificate: bool = False
 
 
-def _make_hypothesis(model: SequenceModel, ids, trace, minima, log_prob, breakdown) -> Hypothesis:
+def _make_hypothesis(model: SequenceModel, objective: Objective, ids, trace, minima,
+                     log_prob) -> Hypothesis:
+    """A returned hypothesis, scored by the spec (``score_parts``)."""
     vocab = model.vocabulary
     return Hypothesis(
         tokens=vocab.decode(ids),
@@ -79,21 +106,8 @@ def _make_hypothesis(model: SequenceModel, ids, trace, minima, log_prob, breakdo
         minima=tuple(minima),
         log_prob=log_prob,
         complete=ids[-1] == vocab.eos_id,
-        breakdown=breakdown,
+        breakdown=score_parts(objective, trace, minima, log_prob),
     )
-
-
-def _children(model: SequenceModel, source_key: str, ids, trace, minima, log_prob):
-    """Every allowed one-token extension of a prefix, in token-id order, as
-    (token id, trace, stepwise minima, log-probability); one model call."""
-    dist = model.next_log_probs_ids(source_key, ids).tolist()
-    step_min = -max(dist)
-    c_minima = minima + (step_min,)
-    return [
-        (tid, trace + (-logv,), c_minima, log_prob + logv)
-        for tid, logv in enumerate(dist)
-        if logv != -math.inf
-    ]
 
 
 def greedy_search(model: SequenceModel, source, config: SearchConfig) -> DecodeRecord:
@@ -116,8 +130,7 @@ def greedy_search(model: SequenceModel, source, config: SearchConfig) -> DecodeR
         trace.append(-logv)
         minima.append(-logv)
         if best_tid == eos:
-            breakdown = score_parts(MAP_OBJECTIVE, trace, minima, log_prob)
-            hyp = _make_hypothesis(model, ids, trace, minima, log_prob, breakdown)
+            hyp = _make_hypothesis(model, MAP_OBJECTIVE, ids, trace, minima, log_prob)
             return DecodeRecord(best=hyp, nodes_expanded=expanded)
     raise NoHypothesisError(f"greedy path did not terminate within n_max={config.n_max}")
 
@@ -139,33 +152,59 @@ def beam_search(
     k = config.beam_width
     expanded = 0
 
-    Node = tuple  # (ids, trace, minima, log_prob, breakdown); the root is never ranked
+    Node = tuple  # (ids, trace, minima, log_prob, total); the root is never ranked
     beams: list[Node] = [((vocab.bos_id,), (), (), 0.0, None)]
 
     for _ in range(config.n_max):
         if all(node[0][-1] == eos for node in beams):
             break
-        candidates: list[Node] = []
+        # One block of candidates per beam member: (node, terms, totals,
+        # log-probabilities) for its children, or terms None for an ended
+        # member, which is its own only candidate.
+        blocks = []
         for node in beams:
-            ids, trace, minima, log_prob, _ = node
+            ids, trace, minima, log_prob, total = node
             if ids[-1] == eos:
-                candidates.append(node)
+                blocks.append((node, None, [total], [log_prob]))
                 continue
             expanded += 1
-            for tid, c_trace, c_minima, c_lp in _children(
-                model, source_key, ids, trace, minima, log_prob
-            ):
-                c_breakdown = score_parts(objective, c_trace, c_minima, c_lp)
-                candidates.append(((*ids, tid), c_trace, c_minima, c_lp, c_breakdown))
-        candidates.sort(key=lambda n: (-n[4].total, -n[3], n[0]))
-        beams = candidates[:k]
+            terms = step_terms(model, source_key, ids)
+            blocks.append((node, terms, *child_scores(objective, trace, minima, log_prob,
+                                                      terms.children)))
+        starts = list(itertools.accumulate((len(b[2]) for b in blocks), initial=0))
+        totals = np.concatenate([b[2] for b in blocks])
+        log_probs = np.concatenate([b[3] for b in blocks])
+        # Only candidates at or above the k-th best total can survive; ties
+        # on it are all kept and then ordered like every other candidate.
+        cut = len(totals) - k
+        if cut > 0:
+            kept = np.flatnonzero(totals >= np.partition(totals, cut)[cut])
+        else:
+            kept = np.arange(len(totals))
+        ranked = []
+        for i, c_total, c_lp in zip(kept.tolist(), totals[kept].tolist(), log_probs[kept].tolist()):
+            b = bisect.bisect_right(starts, i) - 1
+            node, terms = blocks[b][:2]
+            j = i - starts[b]
+            c_ids = node[0] if terms is None else (*node[0], terms.ids[j])
+            ranked.append((-c_total, -c_lp, c_ids, b, j))
+        ranked.sort()
+        beams = []
+        for neg_total, neg_lp, c_ids, b, j in ranked[:k]:
+            node, terms = blocks[b][:2]
+            if terms is None:
+                beams.append(node)
+            else:
+                _, trace, minima, _, _ = node
+                beams.append((c_ids, trace + (terms.surprisal_list[j],),
+                              minima + (terms.step_min,), -neg_lp, -neg_total))
 
     finished = [node for node in beams if node[0][-1] == eos]
     if not finished:
         raise NoHypothesisError(
             f"no beam member reached the end marker within n_max={config.n_max}"
         )
-    hyps = [_make_hypothesis(model, *node) for node in finished]
+    hyps = [_make_hypothesis(model, objective, *node[:4]) for node in finished]
     hyps.sort(key=Hypothesis.sort_key)
     return DecodeRecord(best=hyps[0], beam_set=hyps, nodes_expanded=expanded)
 
@@ -192,39 +231,46 @@ def exact_search(
     n_max = config.n_max
     monotone = objective.is_prefix_monotone
 
-    def bound(trace, minima, log_prob) -> float:
-        if monotone:
-            return score_parts(objective, trace, minima, log_prob).total
-        return objective.optimistic_bound(log_prob, n_max)
-
-    best_key = best = None  # the incumbent's sort key and its node
+    best_key = best = None  # the incumbent's sort key and its (ids, trace, minima, log_prob)
     floor = -math.inf  # the incumbent's score
-    heap = [(-bound((), (), 0.0), -0.0, (vocab.bos_id,), (), ())]
+    heap = [(-objective.optimistic_bound(0.0, n_max), -0.0, (vocab.bos_id,), (), ())]
     expanded = 0
     while heap:
         neg_bound, neg_lp, ids, trace, minima = heapq.heappop(heap)
         if -neg_bound < floor:
             break
         expanded += 1
-        can_grow = len(ids) < n_max  # a non-end child still has a step left
-        for tid, c_trace, c_minima, c_lp in _children(
-            model, source_key, ids, trace, minima, -neg_lp
-        ):
-            c_ids = (*ids, tid)
-            if tid == eos:
-                breakdown = score_parts(objective, c_trace, c_minima, c_lp)
-                key = (-breakdown.total, -c_lp, c_ids)
-                if best_key is None or key < best_key:
-                    best_key, best = key, (c_ids, c_trace, c_minima, c_lp, breakdown)
-                    floor = breakdown.total
-            elif can_grow:
-                c_bound = bound(c_trace, c_minima, c_lp)
-                if c_bound >= floor:
-                    heapq.heappush(heap, (-c_bound, -c_lp, c_ids, c_trace, c_minima))
+        log_prob = -neg_lp
+        terms = step_terms(model, source_key, ids)
+        if monotone:
+            bounds, log_probs = child_scores(objective, trace, minima, log_prob, terms.children)
+        else:
+            log_probs = log_prob + terms.children.log_prob
+            bounds = objective.optimistic_bound(log_probs, n_max)
+        bounds, log_probs = bounds.tolist(), log_probs.tolist()
+        n_open = len(terms.ids)
+        if terms.end is not None:
+            n_open -= 1
+            if monotone:
+                end_total = bounds[-1]
+            else:
+                end_total = float(child_scores(objective, trace, minima, log_prob, terms.end)[0])
+            key = (-end_total, -log_probs[-1], (*ids, eos))
+            if best_key is None or key < best_key:
+                best_key = key
+                best = (key[2], trace + (terms.surprisal_list[-1],),
+                        minima + (terms.step_min,), log_probs[-1])
+                floor = end_total
+        if len(ids) < n_max:  # an open child still has a step left
+            c_minima = minima + (terms.step_min,)
+            for j in range(n_open):
+                if bounds[j] >= floor:
+                    heapq.heappush(heap, (-bounds[j], -log_probs[j], (*ids, terms.ids[j]),
+                                          trace + (terms.surprisal_list[j],), c_minima))
     if best is None:
         raise NoHypothesisError(f"no complete hypothesis within n_max={n_max}")
     return DecodeRecord(
-        best=_make_hypothesis(model, *best),
+        best=_make_hypothesis(model, objective, *best),
         nodes_expanded=expanded,
         optimality_certificate=True,
     )
@@ -281,14 +327,17 @@ def brute_force(
     count = 0
     for ids, trace, minima, log_prob in enumerate_complete(model, source_key, n_max):
         count += 1
-        breakdown = score_parts(objective, trace, minima, log_prob)
-        key = (-breakdown.total, -log_prob, ids)
+        key = (-score_parts(objective, trace, minima, log_prob).total, -log_prob, ids)
         if best_key is None or key < best_key:
             best_key = key
-            best = _make_hypothesis(model, ids, trace, minima, log_prob, breakdown)
+            best = (ids, trace, minima, log_prob)
     if best is None:
         raise NoHypothesisError(f"no complete hypothesis within n_max={n_max}")
-    return DecodeRecord(best=best, nodes_expanded=count, optimality_certificate=True)
+    return DecodeRecord(
+        best=_make_hypothesis(model, objective, *best),
+        nodes_expanded=count,
+        optimality_certificate=True,
+    )
 
 
 def brute_force_set(
@@ -328,7 +377,6 @@ def brute_force_set(
             best = combo
     out = []
     for ids, trace, minima, log_prob in best:
-        breakdown = score_parts(MAP_OBJECTIVE, trace, minima, log_prob)
-        out.append(_make_hypothesis(model, ids, trace, minima, log_prob, breakdown))
+        out.append(_make_hypothesis(model, MAP_OBJECTIVE, ids, trace, minima, log_prob))
     out.sort(key=Hypothesis.sort_key)
     return out

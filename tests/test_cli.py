@@ -271,6 +271,40 @@ def test_sweep_ks_needs_beam_decoder(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_sweep_empty_ks_is_usage_error(tmp_path, capsys):
+    out = tmp_path / "rows.csv"
+    code = run([
+        "sweep", FIXTURES / "beam_family.json", FIXTURES / "beam_family.inputs.txt",
+        FIXTURES / "beam_family.refs.txt", "--objective-kind", "none", "--lambdas", "0",
+        "--ks", ",", "--decoder", "beam", "--n-max", "8", "--out", out,
+    ])
+    assert code == 2
+    assert "--ks" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_greedy_decoder_with_objective_is_usage_error(tmp_path, capsys):
+    inputs = tmp_path / "in.txt"
+    inputs.write_text("x\n")
+    out = tmp_path / "out.jsonl"
+    code = run(["decode", FIXTURES / "m1.json", inputs, "--decoder", "greedy",
+                "--objective", "greedy=5", "--n-max", "6", "--out", out])
+    assert code == 2
+    assert "greedy decoder" in capsys.readouterr().err
+    assert not out.exists()
+    fixture = [FIXTURES / "m3.json", FIXTURES / "m3.inputs.txt", FIXTURES / "m3.refs.txt"]
+    rows = tmp_path / "rows.csv"
+    code = run(["sweep", *fixture, "--objective-kind", "greedy", "--lambdas", "0,1",
+                "--decoder", "greedy", "--n-max", "6", "--out", rows])
+    assert code == 2
+    assert "greedy decoder" in capsys.readouterr().err
+    assert not rows.exists()
+    # Weight zero, or no penalty kind, is the plain objective greedy decodes.
+    for kind, lambdas in (("greedy", "0"), ("none", "0,1")):
+        assert run(["sweep", *fixture, "--objective-kind", kind, "--lambdas", lambdas,
+                    "--decoder", "greedy", "--n-max", "6", "--out", rows]) == 0
+
+
 def test_sweep_misaligned_refs_rejected(tmp_path, capsys):
     refs = tmp_path / "refs.txt"
     refs.write_text("a b\n")

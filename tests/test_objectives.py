@@ -26,7 +26,7 @@ from regdecode import (
     score_parts,
     trace,
 )
-from regdecode.objectives import r_beam_ids
+from regdecode.objectives import StepTerms, child_scores, r_beam_ids
 from regdecode.randmodels import random_table_model
 
 traces = st.lists(
@@ -181,6 +181,53 @@ def test_normalize_divides_only_log_prob_when_regularized():
     obj = Objective(((RegularizerKind.VARIANCE, 2.0),), length_mode="normalize")
     b = score_parts(obj, tr, tr, -4.0)
     assert b.total == pytest.approx(-4.0 / 2 - 2.0 * r_variance(tr))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    row=st.lists(
+        st.one_of(st.just(-math.inf), st.floats(min_value=-30.0, max_value=0.0)),
+        min_size=1,
+        max_size=8,
+    ).filter(lambda r: max(r) > -math.inf),
+    steps=st.lists(
+        st.tuples(st.floats(min_value=0.0, max_value=30.0), st.floats(min_value=0.0, max_value=30.0)),
+        max_size=8,
+    ),
+    order=st.permutations(list(RegularizerKind)),
+    weights=st.lists(
+        st.sampled_from([None, 0.0, 0.25, 1.0, 3.0]),
+        min_size=len(RegularizerKind),
+        max_size=len(RegularizerKind),
+    ),
+    length=st.sampled_from(["none", "normalize", "reward:0.2", "reward:1.5"]),
+)
+def test_kernel_totals_equal_spec(row, steps, order, weights, length):
+    """The expansion kernel scores every allowed child of a prefix exactly
+    as ``score_parts`` scores that child, with ``==`` and no tolerance:
+    random rows with forbidden (-inf) tokens, random prefix traces, every
+    mix and order of penalties, weight 0 and both length transforms."""
+    regs = tuple((kind, w) for kind, w in zip(order, weights) if w is not None)
+    mode, _, lam = length.partition(":")
+    objective = Objective(regs, mode, float(lam or 0.0))
+    trace = tuple(max(a, b) for a, b in steps)
+    minima = tuple(min(a, b) for a, b in steps)
+    log_prob = -sum(trace)
+    terms = StepTerms(np.array(row))
+    totals, log_probs = child_scores(objective, trace, minima, log_prob, terms.children)
+    step_min = -max(row)
+    allowed = [tid for tid, logv in enumerate(row) if logv != -math.inf]
+    assert terms.ids == allowed
+    for j, tid in enumerate(allowed):
+        logv = row[tid]
+        spec = score_parts(objective, trace + (-logv,), minima + (step_min,), log_prob + logv)
+        assert totals[j] == spec.total
+        assert log_probs[j] == log_prob + logv
+    if row[-1] == -math.inf:
+        assert terms.end is None
+    else:  # the float path for the end-marker child alone
+        end_total, end_log_prob = child_scores(objective, trace, minima, log_prob, terms.end)
+        assert end_total == totals[-1] and end_log_prob == log_probs[-1]
 
 
 def test_objective_validation():

@@ -22,6 +22,7 @@ from regdecode import (
     greedy_search,
     parse_objective,
 )
+from regdecode.objectives import score_parts
 from regdecode.randmodels import (
     exactness_instance,
     random_table_model,
@@ -109,6 +110,66 @@ def test_wider_beam_recovers_longer_hypothesis(m2):
     ]
 
 
+def reference_beam(model, objective, k, n_max):
+    """Beam search by its definition: score every candidate with the spec,
+    sort all of them by the shared order, keep k. Returns the ids of the
+    finished survivors in that order."""
+    eos = model.vocabulary.eos_id
+    beams = [((model.vocabulary.bos_id,), (), (), 0.0, None)]
+    for _ in range(n_max):
+        if all(b[0][-1] == eos for b in beams):
+            break
+        candidates = []
+        for node in beams:
+            ids, trace, minima, log_prob, _ = node
+            if ids[-1] == eos:
+                candidates.append(node)
+                continue
+            dist = model.next_log_probs_ids("", ids).tolist()
+            for tid, logv in enumerate(dist):
+                if logv != -math.inf:
+                    child = ((*ids, tid), trace + (-logv,), minima + (-max(dist),), log_prob + logv)
+                    candidates.append((*child, score_parts(objective, *child[1:]).total))
+        candidates.sort(key=lambda c: (-c[4], -c[3], c[0]))
+        beams = candidates[:k]
+    return [b[0] for b in beams if b[0][-1] == eos]
+
+
+def test_beam_keeps_every_tie_on_the_kth_total():
+    """Three first steps tie on the second-best total; width two keeps the
+    two with the smallest ids, as the full sort would."""
+    v = Vocabulary(("a", "b", "c", "d"))
+    m = TableModel(v, {"<s>": {"a": 0.1, "b": 0.3, "c": 0.3, "d": 0.3}}, {"</s>": 1.0})
+    rec = beam_search(m, None, MAP_OBJECTIVE, SearchConfig(beam_width=2, n_max=3))
+    assert [h.tokens for h in rec.beam_set] == [("<s>", "b", "</s>"), ("<s>", "c", "</s>")]
+
+
+def test_beam_matches_reference_under_heavy_ties():
+    """Uniform rows over random token subsets make many candidates tie on
+    total and log-probability, so the threshold and the tie-break order
+    decide the beam; it must equal the sort-everything reference."""
+    rng = np.random.default_rng(11)
+    objectives = [MAP_OBJECTIVE] + [parse_objective(spec) for spec in (
+        "square=1", "greedy=1,local=0.5", "variance=2,max=1", "len=norm", "len=reward:0.7")]
+    tokens = ("a", "b", "c")
+    for _ in range(30):
+        entries = {}
+        for ctx in ("<s>", "<s> a", "<s> b", "<s> a a", "<s> b c"):
+            allowed = [t for t in tokens + ("</s>",) if rng.random() < 0.6] or ["</s>"]
+            entries[ctx] = {t: 1 / len(allowed) for t in allowed}
+        model = TableModel(Vocabulary(tokens), entries, {t: 0.25 for t in tokens + ("</s>",)})
+        for objective in objectives:
+            for k in (1, 2, 3, 5):
+                config = SearchConfig(beam_width=k, n_max=4)
+                expected = reference_beam(model, objective, k, 4)
+                if not expected:
+                    with pytest.raises(NoHypothesisError):
+                        beam_search(model, None, objective, config)
+                    continue
+                rec = beam_search(model, None, objective, config)
+                assert [h.token_ids for h in rec.beam_set] == expected
+
+
 def test_beam_set_ordered_by_final_score(m1):
     rec = beam_search(m1, None, MAP_OBJECTIVE, SearchConfig(beam_width=3, n_max=5))
     scores = [h.sort_key() for h in rec.beam_set]
@@ -174,7 +235,6 @@ def test_bound_admissible_on_small_models():
     monotone = parse_objective("greedy=1,square=0.5")
     assert monotone.is_prefix_monotone and not bounded.is_prefix_monotone
     from regdecode.search import enumerate_complete
-    from regdecode.objectives import score_parts
 
     for _ in range(10):
         model = random_table_model(rng, 2)
