@@ -2,9 +2,10 @@
 self-verification against the brute-force oracles.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 I/O or
-format error. A decode with no complete hypothesis within ``--n-max``, or a
-brute-force search above its size guard, is a usage error: the fix is
-always a flag (``--n-max`` or ``--decoder``).
+format error. A decode with no complete hypothesis within ``--n-max``, a
+brute-force search above its size guard, or an exact search whose agenda
+outgrows its guard is a usage error: the fix is always a flag (``--n-max``
+or ``--decoder``).
 Every output file gets a sidecar ``<name>.manifest.json`` recording the
 command, configuration, input digests, and seed; identical manifests give
 bit-identical outputs, so timing is deliberately kept out of the files.

@@ -11,12 +11,15 @@ lifetime. ``NGramModel`` fills a private cache of context rows on first
 use. Every model also carries ``row_terms``, the decoders' memo of each
 distinct row's scoring terms (``objectives.step_terms``), keyed by the
 row's identity. It holds one entry per distinct row visited and lives as
-long as the model. Because of both memos, instances are not meant to be
-shared between threads.
+long as the model. ``best_step``, the bound exact search puts on every step
+it has not taken yet, is computed on first use and then kept. Because of
+these memos, instances are not meant to be shared between threads.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import json
 import logging
 import math
@@ -77,6 +80,16 @@ class SequenceModel:
         return self._step_log_probs(source_key, prefix_ids)
 
     def _step_log_probs(self, source_key: str, prefix_ids: tuple[int, ...]) -> np.ndarray:
+        raise NotImplementedError
+
+    @functools.cached_property
+    def best_step(self) -> float:
+        """At least every entry of every row ``_step_log_probs`` can return,
+        so no step of any hypothesis has a higher log-probability; at most
+        0, since every row is a distribution."""
+        return min(self._best_step(), 0.0)
+
+    def _best_step(self) -> float:
         raise NotImplementedError
 
 
@@ -150,6 +163,10 @@ class TableModel(SequenceModel):
             if hit is not None:
                 return hit
         return self._default
+
+    def _best_step(self) -> float:
+        tables = (table.values() for table in self._tables.values())
+        return float(np.concatenate([self._default, *itertools.chain(*tables)]).max())
 
     def to_spec(self) -> dict:
         spec = {
@@ -232,6 +249,19 @@ class NGramModel(SequenceModel):
         arr.setflags(write=False)
         self._cache[ctx] = arr
         return arr
+
+    def _best_step(self) -> float:
+        # A row's largest entry belongs to its largest count, so the counts
+        # give every row's largest probability, with the arithmetic of
+        # _step_log_probs, without building the rows. The leading zeros are
+        # the unseen-context row (and any context stored without events).
+        # np.log is the function the rows use, but its result here is not
+        # taken from a row, so it is raised by one ulp.
+        events = [e.values() for e in self._counts.values() if e]
+        top = np.array([0, *map(max, events)], dtype=float)
+        total = np.array([0, *map(sum, events)], dtype=float)
+        probs = (top + self.add_k) / (total + self.add_k * self.vocabulary.dist_size)
+        return math.nextafter(float(np.log(probs).max()), math.inf)
 
     def to_spec(self) -> dict:
         vocab = self.vocabulary

@@ -2,9 +2,9 @@
 
 The total score of a hypothesis is its cumulative log-probability minus a
 weighted sum of regularizer penalties, optionally combined with a length
-reward or length normalization. All penalties are non-negative, so the
-plain log-probability of a prefix is always an optimistic bound on the
-score of any of its completions.
+reward or length normalization. ``child_scores`` scores the children of a
+prefix and ``completion_bounds`` bounds the score of every completion of
+each of them from above, which is what exact search prunes with.
 """
 
 from __future__ import annotations
@@ -179,10 +179,16 @@ def _variance_children(trace, minima, children):
     return (total + d * d) / n
 
 
-def _local_children(trace, minima, children):
+def _local_sums(trace, children):
+    """Each child's sum of squared adjacent differences, before the spec's
+    division by the length."""
     total, prev = _local_sum(trace)
     d = children.surprisal - prev
-    return (total + d * d) / (len(trace) + 1)
+    return total + d * d
+
+
+def _local_children(trace, minima, children):
+    return _local_sums(trace, children) / (len(trace) + 1)
 
 
 def _max_children(trace, minima, children):
@@ -197,18 +203,36 @@ def _square_children(trace, minima, children):
     return (r_square(trace) if trace else 0.0) + children.surprisal_sq
 
 
+# Lower-bound forms: (values, per_length) for the children of a prefix, such
+# that a completion of a child to n steps has a penalty of at least
+# ``values / n`` when per_length, else at least ``values``. Each value is a
+# partial sum of the spec, which only ever adds non-negative terms to it (or
+# takes a running max), so in floats too the final penalty never falls
+# below it. Variance has no such form: its bound is 0.
+
+
+def _own_value(children_form):
+    return lambda trace, minima, children: (children_form(trace, minima, children), False)
+
+
+def _local_lower(trace, minima, children):
+    return _local_sums(trace, children), True
+
+
 class _Penalty(NamedTuple):
     spec: Callable  # (nonempty trace, minima) -> value
     children: Callable  # (trace, minima, Children) -> child values
-    monotone: bool  # extending a prefix can only raise it
+    lower: Callable | None  # (trace, minima, Children) -> (values, per_length)
 
 
 _PENALTIES = {
-    RegularizerKind.GREEDY: _Penalty(r_greedy, _greedy_children, True),
-    RegularizerKind.VARIANCE: _Penalty(lambda trace, _: r_variance(trace), _variance_children, False),
-    RegularizerKind.LOCAL: _Penalty(lambda trace, _: r_local(trace), _local_children, False),
-    RegularizerKind.MAX: _Penalty(lambda trace, _: r_max(trace), _max_children, True),
-    RegularizerKind.SQUARE: _Penalty(lambda trace, _: r_square(trace), _square_children, True),
+    RegularizerKind.GREEDY: _Penalty(r_greedy, _greedy_children, _own_value(_greedy_children)),
+    RegularizerKind.VARIANCE: _Penalty(lambda trace, _: r_variance(trace), _variance_children, None),
+    RegularizerKind.LOCAL: _Penalty(lambda trace, _: r_local(trace), _local_children, _local_lower),
+    RegularizerKind.MAX: _Penalty(lambda trace, _: r_max(trace), _max_children,
+                                  _own_value(_max_children)),
+    RegularizerKind.SQUARE: _Penalty(lambda trace, _: r_square(trace), _square_children,
+                                     _own_value(_square_children)),
 }
 
 LengthMode = str  # "none" | "reward" | "normalize"
@@ -246,23 +270,6 @@ class Objective:
             math.isfinite(self.length_lambda) and self.length_lambda >= 0
         ):
             raise ContractError("length reward weight must be finite and >= 0")
-
-    @property
-    def is_prefix_monotone(self) -> bool:
-        """True when extending a prefix can never raise its score, which
-        lets best-first search stop at the first complete pop."""
-        return self.length_mode == "none" and all(
-            _PENALTIES[kind].monotone for kind, _ in self.regularizers
-        )
-
-    def optimistic_bound(self, log_prob: float, n_max: int) -> float:
-        """Upper bound on the score of any completion of a prefix with the
-        given cumulative log-probability; penalties are non-negative."""
-        if self.length_mode == "reward":
-            return log_prob + self.length_lambda * n_max
-        if self.length_mode == "normalize":
-            return log_prob / n_max
-        return log_prob
 
     def describe(self) -> str:
         """The ``parse_objective`` spec of this objective; it parses back to
@@ -331,17 +338,63 @@ def child_scores(
     log-probability).total`` bit for bit: the length transform and the
     penalties are applied in the same order with the same operations.
     """
-    n = len(trace) + 1
     log_probs = log_prob + children.log_prob
-    if objective.length_mode == "normalize":
-        total = log_probs / n
-    elif objective.length_mode == "reward":
-        total = log_probs + objective.length_lambda * n
-    else:
-        total = log_probs
+    total = _length_term(objective, log_probs, len(trace) + 1)
     for kind, lam in objective.regularizers:
         total = total - lam * _PENALTIES[kind].children(trace, minima, children)
     return total, log_probs
+
+
+def _length_term(objective: Objective, log_probs, n: int):
+    """The log-probability term of a hypothesis of n steps, as ``score_parts``
+    computes it."""
+    if objective.length_mode == "normalize":
+        return log_probs / n
+    if objective.length_mode == "reward":
+        return log_probs + objective.length_lambda * n
+    return log_probs
+
+
+def completion_bounds(
+    objective: Objective, trace: Trace, minima: Trace, log_prob: float, children: Children,
+    n_max: int, best_step: float,
+):
+    """(bounds, log-probabilities) of the children of a prefix: each bound
+    is at least the score, as computed in floats, of every completion of
+    that child that has at most ``n_max`` steps and takes a step after it.
+
+    ``best_step`` is at least every entry of every row, and at most 0. For
+    each completion length n the bound repeats ``child_scores`` with every
+    input replaced by an upper bound: each step still to come adds
+    ``best_step`` to the child's log-probability, in the order the real sum
+    accumulates, and each penalty subtracts its lower-bound form. Rounding
+    to nearest is monotone, so the bound holds in floats with no tolerance.
+    The result is the highest bound over n. With no length transform and
+    no lower form divided by n, a further step can only lower the bound, so
+    the shortest completion gives it.
+    """
+    lowers = []
+    shortest = objective.length_mode == "none"
+    for kind, lam in objective.regularizers:
+        lower = _PENALTIES[kind].lower
+        if lower is not None:
+            values, per_length = lower(trace, minima, children)
+            lowers.append((lam, values, per_length))
+            shortest = shortest and not per_length
+    log_probs = run = log_prob + children.log_prob
+    if shortest:
+        total = log_probs + best_step
+        for lam, values, _ in lowers:
+            total = total - lam * values
+        return total, log_probs
+    bounds = None
+    for n in range(len(trace) + 2, n_max + 1):
+        run = run + best_step
+        total = _length_term(objective, run, n)
+        for lam, values, per_length in lowers:
+            total = total - lam * (values / n if per_length else values)
+        bounds = total if bounds is None else np.maximum(bounds, total)
+    return bounds, log_probs
 
 
 def score(

@@ -16,14 +16,13 @@ their trace and minima tuples so the partial sums can be recomputed.
 Beam search keeps, per step, the candidates at or above the k-th best
 total (an ``np.partition`` threshold, so every tie survives) and orders
 only those by the shared tie-break. Exact search is a single best-first
-loop: it orders open prefixes by their own score when every active
-penalty can only grow under extension (Dijkstra; the kernel's totals are
-the bounds), otherwise by an optimistic bound on the children's
-log-probabilities (adjusted for any length transform, with only the
-end-marker child scored), and stops once the best complete hypothesis
-found so far beats every bound left in the queue. The brute-force oracles
-keep their own enumeration and score with the spec, so they stay
-independent of the search code.
+loop: it scores each end-marker child on the spot, orders the open
+children by ``objectives.completion_bounds`` (the child's log-probability
+plus the model's ``best_step`` for every step still to come, through the
+length transform, minus a lower bound on each penalty), and stops once
+the best complete hypothesis found so far beats every bound left in the
+queue. The brute-force oracles keep their own enumeration and score with
+the spec, so they stay independent of the search code.
 """
 
 from __future__ import annotations
@@ -43,12 +42,16 @@ from .objectives import (
     Objective,
     ScoreBreakdown,
     child_scores,
+    completion_bounds,
     r_beam_ids,
     score_parts,
     step_terms,
 )
 
 BRUTE_FORCE_PREFIX_GUARD = 10**7
+# Open prefixes exact search may hold at once; each holds its trace and
+# minima, so 10**6 of them take about 300 MB.
+EXACT_AGENDA_GUARD = 10**6
 
 
 @dataclass(frozen=True)
@@ -215,25 +218,30 @@ def exact_search(
     """Optimal decoding with a certificate, restricted to |y| <= n_max.
 
     One best-first loop over open prefixes, keyed by an upper bound on the
-    score of any completion: the prefix's own score when the objective is
-    prefix-monotone (Dijkstra), otherwise ``Objective.optimistic_bound``.
-    End-marker children are scored on the spot and the best is kept as the
-    incumbent; the root's end-marker child is the empty string, so unless
-    the model forbids it the incumbent exists after the first expansion.
-    Open children whose bound is below the incumbent are never queued. The
-    loop stops once the best open bound is strictly below the incumbent's
-    score (equal bounds are still expanded so tie-breaking matches the
-    brute-force oracle).
+    score of any completion (``objectives.completion_bounds``; the root's
+    is infinite). End-marker children are scored on the spot and the best
+    is kept as the incumbent; the root's end-marker child is the empty
+    string, so unless the model forbids it the incumbent exists after the
+    first expansion. Open children whose bound is below the incumbent are
+    never queued. The loop stops once the best open bound is strictly
+    below the incumbent's score (equal bounds are still expanded so
+    tie-breaking matches the brute-force oracle). More than
+    ``EXACT_AGENDA_GUARD`` queued prefixes raise ``SearchSpaceError``.
     """
     vocab = model.vocabulary
     source_key = _source_key(source)
     eos = vocab.eos_id
     n_max = config.n_max
-    monotone = objective.is_prefix_monotone
+    # Every row is a distribution, so 0.0 bounds every step. The model's
+    # best_step is tighter, but its first use costs a pass over the model's
+    # parameters: until some decode has paid for it (the cached property
+    # then sits in the instance dict), a decode fetches it only once bounds
+    # with 0.0 leave a child to queue.
+    best_step = vars(model).get("best_step")
 
     best_key = best = None  # the incumbent's sort key and its (ids, trace, minima, log_prob)
     floor = -math.inf  # the incumbent's score
-    heap = [(-objective.optimistic_bound(0.0, n_max), -0.0, (vocab.bos_id,), (), ())]
+    heap = [(-math.inf, -0.0, (vocab.bos_id,), (), ())]
     expanded = 0
     while heap:
         neg_bound, neg_lp, ids, trace, minima = heapq.heappop(heap)
@@ -242,31 +250,33 @@ def exact_search(
         expanded += 1
         log_prob = -neg_lp
         terms = step_terms(model, source_key, ids)
-        if monotone:
-            bounds, log_probs = child_scores(objective, trace, minima, log_prob, terms.children)
-        else:
-            log_probs = log_prob + terms.children.log_prob
-            bounds = objective.optimistic_bound(log_probs, n_max)
-        bounds, log_probs = bounds.tolist(), log_probs.tolist()
         n_open = len(terms.ids)
         if terms.end is not None:
             n_open -= 1
-            if monotone:
-                end_total = bounds[-1]
-            else:
-                end_total = float(child_scores(objective, trace, minima, log_prob, terms.end)[0])
-            key = (-end_total, -log_probs[-1], (*ids, eos))
+            end_total, end_lp = child_scores(objective, trace, minima, log_prob, terms.end)
+            end_total = float(end_total)
+            key = (-end_total, -end_lp, (*ids, eos))
             if best_key is None or key < best_key:
                 best_key = key
                 best = (key[2], trace + (terms.surprisal_list[-1],),
-                        minima + (terms.step_min,), log_probs[-1])
+                        minima + (terms.step_min,), end_lp)
                 floor = end_total
-        if len(ids) < n_max:  # an open child still has a step left
+        if n_open and len(ids) < n_max:  # an open child still has a step left
+            args = (objective, trace, minima, log_prob, terms.children, n_max)
+            bounds, log_probs = completion_bounds(*args, 0.0 if best_step is None else best_step)
+            bounds, log_probs = bounds.tolist(), log_probs.tolist()
+            if best_step is None and max(bounds[:n_open]) >= floor:
+                best_step = model.best_step
+                bounds = completion_bounds(*args, best_step)[0].tolist()
             c_minima = minima + (terms.step_min,)
             for j in range(n_open):
                 if bounds[j] >= floor:
                     heapq.heappush(heap, (-bounds[j], -log_probs[j], (*ids, terms.ids[j]),
                                           trace + (terms.surprisal_list[j],), c_minima))
+            if len(heap) > EXACT_AGENDA_GUARD:
+                raise SearchSpaceError(
+                    f"exact search agenda exceeds its guard of {EXACT_AGENDA_GUARD} open prefixes"
+                )
     if best is None:
         raise NoHypothesisError(f"no complete hypothesis within n_max={n_max}")
     return DecodeRecord(

@@ -11,6 +11,7 @@ from regdecode import (
     load_model,
     train_ngram,
 )
+import regdecode.search
 from regdecode.cli import main
 
 from .conftest import FIXTURES
@@ -216,6 +217,17 @@ def test_brute_force_above_guard_is_usage_error(tmp_path, capsys):
                 "--out", tmp_path / "o.jsonl"]) == 2
     err = capsys.readouterr().err
     assert "exceed the brute-force guard" in err
+    assert "Traceback" not in err
+
+
+def test_exact_agenda_above_guard_is_usage_error(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(regdecode.search, "EXACT_AGENDA_GUARD", 5)
+    inputs = tmp_path / "in.txt"
+    inputs.write_text("x\n")
+    assert run(["decode", FIXTURES / "m1.json", inputs, "--decoder", "exact", "--n-max", "6",
+                "--objective", "len=reward:3", "--out", tmp_path / "o.jsonl"]) == 2
+    err = capsys.readouterr().err
+    assert "guard of 5 open prefixes" in err
     assert "Traceback" not in err
 
 

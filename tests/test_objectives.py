@@ -26,7 +26,7 @@ from regdecode import (
     score_parts,
     trace,
 )
-from regdecode.objectives import StepTerms, child_scores, r_beam_ids
+from regdecode.objectives import StepTerms, child_scores, completion_bounds, r_beam_ids
 from regdecode.randmodels import random_table_model
 
 traces = st.lists(
@@ -230,6 +230,59 @@ def test_kernel_totals_equal_spec(row, steps, order, weights, length):
         assert end_total == totals[-1] and end_log_prob == log_probs[-1]
 
 
+@settings(max_examples=300, deadline=None)
+@given(
+    row=st.lists(
+        st.one_of(st.just(-math.inf), st.floats(min_value=-30.0, max_value=0.0)),
+        min_size=1,
+        max_size=8,
+    ).filter(lambda r: max(r) > -math.inf),
+    steps=st.lists(
+        st.tuples(st.floats(min_value=0.0, max_value=30.0), st.floats(min_value=0.0, max_value=30.0)),
+        max_size=6,
+    ),
+    best_step=st.floats(min_value=-30.0, max_value=0.0),
+    rest=st.lists(
+        st.tuples(st.floats(min_value=0.0, max_value=30.0), st.floats(min_value=0.0, max_value=30.0)),
+        min_size=1,
+        max_size=6,
+    ),
+    spare=st.integers(min_value=0, max_value=2),
+    order=st.permutations(list(RegularizerKind)),
+    weights=st.lists(
+        st.sampled_from([None, 0.0, 0.25, 1.0, 3.0]),
+        min_size=len(RegularizerKind),
+        max_size=len(RegularizerKind),
+    ),
+    length=st.sampled_from(["none", "normalize", "reward:0.2", "reward:1.5", "reward:40"]),
+)
+def test_completion_bounds_admissible(row, steps, best_step, rest, spare, order, weights,
+                                      length):
+    """Each child's bound is at least, with ``>=`` and no tolerance, the
+    spec score of a completion of that child: random prefixes and rows,
+    and further steps each some drop below ``best_step`` (often none)."""
+    regs = tuple((kind, w) for kind, w in zip(order, weights) if w is not None)
+    mode, _, lam = length.partition(":")
+    objective = Objective(regs, mode, float(lam or 0.0))
+    trace = tuple(max(a, b) for a, b in steps)
+    minima = tuple(min(a, b) for a, b in steps)
+    log_prob = -sum(trace)
+    n_max = len(trace) + 1 + len(rest) + spare
+    terms = StepTerms(np.array(row))
+    bounds, _ = completion_bounds(objective, trace, minima, log_prob, terms.children, n_max,
+                                  best_step)
+    step_min = -max(row)
+    for j, tid in enumerate(terms.ids):
+        c_trace, c_minima, c_log_prob = [-row[tid]], [step_min], log_prob + row[tid]
+        for drop, gap in rest:
+            logv = best_step - drop
+            c_trace.append(-logv)
+            c_minima.append(max(0.0, -logv - gap))
+            c_log_prob += logv
+        spec = score_parts(objective, trace + tuple(c_trace), minima + tuple(c_minima), c_log_prob)
+        assert bounds[j] >= spec.total
+
+
 def test_objective_validation():
     with pytest.raises(ContractError):
         Objective(((RegularizerKind.GREEDY, -1.0),))
@@ -267,15 +320,6 @@ def test_parse_objective_errors():
                 "len=norm,len=norm", "greedy=1,greedy=2"):
         with pytest.raises(ContractError):
             parse_objective(bad)
-
-
-def test_monotone_classification():
-    assert Objective(((RegularizerKind.GREEDY, 1.0), (RegularizerKind.MAX, 2.0))).is_prefix_monotone
-    assert MAP_OBJECTIVE.is_prefix_monotone
-    assert not Objective(((RegularizerKind.VARIANCE, 1.0),)).is_prefix_monotone
-    assert not Objective(((RegularizerKind.LOCAL, 1.0),)).is_prefix_monotone
-    assert not Objective(length_mode="reward", length_lambda=0.1).is_prefix_monotone
-    assert not Objective(length_mode="normalize").is_prefix_monotone
 
 
 # --- set deviation penalty

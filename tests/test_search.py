@@ -21,14 +21,17 @@ from regdecode import (
     exact_search,
     greedy_search,
     parse_objective,
+    train_ngram,
 )
-from regdecode.objectives import score_parts
+import regdecode.search
+from regdecode.objectives import StepTerms, completion_bounds, score_parts
 from regdecode.randmodels import (
     exactness_instance,
     random_table_model,
     set_limit_instance,
     tie_free_instance,
 )
+from regdecode.search import enumerate_complete
 
 
 def chain_model():
@@ -226,33 +229,93 @@ def test_exact_agrees_with_brute_under_length_modes(m1, m4):
             assert e.best.token_ids == b.best.token_ids
 
 
-def test_bound_admissible_on_small_models():
-    """Every queue bound must dominate the true score of every completion
-    that extends the bounded prefix. A non-monotone objective is bounded by
-    ``optimistic_bound``; a prefix-monotone one by the prefix's own score."""
-    rng = np.random.default_rng(17)
-    bounded = Objective(((RegularizerKind.VARIANCE, 3.0),))
-    monotone = parse_objective("greedy=1,square=0.5")
-    assert monotone.is_prefix_monotone and not bounded.is_prefix_monotone
-    from regdecode.search import enumerate_complete
+BOUND_OBJECTIVES = (
+    "", "greedy=1", "variance=3", "local=2", "max=0.5", "square=0.5",
+    "greedy=1,local=0.5,variance=2", "max=1,square=0.25,local=3",
+    "len=norm", "len=reward:0.7", "len=reward:4", "local=1,len=norm",
+    "square=0.5,local=1,len=reward:2", "greedy=2,variance=1,max=1,len=norm",
+)
 
+
+def test_bound_admissible_on_small_models():
+    """Every open child's bound is at least, with no tolerance, the score
+    of every completion that takes a step after it."""
+    rng = np.random.default_rng(17)
+    objectives = [parse_objective(spec) for spec in BOUND_OBJECTIVES]
     for _ in range(10):
         model = random_table_model(rng, 2)
         n_max = 4
-        completions = list(enumerate_complete(model, "", n_max))
-        for ids, trace, minima, lp in completions:
-            total = score_parts(bounded, trace, minima, lp).total
-            mono_total = score_parts(monotone, trace, minima, lp).total
-            # Prefix traces recomputed independently step by step.
+        for ids, trace, minima, lp in enumerate_complete(model, "", n_max):
+            totals = [score_parts(o, trace, minima, lp).total for o in objectives]
+            # Prefix traces recomputed independently step by step; ids[:t]
+            # is the expanded prefix and ids[t] one of its open children.
             run, steps, mins = 0.0, [], []
-            for t in range(1, len(ids)):
-                assert bounded.optimistic_bound(run, n_max) >= total - 1e-9
-                prefix_score = score_parts(monotone, steps, mins, run).total
-                assert prefix_score >= mono_total - 1e-9
+            for t in range(1, len(ids) - 1):
                 dist = model.next_log_probs_ids("", ids[:t])
+                terms = StepTerms(dist)
+                j = terms.ids.index(ids[t])
+                for objective, total in zip(objectives, totals):
+                    bounds, _ = completion_bounds(objective, steps, mins, run, terms.children,
+                                                  n_max, model.best_step)
+                    assert bounds[j] >= total
                 run += float(dist[ids[t]])
                 steps.append(-float(dist[ids[t]]))
                 mins.append(-float(dist.max()))
+
+
+def uniform_model(n_tokens):
+    vocab = Vocabulary(tuple("abcde"[:n_tokens]))
+    row = {t: 1 / (n_tokens + 1) for t in (*vocab.tokens, vocab.eos)}
+    return TableModel(vocab, {"<s>": row}, row)
+
+
+def test_exact_matches_brute_when_every_step_attains_best_step():
+    """Every entry of a uniform model equals ``best_step``, so the bound of
+    a penalty-free objective meets the score of a completion exactly and
+    tie-breaking alone separates the hypotheses of one length."""
+    for n_tokens in (1, 2, 3, 5):
+        model = uniform_model(n_tokens)
+        assert (model.next_log_probs_ids("", (model.vocabulary.bos_id,)) == model.best_step).all()
+        # A reward above -best_step makes every longest hypothesis optimal,
+        # and each prefix's bound is exactly their score, so the search
+        # expands every prefix with a step left.
+        reward = parse_objective("len=reward:3")
+        e = exact_search(model, None, reward, SearchConfig(n_max=5))
+        assert e.nodes_expanded == sum(n_tokens**depth for depth in range(5))
+        for spec in ("", "len=reward:3", "len=reward:0.5", "len=norm", "greedy=1,len=reward:2",
+                     "local=1,len=reward:2", "square=0.1,len=norm", "variance=1"):
+            objective = parse_objective(spec)
+            for n_max in (1, 3, 5):
+                e = exact_search(model, None, objective, SearchConfig(n_max=n_max))
+                b = brute_force(model, None, objective, n_max)
+                assert e.best.score == b.best.score
+                assert e.best.token_ids == b.best.token_ids
+
+
+def test_exact_node_counts_on_small_ngram_model():
+    """The completion bounds prune objectives whose score can rise under
+    extension, on a seeded bigram model over 6 tokens."""
+    rng = np.random.default_rng(0)
+    tokens = [f"w{i}" for i in range(6)]
+    corpus = [[tokens[i] for i in rng.integers(0, 6, rng.integers(3, 10))] for _ in range(100)]
+    model = train_ngram(corpus, 2, 0.5)
+    n_max = 5
+    full_tree = sum(6**depth for depth in range(n_max))  # every prefix with a step left
+    for spec, most in (("local=1", 2), ("len=norm", 8), ("len=reward:1", 3)):
+        objective = parse_objective(spec)
+        e = exact_search(model, None, objective, SearchConfig(n_max=n_max))
+        b = brute_force(model, None, objective, n_max)
+        assert e.best.score == b.best.score
+        assert e.best.token_ids == b.best.token_ids
+        assert e.nodes_expanded <= most < full_tree
+
+
+def test_exact_agenda_guard(m1, monkeypatch):
+    objective = parse_objective("len=reward:3")
+    exact_search(m1, None, objective, SearchConfig(n_max=6))
+    monkeypatch.setattr(regdecode.search, "EXACT_AGENDA_GUARD", 5)
+    with pytest.raises(SearchSpaceError, match="guard of 5 open prefixes"):
+        exact_search(m1, None, objective, SearchConfig(n_max=6))
 
 
 def test_exact_no_hypothesis_error():
@@ -286,8 +349,6 @@ def test_brute_force_set_guards(m1):
 def test_brute_force_set_top_k_at_lambda_zero(m1):
     chosen = brute_force_set(m1, None, 2, 0.0, 4)
     pool = []
-    from regdecode.search import enumerate_complete
-
     for ids, trace, minima, lp in enumerate_complete(m1, "", 4):
         pool.append((lp, ids))
     pool.sort(key=lambda x: (-x[0], x[1]))

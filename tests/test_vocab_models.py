@@ -1,3 +1,4 @@
+import itertools
 import json
 import logging
 import math
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from regdecode import (
     ContractError,
     ModelFormatError,
+    NGramModel,
     TableModel,
     Vocabulary,
     VocabularyError,
@@ -127,6 +129,43 @@ def test_ngram_unseen_context_is_uniform():
     # Context (a, a) never occurs, so smoothing alone decides: 1/3 each.
     dist = model.next_log_probs(None, ["<s>", "a", "a"])
     assert np.exp(dist) == pytest.approx([1 / 3] * 3)
+
+
+def test_best_step_is_the_largest_entry_of_a_source_keyed_table(m3):
+    vocab = m3.vocabulary
+    rows = [
+        m3.next_log_probs_ids(source, (vocab.bos_id, *body))
+        for source in ("s1", "s2", "s3", "unseen")
+        for depth in range(4)
+        for body in itertools.product(range(len(vocab.tokens)), repeat=depth)
+    ]
+    assert m3.best_step == max(float(row.max()) for row in rows)
+
+
+def test_best_step_bounds_every_ngram_row():
+    rng = np.random.default_rng(4)
+    tokens = ["a", "b", "c", "d"]
+    models = [
+        train_ngram([[tokens[i] for i in rng.integers(0, 4, rng.integers(0, 6))]
+                     for _ in range(30)], order, add_k)
+        for order in (1, 2, 3) for add_k in (0.1, 1 / 3, 0.5, 2.0)
+    ]
+    # A stored context without events, as a model file may hold, and no counts at all.
+    vocab = Vocabulary(("a", "b"))
+    models.append(NGramModel(vocab, 2, 0.5, {(vocab.bos_id,): {}, (0,): {0: 3, 2: 1}}))
+    models.append(NGramModel(vocab, 2, 0.5, {}))
+    unseen = 0
+    for model in models:
+        vocab = model.vocabulary
+        prefixes = [
+            (vocab.bos_id, *body)
+            for depth in range(3)
+            for body in itertools.product(range(len(vocab.tokens)), repeat=depth)
+        ]
+        top = max(float(model.next_log_probs_ids("", p).max()) for p in prefixes)
+        assert top <= model.best_step <= math.nextafter(top, math.inf)
+        unseen += sum(model._context_of(p) not in model._counts for p in prefixes)
+    assert unseen > 1  # rows of contexts never counted are among those checked
 
 
 def test_extension_monotone_log_prob_property():
