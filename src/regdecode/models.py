@@ -7,8 +7,17 @@ natural-log probabilities over the ordinary tokens plus the end marker.
 
 Distributions are fixed at construction: every row that
 ``next_log_probs_ids`` returns is one array the model keeps for its
-lifetime. ``NGramModel`` fills a private cache of context rows on first
-use. Every model also carries ``row_terms``, the decoders' memo of each
+lifetime. ``NGramModel`` stores its counts flat, however they arrive
+(``train_ngram``, a model file, or its constructor): a map from each
+context, spelled as in a model file (its tokens joined by single spaces),
+to the slice that holds its events in two columns, the event tokens and an
+int64 numpy array of their counts. A row is built from its context's slice
+the first time that context is looked up (an unseen context gets the
+smoothed uniform row), and is then kept in a private cache, one row per
+distinct context visited. ``load_model`` checks and stores a file's counts
+in bulk passes, so a valid file costs no per-event Python; only a file
+that fails a check is walked event by event, to name its first fault.
+Every model also carries ``row_terms``, the decoders' memo of each
 distinct row's scoring terms (``objectives.step_terms``), keyed by the
 row's identity. It holds one entry per distinct row visited and lives as
 long as the model. ``best_step``, the bound exact search puts on every step
@@ -24,7 +33,7 @@ import json
 import logging
 import math
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -209,6 +218,12 @@ class NGramModel(SequenceModel):
     with D the distribution size, so every vector sums to one exactly.
     The source is ignored: conditioning fidelity is not needed for the
     decoding math, and the model is treated as a black box.
+
+    ``counts`` maps each context to its events, token id -> count. Every
+    event id lies in ``[0, D)``, so the begin marker is never an event, and
+    every count is an integer in ``[0, 2**63)``. No token or marker is
+    empty or holds whitespace, since a context is stored, and written to a
+    model file, as its tokens joined by single spaces.
     """
 
     def __init__(
@@ -216,16 +231,27 @@ class NGramModel(SequenceModel):
         vocabulary: Vocabulary,
         order: int,
         add_k: float,
-        counts: Mapping[tuple[int, ...], Mapping[int, int]],
+        counts: Mapping[tuple[int, ...], Mapping[int, int]] | _CountColumns,
     ) -> None:
+        names = (*vocabulary.tokens, vocabulary.eos, vocabulary.bos)  # in id order
+        if len(" ".join(names).split()) != len(names):
+            raise ContractError(
+                "n-gram tokens and markers must be non-empty and hold no whitespace"
+            )
+        # load_model passes the columns it has built and checked in bulk.
+        if not isinstance(counts, _CountColumns):
+            counts = _columns_of(counts, vocabulary, names)
         if order < 1:
             raise ContractError("order must be >= 1")
         if not add_k > 0:
             raise ContractError("add_k must be > 0")
+        if counts.has_negative_count():
+            raise ContractError("counts must be non-negative")
         super().__init__(vocabulary)
         self.order = order
         self.add_k = float(add_k)
-        self._counts = {ctx: dict(c) for ctx, c in counts.items()}
+        self._columns = counts
+        self._token_name = names.__getitem__
         self._cache: dict[tuple[int, ...], np.ndarray] = {}
 
     def _context_of(self, prefix_ids: tuple[int, ...]) -> tuple[int, ...]:
@@ -242,8 +268,16 @@ class NGramModel(SequenceModel):
             return cached
         size = self.vocabulary.dist_size
         counts = np.zeros(size)
-        for tid, c in self._counts.get(ctx, {}).items():
-            counts[tid] = c
+        columns = self._columns
+        k = columns.context_index.get(" ".join(map(self._token_name, ctx)))
+        if k is not None:
+            token_id = self.vocabulary._index
+            start, end = columns.offsets[k], columns.offsets[k + 1]
+            # One item at a time: a row holds a handful of events, too few
+            # to repay numpy's per-call cost.
+            for token, c in zip(columns.event_tokens[start:end],
+                                columns.event_counts[start:end].tolist()):
+                counts[token_id[token]] = c
         probs = (counts + self.add_k) / (counts.sum() + self.add_k * size)
         arr = np.log(probs)
         arr.setflags(write=False)
@@ -257,20 +291,22 @@ class NGramModel(SequenceModel):
         # the unseen-context row (and any context stored without events).
         # np.log is the function the rows use, but its result here is not
         # taken from a row, so it is raised by one ulp.
-        events = [e.values() for e in self._counts.values() if e]
-        top = np.array([0, *map(max, events)], dtype=float)
-        total = np.array([0, *map(sum, events)], dtype=float)
+        offsets = np.array(self._columns.offsets)
+        starts = offsets[:-1][offsets[:-1] < offsets[1:]]  # of the contexts with events
+        counts = self._columns.event_counts
+        top, total = np.zeros(len(starts) + 1), np.zeros(len(starts) + 1)
+        if len(starts):
+            top[1:] = np.maximum.reduceat(counts, starts)
+            total[1:] = np.add.reduceat(counts, starts, dtype=float)  # no int64 overflow
         probs = (top + self.add_k) / (total + self.add_k * self.vocabulary.dist_size)
         return math.nextafter(float(np.log(probs).max()), math.inf)
 
     def to_spec(self) -> dict:
         vocab = self.vocabulary
-        counts = {
-            " ".join(vocab.token_of(i) for i in ctx): {
-                vocab.token_of(tid): c for tid, c in sorted(events.items())
-            }
-            for ctx, events in sorted(self._counts.items())
-        }
+        columns = self._columns
+        offsets, tokens = columns.offsets, columns.event_tokens
+        counts = columns.event_counts.tolist()
+        spans = {ctx: slice(offsets[k], offsets[k + 1]) for ctx, k in columns.context_index.items()}
         return {
             "kind": "ngram",
             "vocab": list(vocab.tokens),
@@ -278,8 +314,64 @@ class NGramModel(SequenceModel):
             "eos": vocab.eos,
             "order": self.order,
             "add_k": self.add_k,
-            "counts": counts,
+            "counts": {ctx: dict(zip(tokens[span], counts[span])) for ctx, span in spans.items()},
         }
+
+
+class _CountColumns(NamedTuple):
+    """An n-gram model's counts, stored flat and spelled as in a model file.
+    The events of a context are ``event_tokens[s:e]`` and
+    ``event_counts[s:e]``, where ``s, e = offsets[k], offsets[k + 1]`` and
+    ``k = context_index[c]``, ``c`` being the context's tokens joined by
+    single spaces. Tokens are mapped to ids only when a row is built."""
+
+    context_index: dict[str, int]
+    offsets: list[int]
+    event_tokens: list[str]
+    event_counts: np.ndarray  # int64
+
+    def has_negative_count(self) -> bool:
+        return bool(len(self.event_counts)) and self.event_counts.min() < 0
+
+
+def _columns(
+    contexts: Iterable[str], sizes: Iterable[int], tokens: list[str], counts: Iterable
+) -> _CountColumns:
+    """Columns from the contexts, their numbers of events, and the event
+    tokens and counts of all contexts in the same order. Overflows on a
+    count of 2**63 or more."""
+    return _CountColumns(
+        dict(zip(contexts, itertools.count())),
+        list(itertools.accumulate(sizes, initial=0)),
+        tokens,
+        np.fromiter(counts, dtype=np.int64, count=len(tokens)),
+    )
+
+
+def _integers(values: list) -> bool:
+    return all(t is not bool and issubclass(t, (int, np.integer)) for t in set(map(type, values)))
+
+
+def _columns_of(
+    counts: Mapping[tuple[int, ...], Mapping[int, int]], vocab: Vocabulary, names: tuple
+) -> _CountColumns:
+    """Columns from id-keyed counts; ``names`` are the token names in id order."""
+    context_ids = list(itertools.chain.from_iterable(counts))
+    events = list(counts.values())
+    ids = list(itertools.chain.from_iterable(events))
+    values = list(itertools.chain.from_iterable(e.values() for e in events))
+    if not (_integers(context_ids) and _integers(ids) and _integers(values)):
+        raise ContractError("token ids and counts must be integers")
+    if context_ids and not (0 <= min(context_ids) and max(context_ids) <= vocab.bos_id):
+        raise ContractError(f"context token ids must lie in [0, {vocab.bos_id}]")
+    if ids and not (0 <= min(ids) and max(ids) < vocab.dist_size):
+        raise ContractError(f"event token ids must lie in [0, {vocab.dist_size})")
+    name = names.__getitem__
+    contexts = [" ".join(map(name, ctx)) for ctx in counts]
+    try:
+        return _columns(contexts, map(len, events), list(map(name, ids)), values)
+    except OverflowError:
+        raise ContractError("counts must be below 2**63") from None
 
 
 def train_ngram(corpus: Iterable[TokenSeq], order: int, add_k: float) -> NGramModel:
@@ -310,21 +402,60 @@ def _ngram_model_from_spec(raw: dict, path: str | Path) -> NGramModel:
     missing = [name for name in ("vocab", "order", "add_k", "counts") if name not in raw]
     if missing:
         raise ModelFormatError(f"n-gram model {path} is missing {', '.join(missing)}")
-    if not isinstance(raw["counts"], dict) or not all(
-        isinstance(events, dict) for events in raw["counts"].values()
-    ):
+    if not isinstance(raw["counts"], dict) or not set(map(type, raw["counts"].values())) <= {dict}:
         raise ModelFormatError(f"n-gram model {path}: counts must map contexts to token counts")
     try:
         vocab = Vocabulary(
             tuple(raw["vocab"]), bos=raw.get("bos", "<s>"), eos=raw.get("eos", "</s>")
         )
-        counts: dict[tuple[int, ...], dict[int, int]] = {}
-        for ctx_str, events in raw["counts"].items():
-            ctx = tuple(vocab.id_of(t) for t in ctx_str.split())
-            counts[ctx] = {vocab.id_of(t): _event_count(c, ctx_str, t) for t, c in events.items()}
+        counts = _count_columns(raw["counts"], vocab)
+        if counts is None:  # a check failed: the walk names the first fault
+            counts = _walk_counts(raw["counts"], vocab)
         return NGramModel(vocab, int(raw["order"]), float(raw["add_k"]), counts)
     except (VocabularyError, ContractError, TypeError, ValueError) as exc:
         raise ModelFormatError(f"bad n-gram model {path}: {exc}") from exc
+
+
+def _count_columns(raw_counts: dict, vocab: Vocabulary) -> _CountColumns | None:
+    """The columns of a file's ``counts``, checked and built in bulk passes,
+    or None when a check fails: a context not spelled as its tokens joined
+    by single spaces, an unknown token, a begin-marker event, or a count
+    that is not an int (a bool is not), negative or 2**63 or more."""
+    contexts = list(raw_counts)
+    joined = " ".join(contexts)
+    words = joined.split()
+    if " ".join(words) != joined or not vocab._index.keys() >= set(words):
+        return None
+    events = list(raw_counts.values())
+    tokens = list(itertools.chain.from_iterable(events))
+    counts = list(itertools.chain.from_iterable(map(dict.values, events)))
+    names = set(tokens)
+    if not (names <= vocab._index.keys() and vocab.bos not in names and _integers(counts)):
+        return None
+    try:
+        columns = _columns(contexts, map(len, events), tokens, counts)
+    except OverflowError:
+        return None
+    return None if columns.has_negative_count() else columns
+
+
+def _walk_counts(raw_counts: dict, vocab: Vocabulary) -> dict[tuple[int, ...], dict[int, int]]:
+    """A file's ``counts``, read one event at a time in file order; raises
+    on the first fault."""
+    counts: dict[tuple[int, ...], dict[int, int]] = {}
+    for ctx_str, events in raw_counts.items():
+        ctx = tuple(vocab.id_of(t) for t in ctx_str.split())
+        counts[ctx] = {
+            _event_id(vocab, t, ctx_str): _event_count(c, ctx_str, t) for t, c in events.items()
+        }
+    return counts
+
+
+def _event_id(vocab: Vocabulary, token: str, ctx: str) -> int:
+    tid = vocab.id_of(token)
+    if tid == vocab.bos_id:
+        raise ValueError(f"event {token!r} after {ctx!r} is the begin marker, never predicted")
+    return tid
 
 
 def _event_count(value, ctx: str, token: str) -> int:
@@ -332,6 +463,8 @@ def _event_count(value, ctx: str, token: str) -> int:
         raise ValueError(
             f"count of {token!r} after {ctx!r} must be a non-negative integer, got {value!r}"
         )
+    if value >= 2**63:
+        raise ValueError(f"count of {token!r} after {ctx!r} must be below 2**63, got {value!r}")
     return value
 
 
@@ -339,8 +472,9 @@ def load_model(path: str | Path) -> SequenceModel:
     """Dispatch on the optional ``kind`` field; plain specs are table models.
 
     Every malformed file ends in ``ModelFormatError``. For an n-gram file
-    that is a missing field, an unknown token, a count that is not a
-    non-negative integer, or a bad order or smoothing constant.
+    that is a missing field, an unknown token, a begin-marker event, a
+    count that is not a non-negative integer below 2**63, or a bad order or
+    smoothing constant; all of them are raised here, before any decode.
     """
     try:
         raw = json.loads(Path(path).read_text(encoding="utf-8"))

@@ -155,20 +155,23 @@ def step_terms(model: SequenceModel, source_key: str, prefix_ids: tuple[int, ...
     return terms
 
 
-# Incremental forms: the penalty of each child of a prefix with this
-# (possibly empty) trace, from the prefix's partial sum and the children's
-# terms. Each repeats its spec's last loop step on the children, so it
-# equals the spec on the child's trace bit for bit.
+# Prefix forms: each penalty's partial sum over a prefix's (possibly empty)
+# trace, which ``prefix_sums`` computes once per expanded prefix. Children
+# forms: the penalty of each child of that prefix, from the partial sum, the
+# prefix's step count and the children's terms. Each repeats its spec's last
+# loop step on the children, so it equals the spec on the child's trace bit
+# for bit.
 
 
-def _greedy_children(trace, minima, children):
-    return (r_greedy(trace, minima) if trace else 0.0) + children.gap_sq
+def _greedy_children(partial, steps, children):
+    return partial + children.gap_sq
 
 
-def _variance_children(trace, minima, children):
+def _variance_children(trace, steps, children):
     # The mean moves with the child's step, so the squared deviations are
-    # summed again over the prefix, left to right as in the spec.
-    n = len(trace) + 1
+    # summed again over the prefix, left to right as in the spec: variance's
+    # partial sum is the prefix's trace itself.
+    n = steps + 1
     u = children.surprisal
     mu = (_running_sum(trace) + u) / n
     total = 0.0
@@ -179,60 +182,71 @@ def _variance_children(trace, minima, children):
     return (total + d * d) / n
 
 
-def _local_sums(trace, children):
+def _local_sums(partial, steps, children):
     """Each child's sum of squared adjacent differences, before the spec's
     division by the length."""
-    total, prev = _local_sum(trace)
+    total, prev = partial
     d = children.surprisal - prev
     return total + d * d
 
 
-def _local_children(trace, minima, children):
-    return _local_sums(trace, children) / (len(trace) + 1)
+def _local_children(partial, steps, children):
+    return _local_sums(partial, steps, children) / (steps + 1)
 
 
-def _max_children(trace, minima, children):
+def _max_prefix(trace, minima):
+    return r_max(trace) if trace else None
+
+
+def _max_children(partial, steps, children):
     u = children.surprisal
-    if not trace:
+    if partial is None:
         return u
-    top = r_max(trace)
-    return np.where(u > top, u, top)  # max() keeps the first of equal values
+    return np.where(u > partial, u, partial)  # max() keeps the first of equal values
 
 
-def _square_children(trace, minima, children):
-    return (r_square(trace) if trace else 0.0) + children.surprisal_sq
+def _square_prefix(trace, minima):
+    return r_square(trace) if trace else 0.0
 
 
-# Lower-bound forms: (values, per_length) for the children of a prefix, such
-# that a completion of a child to n steps has a penalty of at least
-# ``values / n`` when per_length, else at least ``values``. Each value is a
+def _square_children(partial, steps, children):
+    return partial + children.surprisal_sq
+
+
+# Lower-bound forms: values for the children of a prefix such that a
+# completion of a child to n steps has a penalty of at least ``values / n``
+# when the penalty is per_length, else at least ``values``. Each value is a
 # partial sum of the spec, which only ever adds non-negative terms to it (or
 # takes a running max), so in floats too the final penalty never falls
-# below it. Variance has no such form: its bound is 0.
-
-
-def _own_value(children_form):
-    return lambda trace, minima, children: (children_form(trace, minima, children), False)
-
-
-def _local_lower(trace, minima, children):
-    return _local_sums(trace, children), True
+# below it. Greedy, max and square take the child's own value; local its
+# sum of squared differences. Variance has no such form: its bound is 0.
 
 
 class _Penalty(NamedTuple):
     spec: Callable  # (nonempty trace, minima) -> value
-    children: Callable  # (trace, minima, Children) -> child values
-    lower: Callable | None  # (trace, minima, Children) -> (values, per_length)
+    prefix: Callable  # (trace, minima) -> partial sum
+    children: Callable  # (partial sum, prefix steps, Children) -> child values
+    lower: Callable | None  # (partial sum, prefix steps, Children) -> lower-bound values
+    per_length: bool = False
 
 
 _PENALTIES = {
-    RegularizerKind.GREEDY: _Penalty(r_greedy, _greedy_children, _own_value(_greedy_children)),
-    RegularizerKind.VARIANCE: _Penalty(lambda trace, _: r_variance(trace), _variance_children, None),
-    RegularizerKind.LOCAL: _Penalty(lambda trace, _: r_local(trace), _local_children, _local_lower),
-    RegularizerKind.MAX: _Penalty(lambda trace, _: r_max(trace), _max_children,
-                                  _own_value(_max_children)),
-    RegularizerKind.SQUARE: _Penalty(lambda trace, _: r_square(trace), _square_children,
-                                     _own_value(_square_children)),
+    # r_greedy and _local_sum are 0.0 and (0.0, 0.0) on an empty trace, so
+    # they serve as prefix forms unchanged.
+    RegularizerKind.GREEDY: _Penalty(r_greedy, r_greedy, _greedy_children, _greedy_children),
+    RegularizerKind.VARIANCE: _Penalty(
+        lambda trace, _: r_variance(trace), lambda trace, _: trace, _variance_children, None
+    ),
+    RegularizerKind.LOCAL: _Penalty(
+        lambda trace, _: r_local(trace), lambda trace, _: _local_sum(trace), _local_children,
+        _local_sums, per_length=True,
+    ),
+    RegularizerKind.MAX: _Penalty(
+        lambda trace, _: r_max(trace), _max_prefix, _max_children, _max_children
+    ),
+    RegularizerKind.SQUARE: _Penalty(
+        lambda trace, _: r_square(trace), _square_prefix, _square_children, _square_children
+    ),
 }
 
 LengthMode = str  # "none" | "reward" | "normalize"
@@ -327,11 +341,23 @@ def score_parts(
     return ScoreBreakdown(log_prob=log_prob, penalties=penalties, length_term=length_term, total=total)
 
 
-def child_scores(
-    objective: Objective, trace: Trace, minima: Trace, log_prob: float, children: Children
-):
-    """(totals, log-probabilities) of children of a prefix, in one vector
-    expression over its row (or one float expression for ``StepTerms.end``).
+def prefix_sums(objective: Objective, trace: Trace, minima: Trace) -> list:
+    """(weight, penalty, partial sum over the trace) for each regularizer of
+    the objective, in order: what the expansion kernel reads of a prefix,
+    computed once per expanded prefix for every use in ``child_scores`` and
+    ``completion_bounds``."""
+    sums = []  # a loop: in Python 3.11 a comprehension costs a frame per call
+    for kind, lam in objective.regularizers:
+        penalty = _PENALTIES[kind]
+        sums.append((lam, penalty, penalty.prefix(trace, minima)))
+    return sums
+
+
+def child_scores(objective: Objective, steps: int, sums: list, log_prob: float,
+                 children: Children):
+    """(totals, log-probabilities) of children of a prefix of ``steps``
+    steps with ``prefix_sums`` ``sums``, in one vector expression over its
+    row (or one float expression for ``StepTerms.end``).
 
     This is the expansion kernel of beam and exact search. Each total
     equals ``score_parts(objective, child trace, child minima, child
@@ -339,9 +365,9 @@ def child_scores(
     penalties are applied in the same order with the same operations.
     """
     log_probs = log_prob + children.log_prob
-    total = _length_term(objective, log_probs, len(trace) + 1)
-    for kind, lam in objective.regularizers:
-        total = total - lam * _PENALTIES[kind].children(trace, minima, children)
+    total = _length_term(objective, log_probs, steps + 1)
+    for lam, penalty, partial in sums:
+        total = total - lam * penalty.children(partial, steps, children)
     return total, log_probs
 
 
@@ -356,7 +382,7 @@ def _length_term(objective: Objective, log_probs, n: int):
 
 
 def completion_bounds(
-    objective: Objective, trace: Trace, minima: Trace, log_prob: float, children: Children,
+    objective: Objective, steps: int, sums: list, log_prob: float, children: Children,
     n_max: int, best_step: float,
 ):
     """(bounds, log-probabilities) of the children of a prefix: each bound
@@ -375,12 +401,10 @@ def completion_bounds(
     """
     lowers = []
     shortest = objective.length_mode == "none"
-    for kind, lam in objective.regularizers:
-        lower = _PENALTIES[kind].lower
-        if lower is not None:
-            values, per_length = lower(trace, minima, children)
-            lowers.append((lam, values, per_length))
-            shortest = shortest and not per_length
+    for lam, penalty, partial in sums:
+        if penalty.lower is not None:
+            lowers.append((lam, penalty.lower(partial, steps, children), penalty.per_length))
+            shortest = shortest and not penalty.per_length
     log_probs = run = log_prob + children.log_prob
     if shortest:
         total = log_probs + best_step
@@ -388,7 +412,7 @@ def completion_bounds(
             total = total - lam * values
         return total, log_probs
     bounds = None
-    for n in range(len(trace) + 2, n_max + 1):
+    for n in range(steps + 2, n_max + 1):
         run = run + best_step
         total = _length_term(objective, run, n)
         for lam, values, per_length in lowers:

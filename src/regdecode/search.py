@@ -8,10 +8,13 @@ Beam and exact search expand a prefix through one kernel,
 ``objectives.child_scores``. One model call per expanded prefix fetches
 its next-token row (``objectives.step_terms``, with per-row terms memoized
 on the model), and the kernel scores all of its children in one numpy
-expression from the prefix's penalty partial sums. Traces, minima and
-``ScoreBreakdown``s (through the spec, ``score_parts``) are built only for
-the hypotheses a decoder returns; survivors and queued prefixes carry
-their trace and minima tuples so the partial sums can be recomputed.
+expression from the prefix's penalty partial sums
+(``objectives.prefix_sums``, computed once per expanded prefix; exact
+search hands them to both the end-marker child and the bounds). Traces,
+minima and ``ScoreBreakdown``s (through the spec, ``score_parts``) are
+built only for the hypotheses a decoder returns; survivors and queued
+prefixes carry their trace and minima tuples so the partial sums can be
+recomputed.
 
 Beam search keeps, per step, the candidates at or above the k-th best
 total (an ``np.partition`` threshold, so every tie survives) and orders
@@ -43,6 +46,7 @@ from .objectives import (
     ScoreBreakdown,
     child_scores,
     completion_bounds,
+    prefix_sums,
     r_beam_ids,
     score_parts,
     step_terms,
@@ -172,7 +176,8 @@ def beam_search(
                 continue
             expanded += 1
             terms = step_terms(model, source_key, ids)
-            blocks.append((node, terms, *child_scores(objective, trace, minima, log_prob,
+            sums = prefix_sums(objective, trace, minima)
+            blocks.append((node, terms, *child_scores(objective, len(trace), sums, log_prob,
                                                       terms.children)))
         starts = list(itertools.accumulate((len(b[2]) for b in blocks), initial=0))
         totals = np.concatenate([b[2] for b in blocks])
@@ -250,10 +255,11 @@ def exact_search(
         expanded += 1
         log_prob = -neg_lp
         terms = step_terms(model, source_key, ids)
+        sums = prefix_sums(objective, trace, minima)  # shared by the end child and the bounds
         n_open = len(terms.ids)
         if terms.end is not None:
             n_open -= 1
-            end_total, end_lp = child_scores(objective, trace, minima, log_prob, terms.end)
+            end_total, end_lp = child_scores(objective, len(trace), sums, log_prob, terms.end)
             end_total = float(end_total)
             key = (-end_total, -end_lp, (*ids, eos))
             if best_key is None or key < best_key:
@@ -262,7 +268,7 @@ def exact_search(
                         minima + (terms.step_min,), end_lp)
                 floor = end_total
         if n_open and len(ids) < n_max:  # an open child still has a step left
-            args = (objective, trace, minima, log_prob, terms.children, n_max)
+            args = (objective, len(trace), sums, log_prob, terms.children, n_max)
             bounds, log_probs = completion_bounds(*args, 0.0 if best_step is None else best_step)
             bounds, log_probs = bounds.tolist(), log_probs.tolist()
             if best_step is None and max(bounds[:n_open]) >= floor:

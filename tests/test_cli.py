@@ -165,26 +165,36 @@ def _ngram_spec(**changes):
 
 
 @pytest.mark.parametrize(
-    "spec",
+    "spec, named",
     [
-        _ngram_spec(counts=None),
-        _ngram_spec(counts={"<s>": {"zz": 1}}),
-        _ngram_spec(counts={"zz": {"a": 1}}),
-        _ngram_spec(counts={"<s>": {"a": -3}}),
-        _ngram_spec(counts={"<s>": {"a": 1.5}}),
-        _ngram_spec(order=0),
-        _ngram_spec(counts=[1, 2]),
+        pytest.param(_ngram_spec(counts=None), [], id="missing-counts"),
+        pytest.param(_ngram_spec(counts={"<s>": {"zz": 1}}), ["'zz'"], id="unknown-token"),
+        pytest.param(_ngram_spec(counts={"zz": {"a": 1}}), ["'zz'"], id="unknown-context"),
+        pytest.param(_ngram_spec(counts={"<s>": {"a": -3}}), ["'a'", "'<s>'"],
+                     id="negative-count"),
+        pytest.param(_ngram_spec(counts={"<s>": {"a": 1.5}}), ["'a'", "'<s>'"],
+                     id="fractional-count"),
+        pytest.param(_ngram_spec(order=0), [], id="bad-order"),
+        pytest.param(_ngram_spec(counts=[1, 2]), [], id="counts-not-a-map"),
+        # Each of these loaded once and left decoding to fail, or could slip
+        # through a check made on all counts at once.
+        pytest.param(_ngram_spec(counts={"<s>": {"a": 2, "<s>": 1}}), ["'<s>' after '<s>'"],
+                     id="begin-marker-event"),
+        pytest.param(_ngram_spec(counts={"<s>": {"a": True}}), ["'a' after '<s>'", "True"],
+                     id="bool-count"),
+        pytest.param(_ngram_spec(counts={"<s>": {"a": 2, "</s>": 1}, "a": {"b": 1, "a": -1}}),
+                     ["'a' after 'a'", "-1"], id="bad-count-in-a-later-context"),
     ],
-    ids=["missing-counts", "unknown-token", "unknown-context", "negative-count",
-         "fractional-count", "bad-order", "counts-not-a-map"],
 )
-def test_decode_malformed_ngram_model_is_format_error(tmp_path, capsys, spec):
+def test_decode_malformed_ngram_model_is_format_error(tmp_path, capsys, spec, named):
     model = tmp_path / "lm.json"
     model.write_text(json.dumps(spec))
     inputs = tmp_path / "in.txt"
     inputs.write_text("x\n")
-    with pytest.raises(ModelFormatError):
+    with pytest.raises(ModelFormatError) as caught:
         load_model(model)
+    for text in named:
+        assert text in str(caught.value)
     code = run(["decode", model, inputs, "--decoder", "greedy", "--out", tmp_path / "o.jsonl"])
     assert code == 3
     assert "Traceback" not in capsys.readouterr().err

@@ -26,7 +26,13 @@ from regdecode import (
     score_parts,
     trace,
 )
-from regdecode.objectives import StepTerms, child_scores, completion_bounds, r_beam_ids
+from regdecode.objectives import (
+    StepTerms,
+    child_scores,
+    completion_bounds,
+    prefix_sums,
+    r_beam_ids,
+)
 from regdecode.randmodels import random_table_model
 
 traces = st.lists(
@@ -214,7 +220,8 @@ def test_kernel_totals_equal_spec(row, steps, order, weights, length):
     minima = tuple(min(a, b) for a, b in steps)
     log_prob = -sum(trace)
     terms = StepTerms(np.array(row))
-    totals, log_probs = child_scores(objective, trace, minima, log_prob, terms.children)
+    sums = prefix_sums(objective, trace, minima)
+    totals, log_probs = child_scores(objective, len(trace), sums, log_prob, terms.children)
     step_min = -max(row)
     allowed = [tid for tid, logv in enumerate(row) if logv != -math.inf]
     assert terms.ids == allowed
@@ -226,7 +233,7 @@ def test_kernel_totals_equal_spec(row, steps, order, weights, length):
     if row[-1] == -math.inf:
         assert terms.end is None
     else:  # the float path for the end-marker child alone
-        end_total, end_log_prob = child_scores(objective, trace, minima, log_prob, terms.end)
+        end_total, end_log_prob = child_scores(objective, len(trace), sums, log_prob, terms.end)
         assert end_total == totals[-1] and end_log_prob == log_probs[-1]
 
 
@@ -269,7 +276,8 @@ def test_completion_bounds_admissible(row, steps, best_step, rest, spare, order,
     log_prob = -sum(trace)
     n_max = len(trace) + 1 + len(rest) + spare
     terms = StepTerms(np.array(row))
-    bounds, _ = completion_bounds(objective, trace, minima, log_prob, terms.children, n_max,
+    sums = prefix_sums(objective, trace, minima)
+    bounds, _ = completion_bounds(objective, len(trace), sums, log_prob, terms.children, n_max,
                                   best_step)
     step_min = -max(row)
     for j, tid in enumerate(terms.ids):

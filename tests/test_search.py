@@ -24,7 +24,7 @@ from regdecode import (
     train_ngram,
 )
 import regdecode.search
-from regdecode.objectives import StepTerms, completion_bounds, score_parts
+from regdecode.objectives import StepTerms, completion_bounds, prefix_sums, score_parts
 from regdecode.randmodels import (
     exactness_instance,
     random_table_model,
@@ -255,8 +255,9 @@ def test_bound_admissible_on_small_models():
                 terms = StepTerms(dist)
                 j = terms.ids.index(ids[t])
                 for objective, total in zip(objectives, totals):
-                    bounds, _ = completion_bounds(objective, steps, mins, run, terms.children,
-                                                  n_max, model.best_step)
+                    sums = prefix_sums(objective, steps, mins)
+                    bounds, _ = completion_bounds(objective, len(steps), sums, run,
+                                                  terms.children, n_max, model.best_step)
                     assert bounds[j] >= total
                 run += float(dist[ids[t]])
                 steps.append(-float(dist[ids[t]]))

@@ -150,10 +150,12 @@ def test_best_step_bounds_every_ngram_row():
                      for _ in range(30)], order, add_k)
         for order in (1, 2, 3) for add_k in (0.1, 1 / 3, 0.5, 2.0)
     ]
-    # A stored context without events, as a model file may hold, and no counts at all.
+    # A stored context without events, as a model file may hold, no counts at
+    # all, and counts whose sum does not fit in an int64.
     vocab = Vocabulary(("a", "b"))
     models.append(NGramModel(vocab, 2, 0.5, {(vocab.bos_id,): {}, (0,): {0: 3, 2: 1}}))
     models.append(NGramModel(vocab, 2, 0.5, {}))
+    models.append(NGramModel(vocab, 2, 0.5, {(vocab.bos_id,): {0: 2**62, 1: 2**62, 2: 1}}))
     unseen = 0
     for model in models:
         vocab = model.vocabulary
@@ -164,7 +166,8 @@ def test_best_step_bounds_every_ngram_row():
         ]
         top = max(float(model.next_log_probs_ids("", p).max()) for p in prefixes)
         assert top <= model.best_step <= math.nextafter(top, math.inf)
-        unseen += sum(model._context_of(p) not in model._counts for p in prefixes)
+        stored = set(model.to_spec()["counts"])
+        unseen += sum(" ".join(vocab.decode(model._context_of(p))) not in stored for p in prefixes)
     assert unseen > 1  # rows of contexts never counted are among those checked
 
 
@@ -202,6 +205,106 @@ def test_ngram_rejects_bad_parameters():
         train_ngram([["a"]], order=1, add_k=0.0)
 
 
+def _seeded_corpus(seed: int) -> list[list[str]]:
+    rng = np.random.default_rng(seed)
+    tokens = ["a", "b", "c", "d", "e"]
+    return [[tokens[i] for i in rng.integers(0, 5, rng.integers(0, 7))] for _ in range(40)]
+
+
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_loaded_ngram_equals_trained(tmp_path, order):
+    trained = train_ngram(_seeded_corpus(order), order, 0.3)
+    path, again = tmp_path / "lm.json", tmp_path / "again.json"
+    save_model(trained, path)
+    loaded = load_model(path)
+    vocab = trained.vocabulary
+    contexts = [tuple(vocab.encode(ctx.split())) for ctx in trained.to_spec()["counts"]]
+    if order > 1:  # no line goes on after its end marker, so this context is unseen
+        unseen = (vocab.eos_id,) * (order - 1)
+        assert unseen not in contexts
+        contexts.append(unseen)
+    for ctx in contexts:
+        # The row builder itself: next_log_probs_ids would answer a prefix
+        # that ends in the end marker without it.
+        prefix = (vocab.bos_id, *ctx)
+        assert np.array_equal(
+            loaded._step_log_probs("", prefix), trained._step_log_probs("", prefix)
+        )
+    assert loaded.best_step == trained.best_step
+    save_model(loaded, again)
+    assert again.read_bytes() == path.read_bytes()
+
+
+def test_ngram_rejects_event_ids_outside_the_distribution():
+    vocab = Vocabulary(("a",))
+    for tid in (vocab.bos_id, -1, 7):
+        with pytest.raises(ContractError):
+            NGramModel(vocab, 2, 0.5, {(vocab.bos_id,): {tid: 1}})
+    with pytest.raises(ContractError):
+        NGramModel(vocab, 2, 0.5, {(vocab.bos_id,): {0: -1}})
+    with pytest.raises(ContractError):
+        NGramModel(vocab, 2, 0.5, {(vocab.bos_id,): {0: 1.5}})
+
+
+@pytest.mark.parametrize("spelling", [
+    ["<s> <s>", "<s> a", "a b"],  # as save_model writes them
+    ["<s>  <s>", "<s> a", "a\tb"],  # any whitespace separates tokens
+    [" <s> <s>", "<s> a ", "a b"],
+    ["<s> <s>", "a", "a b"],  # a context of another order is kept but never looked up
+])
+def test_ngram_contexts_split_on_whitespace(tmp_path, spelling):
+    events = [{"a": 2, "</s>": 1}, {"b": 1}, {"</s>": 1}]
+    path = tmp_path / "lm.json"
+    path.write_text(json.dumps({"kind": "ngram", "vocab": ["a", "b"], "order": 3, "add_k": 0.5,
+                                "counts": dict(zip(spelling, events))}))
+    model = load_model(path)
+    written = ["<s> <s>", "<s> a" if spelling[1] != "a" else "a", "a b"]
+    assert model.to_spec()["counts"] == dict(zip(written, events))
+    vocab = model.vocabulary
+    row = model.next_log_probs_ids("", (vocab.bos_id,))
+    assert math.exp(row[0]) == pytest.approx((2 + 0.5) / (3 + 0.5 * 3))
+
+
+@pytest.mark.parametrize("tokens, bos", [(["a", "a\tb"], "<s>"), (["a", ""], "<s>"),
+                                         (["a"], "< s >")])
+def test_ngram_tokens_and_markers_hold_no_whitespace(tmp_path, tokens, bos):
+    """A context is written as its tokens joined by spaces, so a token that
+    is empty or holds whitespace could not be read back."""
+    path = tmp_path / "lm.json"
+    path.write_text(json.dumps({"kind": "ngram", "vocab": tokens, "bos": bos, "order": 2,
+                                "add_k": 1.0, "counts": {"a": {"a": 1}}}))
+    with pytest.raises(ModelFormatError, match="whitespace"):
+        load_model(path)
+    vocab = Vocabulary(tuple(tokens), bos=bos)
+    with pytest.raises(ContractError, match="whitespace"):
+        NGramModel(vocab, 2, 1.0, {(vocab.bos_id,): {0: 1}})
+    if bos == "<s>":
+        with pytest.raises(ContractError, match="whitespace"):
+            train_ngram([tokens], 2, 1.0)
+
+
+def test_ngram_context_spelled_twice_keeps_the_later_events(tmp_path):
+    path = tmp_path / "lm.json"
+    path.write_text(json.dumps({"kind": "ngram", "vocab": ["a", "b"], "order": 2, "add_k": 0.5,
+                                "counts": {"a": {"b": 9}, "<s>": {"a": 1}, " a": {"a": 1}}}))
+    model = load_model(path)
+    assert model.to_spec()["counts"] == {"<s>": {"a": 1}, "a": {"a": 1}}
+    vocab = model.vocabulary
+    kept = NGramModel(vocab, 2, 0.5, {(vocab.bos_id,): {0: 1}, (0,): {0: 1}})
+    assert model.best_step == kept.best_step
+
+
+def test_ngram_count_beyond_int64_is_format_error(tmp_path):
+    path = tmp_path / "lm.json"
+    path.write_text(json.dumps({"kind": "ngram", "vocab": ["a"], "order": 1, "add_k": 1.0,
+                                "counts": {"": {"a": 2**63, "</s>": 1}}}))
+    with pytest.raises(ModelFormatError, match="'a' after ''"):
+        load_model(path)
+    vocab = Vocabulary(("a",))
+    with pytest.raises(ContractError):
+        NGramModel(vocab, 1, 1.0, {(): {0: 2**63}})
+
+
 # --- table model files
 
 
@@ -218,6 +321,25 @@ def test_load_model_parses_an_ngram_file_once(tmp_path, monkeypatch):
     monkeypatch.setattr(regdecode.models.json, "loads", counting_loads)
     assert load_model(path).order == 2
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_load_model_looks_up_no_token_one_at_a_time(tmp_path, monkeypatch, order):
+    """A valid n-gram file is checked and stored in bulk passes: the
+    one-event-at-a-time walk, which calls ``Vocabulary.id_of`` per token,
+    only runs to name a fault."""
+    path = tmp_path / "lm.json"
+    save_model(train_ngram(_seeded_corpus(7), order=order, add_k=0.5), path)
+    calls = []
+    real_id_of = Vocabulary.id_of
+
+    def counting_id_of(self, token):
+        calls.append(token)
+        return real_id_of(self, token)
+
+    monkeypatch.setattr(Vocabulary, "id_of", counting_id_of)
+    assert load_model(path).order == order
+    assert calls == []
 
 
 def test_table_round_trip(tmp_path, m1):
