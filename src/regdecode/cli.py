@@ -5,7 +5,8 @@ Exit codes: 0 success, 1 verification failure, 2 usage error, 3 I/O or
 format error. A decode with no complete hypothesis within ``--n-max``, a
 brute-force search above its size guard, or an exact search whose agenda
 outgrows its guard is a usage error: the fix is always a flag (``--n-max``
-or ``--decoder``).
+or ``--decoder``). So is a negative or malformed seed (``--seed`` or
+``$REGDECODE_SEED``) and a ``verify --trials`` below 1.
 Every output file gets a sidecar ``<name>.manifest.json`` recording the
 command, configuration, input digests, and seed; identical manifests give
 bit-identical outputs, so timing is deliberately kept out of the files.
@@ -29,6 +30,8 @@ from .objectives import MAP_OBJECTIVE, Objective, RegularizerKind, parse_objecti
 from .randmodels import exactness_instance, set_limit_instance, tie_free_instance
 from .search import (
     SearchConfig,
+    _best_complete,
+    _complete_walk,
     beam_search,
     brute_force,
     brute_force_set,
@@ -71,7 +74,14 @@ def _write_manifest(out: Path, args, config: dict, model: str, inputs: str) -> N
 
 
 def _default_seed() -> int:
-    return int(os.environ.get(SEED_ENV_VAR, "0"))
+    text = os.environ.get(SEED_ENV_VAR, "0")
+    try:
+        seed = int(text)
+    except ValueError:
+        seed = -1
+    if seed < 0:
+        raise ContractError(f"${SEED_ENV_VAR} must be a non-negative integer, got {text!r}")
+    return seed
 
 
 def _read_token_lines(path: str) -> list[list[str]]:
@@ -223,9 +233,12 @@ def _suite_exactness(seed: int, trials: int):
     for i in range(trials):
         model, n_max = exactness_instance(seed * 1_000_003 + i)
         config = SearchConfig(beam_width=1, n_max=n_max)
+        # One brute-force walk per trial: every objective's oracle argmax
+        # is taken over the same list of complete hypotheses.
+        pool = list(_complete_walk(model, None, n_max))
         for kind, lam, objective in objectives:
             exact = exact_search(model, None, objective, config)
-            brute = brute_force(model, None, objective, n_max)
+            brute = _best_complete(model, objective, pool, n_max)
             checks += 1
             if (
                 exact.best.score != brute.best.score
@@ -241,6 +254,7 @@ def _suite_exactness(seed: int, trials: int):
                         "brute_score": brute.best.score,
                     }
                 )
+        del pool  # before the next trial's walk, so two pools never coexist
     return checks, failures
 
 
@@ -321,6 +335,8 @@ SUITES = {
 def cmd_verify(args) -> int:
     runner, default_trials = SUITES[args.suite]
     trials = args.trials if args.trials is not None else default_trials
+    if trials < 1:
+        raise ContractError(f"--trials must be >= 1, got {trials}")
     checks, failures = runner(args.seed, trials)
     passed = checks - len(failures)
     print(f"{args.suite}: {passed}/{checks} checks passed (seed={args.seed})")
@@ -394,9 +410,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
+        if args.seed < 0:
+            raise ContractError(f"--seed must be a non-negative integer, got {args.seed}")
         return args.func(args)
     except (OSError, ModelFormatError) as exc:
         print(f"i/o error: {exc}", file=sys.stderr)

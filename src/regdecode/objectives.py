@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Sequence
 
@@ -472,56 +473,127 @@ def r_beam_ids(
     k: int,
     n_max: int,
 ) -> float:
+    """``r_beam`` on id sequences, through a ``_SetDeviationTable`` built
+    for this one set; ``brute_force_set`` keeps one table per instance and
+    reuses it across every k-combination of its pool."""
     if len(members) != k:
         raise ContractError(f"hypothesis set has {len(members)} members, expected k={k}")
     for m in members:
         if len(m) - 1 > n_max:
             raise ContractError("hypothesis longer than n_max")
+    return _SetDeviationTable(model, source_key, k, n_max)(members)
 
-    eos = model.vocabulary.eos_id
-    # Cumulative log-probability of every member prefix, absorbed past eos.
-    prefix_lp: dict[tuple[int, ...], float] = {}
-    dists: dict[tuple[int, ...], list[float]] = {}
 
-    def dist_of(prefix: tuple[int, ...]) -> list[float]:
-        d = dists.get(prefix)
-        if d is None:
-            d = model.next_log_probs_ids(source_key, prefix).tolist()
-            dists[prefix] = d
-        return d
+_CANDIDATE_KEY = operator.itemgetter(0, 1)
 
-    for m in members:
-        lp = 0.0
-        prefix_lp[m[:1]] = 0.0
-        for t in range(1, len(m)):
-            lp += dist_of(m[:t])[m[t]]
-            prefix_lp[m[: t + 1]] = lp
 
-    total = 0.0
-    for t in range(1, n_max + 1):
-        kept_parents = []  # one entry per member, multiplicity preserved
+class _SetDeviationTable:
+    """The set deviation penalty of ``r_beam`` for size-k sets of members
+    drawn from one model, source, k and n_max (members at most n_max steps
+    long, checked by the caller).
+
+    Everything one set's penalty reads is built once and shared by every
+    set that reads it:
+
+    * each prefix's next-token row;
+    * per member and step t = 1..n_max, a state: the member's kept parent
+      (its prefix of t tokens, or the member itself once it has ended),
+      that parent's cumulative log-probability and the step's surprisal
+      (``None`` once ended);
+    * per parent, its k best one-token extensions by cumulative score,
+      sorted once (an ended parent is its own only candidate);
+    * per step, the squared deviation of the last set scored, reused while
+      the next set has the same member states at that step. Consecutive
+      k-combinations of a pool sorted by ids differ in their last member,
+      whose prefixes mostly repeat, so this finds most repeats in
+      n_max entries.
+
+    A step's best k candidates are the best k of the merged per-parent
+    lists: a parent's candidate that is not among its own k best cannot be
+    among the best k of all, and the merge keeps the parents' order, so the
+    selection is the one a sort of every candidate gives.
+    """
+
+    def __init__(self, model: SequenceModel, source_key: str, k: int, n_max: int) -> None:
+        self._model = model
+        self._source_key = source_key
+        self._k = k
+        self._n_max = n_max
+        self._eos = model.vocabulary.eos_id
+        self._rows: dict[tuple[int, ...], list[float]] = {}
+        self._member_states: dict[tuple[int, ...], list[tuple]] = {}
+        self._candidates: dict[tuple[int, ...], list[tuple]] = {}
+        self._last: list[tuple] = [((), 0.0)] * n_max  # per step: (member states, square)
+
+    def __call__(self, members: Sequence[tuple[int, ...]]) -> float:
+        """The penalty of one set of member id tuples, in member order."""
+        last = self._last
+        total = 0.0
+        for t, states in enumerate(zip(*map(self._states_of, members))):
+            seen, square = last[t]
+            if states != seen:
+                square = self._squared_deviation(states)
+                last[t] = (states, square)
+            total += square
+        return total
+
+    def _row(self, prefix: tuple[int, ...]) -> list[float]:
+        row = self._rows.get(prefix)
+        if row is None:
+            row = self._rows[prefix] = self._model.next_log_probs_ids(
+                self._source_key, prefix).tolist()
+        return row
+
+    def _states_of(self, m: tuple[int, ...]) -> list[tuple]:
+        """The member's state (kept parent, its log-probability, step
+        surprisal or ``None``) at each step t = 1..n_max."""
+        states = self._member_states.get(m)
+        if states is None:
+            states = []
+            lp = 0.0
+            for t in range(1, len(m)):
+                logv = self._row(m[:t])[m[t]]
+                states.append((m[:t], lp, -logv))
+                lp += logv
+            states += [(m, lp, None)] * (self._n_max + 1 - len(m))
+            self._member_states[m] = states
+        return states
+
+    def _candidates_of(self, parent: tuple[int, ...], plp: float) -> list[tuple]:
+        """The k best candidates (-child log-prob, child ids, parent
+        log-prob, step surprisal) of a parent of log-probability plp, best
+        first."""
+        candidates = self._candidates.get(parent)
+        if candidates is None:
+            if parent[-1] == self._eos:
+                candidates = [(-plp, parent, plp, 0.0)]
+            else:
+                candidates = [(-(plp + logv), parent + (tid,), plp, -logv)
+                              for tid, logv in enumerate(self._row(parent)) if logv != -math.inf]
+                candidates.sort(key=_CANDIDATE_KEY)
+                del candidates[self._k:]
+            self._candidates[parent] = candidates
+        return candidates
+
+    def _squared_deviation(self, states: tuple[tuple, ...]) -> float:
+        """One step's squared deviation: the summed cumulative scores of the
+        kept parents (with multiplicity) and their kept steps against the
+        best size-k choice among the one-token extensions of the distinct
+        parents, ties going to the lowest token ids."""
         kept_parent_lp = 0.0
         kept_step_u = 0.0
-        for m in members:
-            parent = m[:t] if t <= len(m) - 1 else m
-            kept_parents.append(parent)
-            kept_parent_lp += prefix_lp[parent]
-            if t <= len(m) - 1:
-                kept_step_u += -dist_of(m[:t])[m[t]]
-        # Candidate extensions of the distinct parents, best k by cumulative
-        # score with deterministic token-order tie-breaking.
-        candidates = []  # (child_log_prob, child_ids, parent_lp, step_u)
-        for parent in dict.fromkeys(kept_parents):
-            plp = prefix_lp[parent]
-            if parent[-1] == eos:
-                candidates.append((plp, parent, plp, 0.0))
-                continue
-            d = dist_of(parent)
-            for tid, logv in enumerate(d):
-                if logv == -math.inf:
-                    continue
-                candidates.append((plp + logv, parent + (tid,), plp, -logv))
-        candidates.sort(key=lambda c: (-c[0], c[1]))
+        for _, plp, step_u in states:
+            kept_parent_lp += plp
+            if step_u is not None:
+                kept_step_u += step_u
+        parents = {parent: plp for parent, plp, _ in states}
+        if len(parents) == 1:
+            candidates = self._candidates_of(*states[0][:2])
+        else:
+            candidates = [c for parent, plp in parents.items()
+                          for c in self._candidates_of(parent, plp)]
+            candidates.sort(key=_CANDIDATE_KEY)
+        k = self._k
         if len(candidates) >= k:
             best = candidates[:k]
         else:
@@ -531,8 +603,7 @@ def r_beam_ids(
         best_step_u = sum(c[3] for c in best)
         # Grouped so the shared-parent case cancels exactly.
         deviation = (kept_parent_lp - best_parent_lp) + (best_step_u - kept_step_u)
-        total += deviation * deviation
-    return total
+        return deviation * deviation
 
 
 def parse_objective(spec: str) -> Objective:

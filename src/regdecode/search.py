@@ -25,7 +25,12 @@ plus the model's ``best_step`` for every step still to come, through the
 length transform, minus a lower bound on each penalty), and stops once
 the best complete hypothesis found so far beats every bound left in the
 queue. The brute-force oracles keep their own enumeration and score with
-the spec, so they stay independent of the search code.
+the spec, so they stay independent of the search code. Each enumerates an
+instance once: ``brute_force`` streams one walk into its argmax
+(``_best_complete``, which takes any iterable of complete hypotheses, so
+the exactness suite lists a trial's walk once and takes every objective's
+argmax over it), and ``brute_force_set`` scores every k-combination of its
+pool through one ``objectives._SetDeviationTable``.
 """
 
 from __future__ import annotations
@@ -44,10 +49,10 @@ from .objectives import (
     MAP_OBJECTIVE,
     Objective,
     ScoreBreakdown,
+    _SetDeviationTable,
     child_scores,
     completion_bounds,
     prefix_sums,
-    r_beam_ids,
     score_parts,
     step_terms,
 )
@@ -305,14 +310,14 @@ def enumerate_complete(model: SequenceModel, source_key: str, n_max: int):
     while stack:
         ids, trace, minima, log_prob = stack.pop()
         dist = model.next_log_probs_ids(source_key, ids).tolist()
-        step_min = -max(dist)
+        c_minima = minima + (-max(dist),)  # shared by every child
         steps = len(ids) - 1
         eos_logv = dist[eos]
         if eos_logv != -math.inf:
             yield (
                 (*ids, eos),
                 trace + (-eos_logv,),
-                minima + (step_min,),
+                c_minima,
                 log_prob + eos_logv,
             )
         if steps + 1 >= n_max:
@@ -321,14 +326,13 @@ def enumerate_complete(model: SequenceModel, source_key: str, n_max: int):
             if tid == eos or dist[tid] == -math.inf:
                 continue
             stack.append(
-                ((*ids, tid), trace + (-dist[tid],), minima + (step_min,), log_prob + dist[tid])
+                ((*ids, tid), trace + (-dist[tid],), c_minima, log_prob + dist[tid])
             )
 
 
-def brute_force(
-    model: SequenceModel, source, objective: Objective, n_max: int
-) -> DecodeRecord:
-    """Exhaustive argmax over every complete hypothesis of at most n_max steps."""
+def _complete_walk(model: SequenceModel, source, n_max: int):
+    """``enumerate_complete``'s walk for the brute-force oracle, after its
+    size guard; a generator, so a caller may stream it or keep it."""
     if n_max < 1:
         raise ContractError("n_max must be >= 1")
     n_tokens = len(model.vocabulary.tokens)
@@ -337,16 +341,24 @@ def brute_force(
         raise SearchSpaceError(
             f"{space} prefixes exceed the brute-force guard of {BRUTE_FORCE_PREFIX_GUARD}"
         )
-    source_key = _source_key(source)
+    return enumerate_complete(model, _source_key(source), n_max)
+
+
+def _best_complete(model: SequenceModel, objective: Objective, hypotheses,
+                   n_max: int) -> DecodeRecord:
+    """The argmax of the objective over (ids, trace, minima, log_prob)
+    hypotheses, scored by the spec and tie-broken like every decoder;
+    ``nodes_expanded`` counts the hypotheses."""
     best = None
     best_key = None
     count = 0
-    for ids, trace, minima, log_prob in enumerate_complete(model, source_key, n_max):
+    for hyp in hypotheses:
         count += 1
+        ids, trace, minima, log_prob = hyp
         key = (-score_parts(objective, trace, minima, log_prob).total, -log_prob, ids)
         if best_key is None or key < best_key:
             best_key = key
-            best = (ids, trace, minima, log_prob)
+            best = hyp
     if best is None:
         raise NoHypothesisError(f"no complete hypothesis within n_max={n_max}")
     return DecodeRecord(
@@ -354,6 +366,14 @@ def brute_force(
         nodes_expanded=count,
         optimality_certificate=True,
     )
+
+
+def brute_force(
+    model: SequenceModel, source, objective: Objective, n_max: int
+) -> DecodeRecord:
+    """Exhaustive argmax over every complete hypothesis of at most n_max
+    steps, streamed from the walk (the guard allows 10**7 prefixes)."""
+    return _best_complete(model, objective, _complete_walk(model, source, n_max), n_max)
 
 
 def brute_force_set(
@@ -365,7 +385,8 @@ def brute_force_set(
     ``lam=math.inf`` is the large-weight limit: sets rank by penalty
     first, then by higher summed log-probability, then by token ids.
     Tiny instances only; the candidate pool is every distinct complete
-    hypothesis of at most n_max steps, chosen k at a time.
+    hypothesis of at most n_max steps, chosen k at a time. Every set's
+    penalty comes from one ``_SetDeviationTable`` of this instance.
     """
     vocab = model.vocabulary
     if k < 1 or k > 3:
@@ -378,12 +399,13 @@ def brute_force_set(
     pool = sorted(enumerate_complete(model, source_key, n_max), key=lambda h: h[0])
     if len(pool) < k:
         raise NoHypothesisError(f"only {len(pool)} complete hypotheses within n_max={n_max}")
+    penalty_of = _SetDeviationTable(model, source_key, k, n_max)
     best = None
     best_key = None
     for combo in itertools.combinations(pool, k):
         members = [c[0] for c in combo]
         set_lp = sum(c[3] for c in combo)
-        penalty = r_beam_ids(members, model, source_key, k, n_max) if lam != 0.0 else 0.0
+        penalty = penalty_of(members) if lam != 0.0 else 0.0
         if lam == math.inf:
             key = (penalty, -set_lp, tuple(members))
         else:

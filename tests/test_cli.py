@@ -379,3 +379,27 @@ def test_seed_env_var_default(tmp_path, monkeypatch):
 
     args = build_parser().parse_args(["verify", "--suite", "bleu"])
     assert args.seed == 123
+
+
+@pytest.mark.parametrize(
+    "argv, env, named",
+    [
+        (["--seed", "-1", "verify", "--suite", "thm1", "--trials", "2"], None, "--seed"),
+        (["verify", "--suite", "bleu"], "xyz", "$REGDECODE_SEED"),
+        (["verify", "--suite", "bleu"], "-4", "$REGDECODE_SEED"),
+        (["verify", "--suite", "exactness", "--trials", "-3"], None, "--trials"),
+        (["verify", "--suite", "exactness", "--trials", "0"], None, "--trials"),
+    ],
+    ids=["negative-seed", "malformed-seed-env", "negative-seed-env", "negative-trials",
+         "zero-trials"],
+)
+def test_bad_seed_or_trials_is_usage_error(monkeypatch, capsys, argv, env, named):
+    if env is None:
+        monkeypatch.delenv("REGDECODE_SEED", raising=False)
+    else:
+        monkeypatch.setenv("REGDECODE_SEED", env)
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert named in captured.err
+    assert "Traceback" not in captured.err
+    assert "checks passed" not in captured.out

@@ -28,12 +28,14 @@ from regdecode import (
 )
 from regdecode.objectives import (
     StepTerms,
+    _SetDeviationTable,
     child_scores,
     completion_bounds,
     prefix_sums,
     r_beam_ids,
 )
-from regdecode.randmodels import random_table_model
+from regdecode.randmodels import random_table_model, set_limit_instance
+from regdecode.search import enumerate_complete
 
 traces = st.lists(
     st.floats(min_value=0.0, max_value=20.0, allow_nan=False), min_size=1, max_size=10
@@ -399,6 +401,72 @@ def test_r_beam_penalizes_duplicated_members(m1):
     value = r_beam_ids([hyp.token_ids, hyp.token_ids], m1, "", 2, 4)
     assert math.isfinite(value)
     assert value > 0.0  # duplicates beat no distinct pair, so they carry a cost
+
+
+def scratch_r_beam_ids(members, model, k, n_max):
+    """The set deviation penalty of one set from scratch: each step fetches
+    the rows it reads and sorts every candidate of the distinct parents."""
+    eos = model.vocabulary.eos_id
+
+    def row(prefix):
+        return model.next_log_probs_ids("", prefix).tolist()
+
+    prefix_lp = {}
+    for m in members:
+        lp = 0.0
+        prefix_lp[m[:1]] = 0.0
+        for t in range(1, len(m)):
+            lp += row(m[:t])[m[t]]
+            prefix_lp[m[: t + 1]] = lp
+    total = 0.0
+    for t in range(1, n_max + 1):
+        parents = [m[:t] if t <= len(m) - 1 else m for m in members]
+        kept_parent_lp = 0.0
+        kept_step_u = 0.0
+        for m, parent in zip(members, parents):
+            kept_parent_lp += prefix_lp[parent]
+            if t <= len(m) - 1:
+                kept_step_u += -row(parent)[m[t]]
+        candidates = []
+        for parent in dict.fromkeys(parents):
+            plp = prefix_lp[parent]
+            if parent[-1] == eos:
+                candidates.append((plp, parent, plp, 0.0))
+                continue
+            for tid, logv in enumerate(row(parent)):
+                if logv != -math.inf:
+                    candidates.append((plp + logv, parent + (tid,), plp, -logv))
+        candidates.sort(key=lambda c: (-c[0], c[1]))
+        best = (candidates + [candidates[0]] * k)[:k]
+        deviation = (kept_parent_lp - sum(c[2] for c in best)) + (
+            sum(c[3] for c in best) - kept_step_u
+        )
+        total += deviation * deviation
+    return total
+
+
+def assert_table_equals_fresh_r_beam_ids(model, k, n_max, orders=(list,)):
+    """One table scores every k-combination of the pool, duplicated members
+    included, in each given member order, with the same float as a fresh
+    ``r_beam_ids`` and as the from-scratch computation."""
+    pool = sorted(ids for ids, _, _, _ in enumerate_complete(model, "", n_max))
+    table = _SetDeviationTable(model, "", k, n_max)
+    for combo in itertools.combinations_with_replacement(pool, k):
+        for order in orders:
+            members = order(combo)
+            value = table(members)
+            assert value == r_beam_ids(members, model, "", k, n_max)
+            assert value == scratch_r_beam_ids(members, model, k, n_max)
+
+
+def test_set_deviation_table_equals_fresh_r_beam_ids(m2):
+    def reversed_list(combo):
+        return list(reversed(combo))
+
+    for k, n_max in ((1, 4), (2, 4), (3, 3), (2, 5)):
+        assert_table_equals_fresh_r_beam_ids(m2, k, n_max, (list, reversed_list))
+    for seed in range(20):
+        assert_table_equals_fresh_r_beam_ids(*set_limit_instance(seed))
 
 
 def test_r_beam_contract_errors(m1):

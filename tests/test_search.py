@@ -24,6 +24,7 @@ from regdecode import (
     train_ngram,
 )
 import regdecode.search
+from regdecode.cli import EXACTNESS_LAMBDAS, main
 from regdecode.objectives import StepTerms, completion_bounds, prefix_sums, score_parts
 from regdecode.randmodels import (
     exactness_instance,
@@ -338,6 +339,50 @@ def test_brute_force_guard():
     m = TableModel(v, {}, {t: 1 / 6 for t in ("a", "b", "c", "d", "e", "</s>")})
     with pytest.raises(SearchSpaceError):
         brute_force(m, None, MAP_OBJECTIVE, 12)
+
+
+# The exactness suite's 16 objectives plus both length transforms.
+POOL_OBJECTIVES = (
+    [MAP_OBJECTIVE]
+    + [Objective(((kind, lam),)) for kind in RegularizerKind for lam in EXACTNESS_LAMBDAS]
+    + [parse_objective("len=norm"), parse_objective("len=reward:0.7")]
+)
+
+
+def assert_pooled_argmax_equals_brute_force(model, n_max):
+    pool = list(regdecode.search._complete_walk(model, None, n_max))
+    for objective in POOL_OBJECTIVES:
+        pooled = regdecode.search._best_complete(model, objective, pool, n_max)
+        fresh = brute_force(model, None, objective, n_max)
+        assert pooled.best.token_ids == fresh.best.token_ids
+        assert pooled.best.breakdown.total == fresh.best.breakdown.total
+        assert pooled.best.log_prob == fresh.best.log_prob
+        assert pooled.nodes_expanded == fresh.nodes_expanded == len(pool)
+
+
+def test_pooled_argmax_equals_brute_force_on_fixtures(m1, m2, m3, m4, beam_family):
+    for model in (m1, m2, m3, m4):
+        assert_pooled_argmax_equals_brute_force(model, 6)
+    assert_pooled_argmax_equals_brute_force(beam_family, 5)
+
+
+def test_pooled_argmax_equals_brute_force_on_exactness_instances():
+    for seed in range(30):
+        assert_pooled_argmax_equals_brute_force(*exactness_instance(seed))
+
+
+def test_verify_exactness_walks_each_trial_once(monkeypatch, capsys):
+    walks = []
+    walk = regdecode.search.enumerate_complete
+
+    def counted(*args):
+        walks.append(args)
+        return walk(*args)
+
+    monkeypatch.setattr(regdecode.search, "enumerate_complete", counted)
+    assert main(["verify", "--suite", "exactness", "--trials", "2"]) == 0
+    assert "32/32" in capsys.readouterr().out
+    assert len(walks) == 2
 
 
 def test_brute_force_set_guards(m1):
