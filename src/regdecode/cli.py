@@ -2,11 +2,12 @@
 self-verification against the brute-force oracles.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 I/O or
-format error. A decode with no complete hypothesis within ``--n-max``, a
-brute-force search above its size guard, or an exact search whose agenda
-outgrows its guard is a usage error: the fix is always a flag (``--n-max``
-or ``--decoder``). So is a negative or malformed seed (``--seed`` or
-``$REGDECODE_SEED``) and a ``verify --trials`` below 1.
+format error (a file that cannot be read, is not UTF-8 text, or is not a
+well-formed model). A decode with no complete hypothesis within
+``--n-max``, a brute-force search above its size guard, or an exact search
+whose agenda outgrows its guard is a usage error: the fix is always a flag
+(``--n-max`` or ``--decoder``). So is a negative or malformed seed
+(``--seed`` or ``$REGDECODE_SEED``) and a ``verify --trials`` below 1.
 Every output file gets a sidecar ``<name>.manifest.json`` recording the
 command, configuration, input digests, and seed; identical manifests give
 bit-identical outputs, so timing is deliberately kept out of the files.
@@ -30,8 +31,8 @@ from .objectives import MAP_OBJECTIVE, Objective, RegularizerKind, parse_objecti
 from .randmodels import exactness_instance, set_limit_instance, tie_free_instance
 from .search import (
     SearchConfig,
-    _best_complete,
     _complete_walk,
+    _oracle_argmax,
     beam_search,
     brute_force,
     brute_force_set,
@@ -84,8 +85,15 @@ def _default_seed() -> int:
     return seed
 
 
+class _TextFormatError(RegdecodeError, ValueError):
+    """A corpus, input or references file is not UTF-8 text (exit 3)."""
+
+
 def _read_token_lines(path: str) -> list[list[str]]:
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise _TextFormatError(f"{path} is not UTF-8 text: {exc}") from exc
     return [line.split() for line in text.splitlines()]
 
 
@@ -233,12 +241,13 @@ def _suite_exactness(seed: int, trials: int):
     for i in range(trials):
         model, n_max = exactness_instance(seed * 1_000_003 + i)
         config = SearchConfig(beam_width=1, n_max=n_max)
-        # One brute-force walk per trial: every objective's oracle argmax
-        # is taken over the same list of complete hypotheses.
-        pool = list(_complete_walk(model, None, n_max))
-        for kind, lam, objective in objectives:
+        # One brute-force walk per trial, streamed once into the oracle
+        # argmax of all 16 objectives: each penalty kind's spec runs once
+        # per hypothesis, and only one chunk of the walk is held at a time.
+        brutes = _oracle_argmax(model, [o for _, _, o in objectives],
+                                _complete_walk(model, None, n_max), n_max)
+        for (kind, lam, objective), brute in zip(objectives, brutes):
             exact = exact_search(model, None, objective, config)
-            brute = _best_complete(model, objective, pool, n_max)
             checks += 1
             if (
                 exact.best.score != brute.best.score
@@ -254,7 +263,6 @@ def _suite_exactness(seed: int, trials: int):
                         "brute_score": brute.best.score,
                     }
                 )
-        del pool  # before the next trial's walk, so two pools never coexist
     return checks, failures
 
 
@@ -415,7 +423,7 @@ def main(argv=None) -> int:
         if args.seed < 0:
             raise ContractError(f"--seed must be a non-negative integer, got {args.seed}")
         return args.func(args)
-    except (OSError, ModelFormatError) as exc:
+    except (OSError, ModelFormatError, _TextFormatError) as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 3
     except RegdecodeError as exc:

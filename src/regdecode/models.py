@@ -404,6 +404,9 @@ def _ngram_model_from_spec(raw: dict, path: str | Path) -> NGramModel:
         raise ModelFormatError(f"n-gram model {path} is missing {', '.join(missing)}")
     if not isinstance(raw["counts"], dict) or not set(map(type, raw["counts"].values())) <= {dict}:
         raise ModelFormatError(f"n-gram model {path}: counts must map contexts to token counts")
+    order = raw["order"]
+    if isinstance(order, bool) or not isinstance(order, int) or order < 1:
+        raise ModelFormatError(f"n-gram model {path}: order must be an integer >= 1, got {order!r}")
     try:
         vocab = Vocabulary(
             tuple(raw["vocab"]), bos=raw.get("bos", "<s>"), eos=raw.get("eos", "</s>")
@@ -411,7 +414,7 @@ def _ngram_model_from_spec(raw: dict, path: str | Path) -> NGramModel:
         counts = _count_columns(raw["counts"], vocab)
         if counts is None:  # a check failed: the walk names the first fault
             counts = _walk_counts(raw["counts"], vocab)
-        return NGramModel(vocab, int(raw["order"]), float(raw["add_k"]), counts)
+        return NGramModel(vocab, order, float(raw["add_k"]), counts)
     except (VocabularyError, ContractError, TypeError, ValueError) as exc:
         raise ModelFormatError(f"bad n-gram model {path}: {exc}") from exc
 
@@ -471,14 +474,17 @@ def _event_count(value, ctx: str, token: str) -> int:
 def load_model(path: str | Path) -> SequenceModel:
     """Dispatch on the optional ``kind`` field; plain specs are table models.
 
-    Every malformed file ends in ``ModelFormatError``. For an n-gram file
-    that is a missing field, an unknown token, a begin-marker event, a
-    count that is not a non-negative integer below 2**63, or a bad order or
-    smoothing constant; all of them are raised here, before any decode.
+    Every malformed file ends in ``ModelFormatError``, one that is not
+    UTF-8 text included. For an n-gram file that is a missing field, an
+    unknown token, a begin-marker event, a count that is not a
+    non-negative integer below 2**63, an order that is not an integer of at
+    least 1 (a JSON number with a fraction or exponent, or a boolean, is
+    not), or a bad smoothing constant; all of them are raised here, before
+    any decode.
     """
     try:
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ModelFormatError(f"cannot parse model {path}: {exc}") from exc
     if isinstance(raw, dict) and raw.get("kind") == "ngram":
         return _ngram_model_from_spec(raw, path)

@@ -323,23 +323,45 @@ def score_parts(
 ) -> ScoreBreakdown:
     """Score a (possibly incomplete) hypothesis from its precomputed trace."""
     n = len(trace)
-    penalties = {}
-    total = log_prob
     length_term = 0.0
     if objective.length_mode == "normalize":
         if n == 0:
             raise ContractError("cannot length-normalize a zero-length hypothesis")
         length_term = log_prob / n - log_prob
-        total = log_prob / n
     elif objective.length_mode == "reward":
         length_term = objective.length_lambda * n
-        total += length_term
+    penalties = {}
+    weighted = []  # loops: in Python 3.11 a comprehension costs a frame per call
     for kind, lam in objective.regularizers:
         # Empty traces (the bare begin-marker prefix) carry zero penalty.
         value = _PENALTIES[kind].spec(trace, minima) if n else 0.0
         penalties[kind.value] = value
-        total -= lam * value
-    return ScoreBreakdown(log_prob=log_prob, penalties=penalties, length_term=length_term, total=total)
+        weighted.append((lam, value))
+    return ScoreBreakdown(log_prob=log_prob, penalties=penalties, length_term=length_term,
+                          total=_total(objective, log_prob, n, weighted))
+
+
+def _total(objective: Objective, log_probs, n, weighted):
+    """The total of hypotheses of n steps: the length transform of their
+    log-probabilities, then each regularizer's weight times its value
+    subtracted, from ``weighted`` (weight, value) pairs in the objective's
+    order. With no pairs it is the length-transformed log-probability.
+
+    The one definition of a total's arithmetic. ``score_parts`` calls it on
+    floats, ``child_scores`` on the children of a prefix and the oracle
+    argmax on a chunk of complete hypotheses (``n`` an array there); numpy
+    repeats each float operation element by element, so all three agree bit
+    for bit. ``completion_bounds`` repeats it on upper-bounded inputs.
+    """
+    if objective.length_mode == "normalize":
+        total = log_probs / n
+    elif objective.length_mode == "reward":
+        total = log_probs + objective.length_lambda * n
+    else:
+        total = log_probs
+    for lam, value in weighted:
+        total = total - lam * value
+    return total
 
 
 def prefix_sums(objective: Objective, trace: Trace, minima: Trace) -> list:
@@ -362,24 +384,13 @@ def child_scores(objective: Objective, steps: int, sums: list, log_prob: float,
 
     This is the expansion kernel of beam and exact search. Each total
     equals ``score_parts(objective, child trace, child minima, child
-    log-probability).total`` bit for bit: the length transform and the
-    penalties are applied in the same order with the same operations.
+    log-probability).total`` bit for bit: both build it with ``_total``.
     """
     log_probs = log_prob + children.log_prob
-    total = _length_term(objective, log_probs, steps + 1)
+    weighted = []
     for lam, penalty, partial in sums:
-        total = total - lam * penalty.children(partial, steps, children)
-    return total, log_probs
-
-
-def _length_term(objective: Objective, log_probs, n: int):
-    """The log-probability term of a hypothesis of n steps, as ``score_parts``
-    computes it."""
-    if objective.length_mode == "normalize":
-        return log_probs / n
-    if objective.length_mode == "reward":
-        return log_probs + objective.length_lambda * n
-    return log_probs
+        weighted.append((lam, penalty.children(partial, steps, children)))
+    return _total(objective, log_probs, steps + 1, weighted), log_probs
 
 
 def completion_bounds(
@@ -415,7 +426,7 @@ def completion_bounds(
     bounds = None
     for n in range(steps + 2, n_max + 1):
         run = run + best_step
-        total = _length_term(objective, run, n)
+        total = _total(objective, run, n, ())
         for lam, values, per_length in lowers:
             total = total - lam * (values / n if per_length else values)
         bounds = total if bounds is None else np.maximum(bounds, total)

@@ -26,11 +26,13 @@ length transform, minus a lower bound on each penalty), and stops once
 the best complete hypothesis found so far beats every bound left in the
 queue. The brute-force oracles keep their own enumeration and score with
 the spec, so they stay independent of the search code. Each enumerates an
-instance once: ``brute_force`` streams one walk into its argmax
-(``_best_complete``, which takes any iterable of complete hypotheses, so
-the exactness suite lists a trial's walk once and takes every objective's
-argmax over it), and ``brute_force_set`` scores every k-combination of its
-pool through one ``objectives._SetDeviationTable``.
+instance once. ``brute_force`` streams one walk into ``_oracle_argmax``,
+which takes any number of objectives and reads the walk in bounded chunks:
+per chunk it evaluates the spec of each penalty kind once per hypothesis
+and builds each objective's totals in one numpy expression, so the
+exactness suite streams a trial's walk once into all of its objectives.
+``brute_force_set`` scores every k-combination of its pool through one
+``objectives._SetDeviationTable``.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ import heapq
 import itertools
 import math
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -49,7 +52,9 @@ from .objectives import (
     MAP_OBJECTIVE,
     Objective,
     ScoreBreakdown,
+    _PENALTIES,
     _SetDeviationTable,
+    _total,
     child_scores,
     completion_bounds,
     prefix_sums,
@@ -61,6 +66,9 @@ BRUTE_FORCE_PREFIX_GUARD = 10**7
 # Open prefixes exact search may hold at once; each holds its trace and
 # minima, so 10**6 of them take about 300 MB.
 EXACT_AGENDA_GUARD = 10**6
+# Complete hypotheses the oracle argmax scores at once: one chunk's spec
+# values and totals are all it holds per hypothesis.
+_ARGMAX_CHUNK = 256
 
 
 @dataclass(frozen=True)
@@ -344,28 +352,52 @@ def _complete_walk(model: SequenceModel, source, n_max: int):
     return enumerate_complete(model, _source_key(source), n_max)
 
 
-def _best_complete(model: SequenceModel, objective: Objective, hypotheses,
-                   n_max: int) -> DecodeRecord:
-    """The argmax of the objective over (ids, trace, minima, log_prob)
-    hypotheses, scored by the spec and tie-broken like every decoder;
-    ``nodes_expanded`` counts the hypotheses."""
-    best = None
-    best_key = None
+def _oracle_argmax(model: SequenceModel, objectives: Sequence[Objective], hypotheses,
+                   n_max: int) -> list[DecodeRecord]:
+    """Each objective's argmax over (ids, trace, minima, log_prob) complete
+    hypotheses, tie-broken like every decoder; ``nodes_expanded`` counts
+    the hypotheses.
+
+    The hypotheses are read once, ``_ARGMAX_CHUNK`` at a time. In a chunk,
+    the spec of each penalty kind the objectives use is evaluated once per
+    hypothesis, and each objective's totals are one numpy expression over
+    the chunk (``objectives._total``, the arithmetic ``score_parts`` uses).
+    Only the rows that tie for the chunk's highest total meet the running
+    best under the shared key; a chunk with a NaN total sends every row
+    there, in walk order, as a one-at-a-time scan would.
+    """
+    kinds = list(dict.fromkeys(kind for o in objectives for kind, _ in o.regularizers))
+    best = [None] * len(objectives)  # per objective: (key, hypothesis) of the best so far
     count = 0
-    for hyp in hypotheses:
-        count += 1
-        ids, trace, minima, log_prob = hyp
-        key = (-score_parts(objective, trace, minima, log_prob).total, -log_prob, ids)
-        if best_key is None or key < best_key:
-            best_key = key
-            best = hyp
-    if best is None:
+    stream = iter(hypotheses)
+    while chunk := list(itertools.islice(stream, _ARGMAX_CHUNK)):
+        count += len(chunk)
+        _, traces, minima, log_probs = zip(*chunk)
+        log_probs = np.array(log_probs)
+        steps = np.fromiter(map(len, traces), np.int64, len(chunk))
+        values = {kind: np.fromiter(map(_PENALTIES[kind].spec, traces, minima), float, len(chunk))
+                  for kind in kinds}
+        with np.errstate(over="ignore", invalid="ignore"):  # silent, like the spec's floats
+            for o, objective in enumerate(objectives):
+                totals = _total(objective, log_probs, steps,
+                                [(lam, values[kind]) for kind, lam in objective.regularizers])
+                top = totals.max()
+                rows = np.flatnonzero(totals == top) if top == top else range(len(chunk))
+                for row in rows:
+                    hyp = chunk[row]
+                    key = (-float(totals[row]), -hyp[3], hyp[0])
+                    if best[o] is None or key < best[o][0]:
+                        best[o] = (key, hyp)
+    if not count:
         raise NoHypothesisError(f"no complete hypothesis within n_max={n_max}")
-    return DecodeRecord(
-        best=_make_hypothesis(model, objective, *best),
-        nodes_expanded=count,
-        optimality_certificate=True,
-    )
+    return [
+        DecodeRecord(
+            best=_make_hypothesis(model, objective, *hyp),
+            nodes_expanded=count,
+            optimality_certificate=True,
+        )
+        for objective, (_, hyp) in zip(objectives, best)
+    ]
 
 
 def brute_force(
@@ -373,7 +405,7 @@ def brute_force(
 ) -> DecodeRecord:
     """Exhaustive argmax over every complete hypothesis of at most n_max
     steps, streamed from the walk (the guard allows 10**7 prefixes)."""
-    return _best_complete(model, objective, _complete_walk(model, source, n_max), n_max)
+    return _oracle_argmax(model, [objective], _complete_walk(model, source, n_max), n_max)[0]
 
 
 def brute_force_set(

@@ -200,6 +200,58 @@ def test_decode_malformed_ngram_model_is_format_error(tmp_path, capsys, spec, na
     assert "Traceback" not in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "order, named",
+    [
+        pytest.param(2.5, "2.5", id="fraction"),
+        pytest.param(True, "True", id="boolean"),
+        pytest.param("1e400", "inf", id="overflowing-exponent"),
+    ],
+)
+def test_decode_non_integer_ngram_order_is_format_error(tmp_path, capsys, order, named):
+    """A fraction used to be truncated, a boolean read as 1, and 1e400 (a
+    JSON float that overflows to inf) ended in an OverflowError."""
+    model = tmp_path / "lm.json"
+    text = json.dumps(_ngram_spec(order="ORDER")).replace('"ORDER"', json.dumps(order))
+    model.write_text(text.replace('"1e400"', "1e400"))
+    with pytest.raises(ModelFormatError) as caught:
+        load_model(model)
+    assert "order" in str(caught.value) and named in str(caught.value)
+    inputs = tmp_path / "in.txt"
+    inputs.write_text("x\n")
+    code = run(["decode", model, inputs, "--decoder", "greedy", "--out", tmp_path / "o.jsonl"])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "order" in err and "Traceback" not in err
+
+
+NOT_UTF8 = b"a b\n\xff\xfe c\n"
+
+
+@pytest.mark.parametrize("role", ["model", "corpus", "input", "refs"])
+def test_non_utf8_file_is_format_error(tmp_path, capsys, role):
+    """Each file the CLI reads ends in exit 3, naming the file, when it is
+    not UTF-8 text."""
+    paths = {name: tmp_path / f"{name}.txt" for name in ("model", "corpus", "input", "refs")}
+    paths["model"] = tmp_path / "lm.json"
+    paths["model"].write_text(json.dumps(_ngram_spec()))
+    for name in ("corpus", "input", "refs"):
+        paths[name].write_text("a b\n")
+    paths[role].write_bytes(NOT_UTF8)
+    out = tmp_path / "out"
+    if role == "corpus":
+        argv = ["train-ngram", paths["corpus"], "--out", out]
+    elif role == "refs":
+        argv = ["sweep", paths["model"], paths["input"], paths["refs"], "--out", out]
+    else:
+        argv = ["decode", paths["model"], paths["input"], "--decoder", "greedy", "--out", out]
+    assert run(argv) == 3
+    err = capsys.readouterr().err
+    assert str(paths[role]) in err and "UTF-8" in err.upper()
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_no_hypothesis_error_names_input_line(tmp_path, capsys):
     """The default row never ends; only the first source has a row that does."""
     model = tmp_path / "m.json"

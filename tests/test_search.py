@@ -25,7 +25,13 @@ from regdecode import (
 )
 import regdecode.search
 from regdecode.cli import EXACTNESS_LAMBDAS, main
-from regdecode.objectives import StepTerms, completion_bounds, prefix_sums, score_parts
+from regdecode.objectives import (
+    _PENALTIES,
+    StepTerms,
+    completion_bounds,
+    prefix_sums,
+    score_parts,
+)
 from regdecode.randmodels import (
     exactness_instance,
     random_table_model,
@@ -347,17 +353,39 @@ POOL_OBJECTIVES = (
     + [Objective(((kind, lam),)) for kind in RegularizerKind for lam in EXACTNESS_LAMBDAS]
     + [parse_objective("len=norm"), parse_objective("len=reward:0.7")]
 )
+# Mixed objectives that share penalty kinds with POOL_OBJECTIVES.
+MIXED_OBJECTIVES = [
+    parse_objective(spec)
+    for spec in ("greedy=1,local=0.5", "variance=2,square=0.1,len=reward:0.3", "max=1,len=norm")
+]
 
 
-def assert_pooled_argmax_equals_brute_force(model, n_max):
-    pool = list(regdecode.search._complete_walk(model, None, n_max))
-    for objective in POOL_OBJECTIVES:
-        pooled = regdecode.search._best_complete(model, objective, pool, n_max)
+def spec_argmax(objective, pool):
+    """The oracle argmax by definition: every hypothesis scored by
+    ``score_parts``, the best under the shared key (-total, -log_prob, ids)."""
+    return min(pool, key=lambda h: (-score_parts(objective, h[1], h[2], h[3]).total, -h[3], h[0]))
+
+
+def assert_pooled_argmax_equals_brute_force(model, n_max, pool=None):
+    """One multi-objective argmax over the walk (or over ``pool``, any
+    ordering of it) equals a per-objective spec argmax and ``brute_force``."""
+    walk = list(regdecode.search._complete_walk(model, None, n_max))
+    pool = walk if pool is None else pool
+    objectives = POOL_OBJECTIVES + MIXED_OBJECTIVES
+    records = regdecode.search._oracle_argmax(model, objectives, iter(pool), n_max)
+    assert len(records) == len(objectives)
+    for objective, record in zip(objectives, records):
+        ids, trace, minima, log_prob = spec_argmax(objective, pool)
+        assert record.best.token_ids == ids
+        assert record.best.breakdown.total == score_parts(objective, trace, minima, log_prob).total
+        assert record.best.log_prob == log_prob
+        assert record.nodes_expanded == len(pool)
+        assert record.optimality_certificate
         fresh = brute_force(model, None, objective, n_max)
-        assert pooled.best.token_ids == fresh.best.token_ids
-        assert pooled.best.breakdown.total == fresh.best.breakdown.total
-        assert pooled.best.log_prob == fresh.best.log_prob
-        assert pooled.nodes_expanded == fresh.nodes_expanded == len(pool)
+        assert fresh.best.token_ids == ids
+        assert fresh.best.breakdown == record.best.breakdown
+        assert fresh.nodes_expanded == len(walk)
+    return records
 
 
 def test_pooled_argmax_equals_brute_force_on_fixtures(m1, m2, m3, m4, beam_family):
@@ -369,6 +397,72 @@ def test_pooled_argmax_equals_brute_force_on_fixtures(m1, m2, m3, m4, beam_famil
 def test_pooled_argmax_equals_brute_force_on_exactness_instances():
     for seed in range(30):
         assert_pooled_argmax_equals_brute_force(*exactness_instance(seed))
+
+
+def boundary_tie_model():
+    """Under plain log-probability "a" and "a a" tie exactly, in total and
+    in log-probability (log .5 + log .5, then + 0.0); "a a" wins on ids,
+    since the end marker has the largest id. Every other hypothesis scores
+    lower."""
+    v = Vocabulary(("a", "b", "c"))
+    return TableModel(
+        v,
+        {"<s>": {"a": 0.5, "b": 0.25, "c": 0.25}, "<s> a": {"a": 0.5, "</s>": 0.5},
+         "<s> a a": {"</s>": 1.0}},
+        {"a": 0.25, "b": 0.25, "c": 0.25, "</s>": 0.25},
+    )
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 7])
+def test_pooled_argmax_is_independent_of_the_chunk_size(monkeypatch, chunk):
+    model = boundary_tie_model()
+    walk = list(regdecode.search._complete_walk(model, None, 4))
+    tied = [h for h in walk if h[0] in ((4, 0, 3), (4, 0, 0, 3))]  # "a", "a a"; bos 4, eos 3
+    assert len(tied) == 2 and tied[0][3] == tied[1][3]
+    # Place the loser at index 13 and the winner at 14: a boundary between
+    # them for chunks of 1, 2 and 7.
+    rest = [h for h in walk if h not in tied]
+    pool = rest[:13] + sorted(tied, key=lambda h: h[0], reverse=True) + rest[13:]
+    expected = assert_pooled_argmax_equals_brute_force(model, 4, pool)
+    monkeypatch.setattr(regdecode.search, "_ARGMAX_CHUNK", chunk)
+    records = assert_pooled_argmax_equals_brute_force(model, 4, pool)
+    assert records == expected
+    assert records[0].best.tokens == ("<s>", "a", "a", "</s>")
+
+
+def test_pooled_argmax_scans_a_chunk_with_a_nan_total_in_walk_order(m1, monkeypatch):
+    """A length reward and a penalty that both overflow give inf - inf, a
+    NaN total, which no key orders; such a chunk is scanned row by row, as
+    the spec argmax scans the whole walk."""
+    objective = parse_objective("square=1e308,len=reward:1e308")
+    walk = list(regdecode.search._complete_walk(m1, None, 4))
+    totals = [score_parts(objective, *h[1:]).total for h in walk]
+    assert any(math.isnan(t) for t in totals) and not all(math.isnan(t) for t in totals)
+    expected = spec_argmax(objective, walk)[0]
+    for chunk in (1, 3, 256):
+        monkeypatch.setattr(regdecode.search, "_ARGMAX_CHUNK", chunk)
+        record, = regdecode.search._oracle_argmax(m1, [objective], walk, 4)
+        assert record.best.token_ids == expected
+
+
+def test_verify_exactness_scores_each_spec_once_per_hypothesis(monkeypatch, capsys):
+    """Each kind's spec runs once per pooled hypothesis, plus once per
+    hypothesis returned under one of that kind's three weights (by the
+    oracle and by exact search, in each of two trials)."""
+    calls = {kind: 0 for kind in RegularizerKind}
+    for kind, penalty in list(_PENALTIES.items()):
+        def counted(trace, minima, spec=penalty.spec, kind=kind):
+            calls[kind] += 1
+            return spec(trace, minima)
+        monkeypatch.setitem(_PENALTIES, kind, penalty._replace(spec=counted))
+    pooled = 0
+    for trial in range(2):  # the suite's instances at seed 0
+        model, n_max = exactness_instance(trial)
+        pooled += len(list(regdecode.search._complete_walk(model, None, n_max)))
+    assert main(["verify", "--suite", "exactness", "--trials", "2"]) == 0
+    assert "32/32" in capsys.readouterr().out
+    returned = 2 * len(EXACTNESS_LAMBDAS) * 2
+    assert calls == {kind: pooled + returned for kind in RegularizerKind}
 
 
 def test_verify_exactness_walks_each_trial_once(monkeypatch, capsys):
