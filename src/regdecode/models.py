@@ -216,7 +216,8 @@ class NGramModel(SequenceModel):
     A context is the last ``order - 1`` tokens of the bos-padded prefix.
     Conditional mass is (count(ctx, y) + add_k) / (count(ctx) + add_k * D)
     with D the distribution size, so every vector sums to one exactly.
-    The source is ignored: conditioning fidelity is not needed for the
+    ``add_k`` must be finite and above 0: an infinite one makes every row
+    NaN. The source is ignored: conditioning fidelity is not needed for the
     decoding math, and the model is treated as a black box.
 
     ``counts`` maps each context to its events, token id -> count. Every
@@ -243,8 +244,8 @@ class NGramModel(SequenceModel):
             counts = _columns_of(counts, vocabulary, names)
         if order < 1:
             raise ContractError("order must be >= 1")
-        if not add_k > 0:
-            raise ContractError("add_k must be > 0")
+        if not (math.isfinite(add_k) and add_k > 0):
+            raise ContractError(f"add_k must be finite and > 0, got {add_k!r}")
         if counts.has_negative_count():
             raise ContractError("counts must be non-negative")
         super().__init__(vocabulary)
@@ -407,6 +408,9 @@ def _ngram_model_from_spec(raw: dict, path: str | Path) -> NGramModel:
     order = raw["order"]
     if isinstance(order, bool) or not isinstance(order, int) or order < 1:
         raise ModelFormatError(f"n-gram model {path}: order must be an integer >= 1, got {order!r}")
+    add_k = raw["add_k"]
+    if isinstance(add_k, bool) or not isinstance(add_k, (int, float)):
+        raise ModelFormatError(f"n-gram model {path}: add_k must be a number, got {add_k!r}")
     try:
         vocab = Vocabulary(
             tuple(raw["vocab"]), bos=raw.get("bos", "<s>"), eos=raw.get("eos", "</s>")
@@ -414,8 +418,8 @@ def _ngram_model_from_spec(raw: dict, path: str | Path) -> NGramModel:
         counts = _count_columns(raw["counts"], vocab)
         if counts is None:  # a check failed: the walk names the first fault
             counts = _walk_counts(raw["counts"], vocab)
-        return NGramModel(vocab, order, float(raw["add_k"]), counts)
-    except (VocabularyError, ContractError, TypeError, ValueError) as exc:
+        return NGramModel(vocab, order, float(add_k), counts)
+    except (VocabularyError, ContractError, TypeError, ValueError, OverflowError) as exc:
         raise ModelFormatError(f"bad n-gram model {path}: {exc}") from exc
 
 
@@ -479,8 +483,8 @@ def load_model(path: str | Path) -> SequenceModel:
     unknown token, a begin-marker event, a count that is not a
     non-negative integer below 2**63, an order that is not an integer of at
     least 1 (a JSON number with a fraction or exponent, or a boolean, is
-    not), or a bad smoothing constant; all of them are raised here, before
-    any decode.
+    not), or an ``add_k`` that is not a finite number above 0 (a boolean or
+    a string is not); all of them are raised here, before any decode.
     """
     try:
         raw = json.loads(Path(path).read_text(encoding="utf-8"))

@@ -523,6 +523,14 @@ class _SetDeviationTable:
     lists: a parent's candidate that is not among its own k best cannot be
     among the best k of all, and the merge keeps the parents' order, so the
     selection is the one a sort of every candidate gives.
+
+    A call may pass a ``cutoff``: the step loop then returns the running
+    sum as soon as it is strictly above the cutoff, which
+    ``brute_force_set`` sets to its incumbent's penalty. Every square is
+    >= 0 and float addition of non-negative numbers never decreases a sum,
+    so the full penalty would be strictly above the cutoff too. The steps
+    left unscored keep their per-step entries, each a pure function of its
+    member states whichever set wrote it, so the reuse stays exact.
     """
 
     def __init__(self, model: SequenceModel, source_key: str, k: int, n_max: int) -> None:
@@ -536,8 +544,9 @@ class _SetDeviationTable:
         self._candidates: dict[tuple[int, ...], list[tuple]] = {}
         self._last: list[tuple] = [((), 0.0)] * n_max  # per step: (member states, square)
 
-    def __call__(self, members: Sequence[tuple[int, ...]]) -> float:
-        """The penalty of one set of member id tuples, in member order."""
+    def __call__(self, members: Sequence[tuple[int, ...]], cutoff: float = math.inf) -> float:
+        """The penalty of one set of member id tuples, in member order, or
+        the first running sum strictly above ``cutoff``."""
         last = self._last
         total = 0.0
         for t, states in enumerate(zip(*map(self._states_of, members))):
@@ -546,6 +555,8 @@ class _SetDeviationTable:
                 square = self._squared_deviation(states)
                 last[t] = (states, square)
             total += square
+            if total > cutoff:
+                break
         return total
 
     def _row(self, prefix: tuple[int, ...]) -> list[float]:

@@ -32,7 +32,8 @@ per chunk it evaluates the spec of each penalty kind once per hypothesis
 and builds each objective's totals in one numpy expression, so the
 exactness suite streams a trial's walk once into all of its objectives.
 ``brute_force_set`` scores every k-combination of its pool through one
-``objectives._SetDeviationTable``.
+``objectives._SetDeviationTable``; in the large-weight limit it stops
+scoring a set once its running penalty passes the incumbent's.
 """
 
 from __future__ import annotations
@@ -419,6 +420,15 @@ def brute_force_set(
     Tiny instances only; the candidate pool is every distinct complete
     hypothesis of at most n_max steps, chosen k at a time. Every set's
     penalty comes from one ``_SetDeviationTable`` of this instance.
+
+    At ``lam=math.inf`` the table is given the incumbent's penalty as a
+    cutoff, and a set whose running penalty passes it is skipped before its
+    log-probability or key is built. This is exact with no tolerance: each
+    per-step square is >= 0 and float addition of non-negative numbers never
+    decreases a sum, so a cut set's penalty is strictly above the
+    incumbent's and it cannot win. A set that ties on penalty is never cut,
+    so ties still go to higher log-probability, then token ids. At finite
+    ``lam`` every set is scored in full.
     """
     vocab = model.vocabulary
     if k < 1 or k > 3:
@@ -434,10 +444,13 @@ def brute_force_set(
     penalty_of = _SetDeviationTable(model, source_key, k, n_max)
     best = None
     best_key = None
+    cutoff = math.inf  # at lam=inf, the incumbent's penalty
     for combo in itertools.combinations(pool, k):
         members = [c[0] for c in combo]
+        penalty = penalty_of(members, cutoff) if lam != 0.0 else 0.0
+        if penalty > cutoff:
+            continue
         set_lp = sum(c[3] for c in combo)
-        penalty = penalty_of(members) if lam != 0.0 else 0.0
         if lam == math.inf:
             key = (penalty, -set_lp, tuple(members))
         else:
@@ -445,6 +458,8 @@ def brute_force_set(
         if best_key is None or key < best_key:
             best_key = key
             best = combo
+            if lam == math.inf:
+                cutoff = penalty
     out = []
     for ids, trace, minima, log_prob in best:
         out.append(_make_hypothesis(model, MAP_OBJECTIVE, ids, trace, minima, log_prob))

@@ -184,6 +184,16 @@ def _ngram_spec(**changes):
                      id="bool-count"),
         pytest.param(_ngram_spec(counts={"<s>": {"a": 2, "</s>": 1}, "a": {"b": 1, "a": -1}}),
                      ["'a' after 'a'", "-1"], id="bad-count-in-a-later-context"),
+        # An infinite add_k (JSON 1e400 parses to inf) made every row NaN:
+        # beam and exact then ended in an IndexError traceback. A boolean or
+        # a string was read through float().
+        pytest.param(_ngram_spec(add_k=math.inf), ["add_k", "inf"], id="infinite-add-k"),
+        pytest.param(_ngram_spec(add_k=math.nan), ["add_k", "nan"], id="nan-add-k"),
+        pytest.param(_ngram_spec(add_k=-0.5), ["add_k", "-0.5"], id="negative-add-k"),
+        pytest.param(_ngram_spec(add_k=True), ["add_k", "True"], id="boolean-add-k"),
+        pytest.param(_ngram_spec(add_k="0.5"), ["add_k", "'0.5'"], id="string-add-k"),
+        pytest.param(_ngram_spec(add_k=[1]), ["add_k", "[1]"], id="list-add-k"),
+        pytest.param(_ngram_spec(add_k=10**400), ["too large"], id="add-k-too-large-for-a-float"),
     ],
 )
 def test_decode_malformed_ngram_model_is_format_error(tmp_path, capsys, spec, named):
@@ -223,6 +233,19 @@ def test_decode_non_integer_ngram_order_is_format_error(tmp_path, capsys, order,
     assert code == 3
     err = capsys.readouterr().err
     assert "order" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("add_k", ["inf", "nan"])
+def test_train_ngram_non_finite_add_k_is_usage_error(tmp_path, capsys, add_k):
+    """An infinite add_k used to train, then made every row NaN: beam and
+    exact ended in an IndexError traceback, greedy in "did not terminate"."""
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text("a b\n")
+    out = tmp_path / "model.json"
+    assert run(["train-ngram", corpus, "--add-k", add_k, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert "add_k" in err and "Traceback" not in err
+    assert not out.exists()
 
 
 NOT_UTF8 = b"a b\n\xff\xfe c\n"

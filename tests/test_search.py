@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -28,8 +29,10 @@ from regdecode.cli import EXACTNESS_LAMBDAS, main
 from regdecode.objectives import (
     _PENALTIES,
     StepTerms,
+    _SetDeviationTable,
     completion_bounds,
     prefix_sums,
+    r_beam_ids,
     score_parts,
 )
 from regdecode.randmodels import (
@@ -499,8 +502,6 @@ def test_brute_force_set_top_k_at_lambda_zero(m1):
 def test_brute_force_set_limit_matches_beam(m1):
     for k, n_max in ((1, 4), (2, 4)):
         beam = beam_search(m1, None, MAP_OBJECTIVE, SearchConfig(beam_width=k, n_max=n_max))
-        from regdecode.objectives import r_beam_ids
-
         members = [h.token_ids for h in beam.beam_set]
         if len(members) != k or r_beam_ids(members, m1, "", k, n_max) > 1e-9:
             continue  # no surviving-beam witness at this width
@@ -519,6 +520,86 @@ def test_brute_force_set_infinite_weight_matches_beam():
     assert sorted(h.token_ids for h in limit) == beam_ids
     finite = brute_force_set(model, None, k, 1e6, n_max)
     assert sorted(h.token_ids for h in finite) != beam_ids
+
+
+SET_LAMBDAS = (math.inf, 1e6, 0.5, 0.0)
+
+
+def full_scan_set(model, k, n_max):
+    """Per weight in SET_LAMBDAS, the ids of the set ``brute_force_set``
+    must choose: every k-combination of the pool scored by a fresh
+    ``r_beam_ids`` and ranked by the same key, with no cutoff."""
+    pool = sorted(enumerate_complete(model, "", n_max), key=lambda h: h[0])
+    best = dict.fromkeys(SET_LAMBDAS)
+    for combo in itertools.combinations(pool, k):
+        members = tuple(c[0] for c in combo)
+        set_lp = sum(c[3] for c in combo)
+        penalty = r_beam_ids(members, model, "", k, n_max)
+        for lam in SET_LAMBDAS:
+            if lam == math.inf:
+                key = (penalty, -set_lp, members)
+            else:
+                key = (-(set_lp - lam * penalty), -set_lp, members)
+            if best[lam] is None or key < best[lam]:
+                best[lam] = key
+    return {lam: list(key[2]) for lam, key in best.items()}
+
+
+def assert_brute_force_set_equals_full_scan(model, k, n_max):
+    expected = full_scan_set(model, k, n_max)
+    for lam in SET_LAMBDAS:
+        chosen = brute_force_set(model, None, k, lam, n_max)
+        assert sorted(h.token_ids for h in chosen) == expected[lam], (k, n_max, lam)
+
+
+def test_brute_force_set_equals_full_scan(m1, m2):
+    """The cutoff at lam=inf skips only sets that cannot win: a cutoff
+    that also drops penalty ties (``>=``) changes the chosen set on some
+    of these."""
+    for model in (m1, m2):
+        for k, n_max in ((1, 4), (2, 4), (3, 3), (2, 5), (3, 4)):
+            assert_brute_force_set_equals_full_scan(model, k, n_max)
+    for seed in range(100):
+        assert_brute_force_set_equals_full_scan(*set_limit_instance(seed))
+
+
+def test_brute_force_set_cutoff_is_best_penalty_so_far(monkeypatch):
+    """On the thm2 suite's first instance at seed 0, lam=inf hands each set
+    the lowest penalty of the sets before it as its cutoff, and so scores
+    fewer steps than the full scan a finite weight makes."""
+    calls = []
+    squares = []
+    table_call = _SetDeviationTable.__call__
+    squared_deviation = _SetDeviationTable._squared_deviation
+
+    def recorded(self, members, cutoff=math.inf):
+        calls.append((tuple(members), cutoff))
+        return table_call(self, members, cutoff)
+
+    def counted(self, states):
+        squares.append(states)
+        return squared_deviation(self, states)
+
+    model, k, n_max = set_limit_instance(0)
+    monkeypatch.setattr(_SetDeviationTable, "__call__", recorded)
+    monkeypatch.setattr(_SetDeviationTable, "_squared_deviation", counted)
+    brute_force_set(model, None, k, math.inf, n_max)
+    limit_calls, limit_squares = list(calls), len(squares)
+    best = math.inf
+    for members, cutoff in limit_calls:
+        assert cutoff == best
+        best = min(best, r_beam_ids(members, model, "", k, n_max))
+    squares.clear()
+    brute_force_set(model, None, k, 0.5, n_max)
+    assert limit_squares < len(squares)
+
+
+@pytest.mark.parametrize("seed", [5, 105, 172, 607, 1601])
+def test_verify_thm2_passes_where_the_finite_weight_failed(seed, capsys):
+    """At the old finite weight 1e6 each of these seeds failed one thm2
+    check; the exact large-weight limit passes all of them."""
+    assert main(["--seed", str(seed), "verify", "--suite", "thm2"]) == 0
+    assert "50/50" in capsys.readouterr().out
 
 
 def test_brute_force_set_k1_limit_equals_greedy(m1, m2):

@@ -203,6 +203,9 @@ def test_ngram_rejects_bad_parameters():
         train_ngram([["a"]], order=-3, add_k=1.0)
     with pytest.raises(ContractError):
         train_ngram([["a"]], order=1, add_k=0.0)
+    for add_k in (math.inf, math.nan):
+        with pytest.raises(ContractError):
+            train_ngram([["a"]], order=1, add_k=add_k)
 
 
 def _seeded_corpus(seed: int) -> list[list[str]]:
