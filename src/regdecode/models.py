@@ -10,13 +10,15 @@ Distributions are fixed at construction: every row that
 lifetime. ``NGramModel`` stores its counts flat, however they arrive
 (``train_ngram``, a model file, or its constructor): a map from each
 context, spelled as in a model file (its tokens joined by single spaces),
-to the slice that holds its events in two columns, the event tokens and an
-int64 numpy array of their counts. A row is built from its context's slice
-the first time that context is looked up (an unseen context gets the
-smoothed uniform row), and is then kept in a private cache, one row per
-distinct context visited. ``load_model`` checks and stores a file's counts
-in bulk passes, so a valid file costs no per-event Python; only a file
-that fails a check is walked event by event, to name its first fault.
+to the slice that holds its events in two numpy columns, the event token
+ids and their int64 counts. A model file holds the same layout, with the
+event tokens by name. A row is built from its context's slice the first
+time that context is looked up (an unseen context gets the smoothed
+uniform row), and is then kept in a private cache, one row per distinct
+context visited. ``load_model`` checks and stores a file's columns in bulk
+passes, so a valid file costs no per-event Python; a file that fails a
+check, or one in the older layout (``counts`` as a mapping), is walked
+event by event, and the walk names the first fault.
 Every model also carries ``row_terms``, the decoders' memo of each
 distinct row's scoring terms (``objectives.step_terms``), keyed by the
 row's identity. It holds one entry per distinct row visited and lives as
@@ -33,7 +35,7 @@ import json
 import logging
 import math
 from pathlib import Path
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -220,11 +222,12 @@ class NGramModel(SequenceModel):
     NaN. The source is ignored: conditioning fidelity is not needed for the
     decoding math, and the model is treated as a black box.
 
-    ``counts`` maps each context to its events, token id -> count. Every
-    event id lies in ``[0, D)``, so the begin marker is never an event, and
-    every count is an integer in ``[0, 2**63)``. No token or marker is
-    empty or holds whitespace, since a context is stored, and written to a
-    model file, as its tokens joined by single spaces.
+    ``counts`` maps each context, a tuple of ``order - 1`` token ids, to its
+    events, token id -> count. Every event id lies in ``[0, D)``, so the
+    begin marker is never an event, and every count is an integer in
+    ``[0, 2**63)``. No token or marker is empty or holds whitespace, since a
+    context is stored, and written to a model file, as its tokens joined by
+    single spaces.
     """
 
     def __init__(
@@ -239,11 +242,11 @@ class NGramModel(SequenceModel):
             raise ContractError(
                 "n-gram tokens and markers must be non-empty and hold no whitespace"
             )
-        # load_model passes the columns it has built and checked in bulk.
-        if not isinstance(counts, _CountColumns):
-            counts = _columns_of(counts, vocabulary, names)
         if order < 1:
             raise ContractError("order must be >= 1")
+        # load_model passes the columns it has built and checked in bulk.
+        if not isinstance(counts, _CountColumns):
+            counts = _columns_of(counts, vocabulary, order, names)
         if not (math.isfinite(add_k) and add_k > 0):
             raise ContractError(f"add_k must be finite and > 0, got {add_k!r}")
         if counts.has_negative_count():
@@ -252,11 +255,14 @@ class NGramModel(SequenceModel):
         self.order = order
         self.add_k = float(add_k)
         self._columns = counts
+        # With no stored context every lookup is the unseen-context row, so
+        # no context is formed: the order may be too large to pad a prefix to.
+        self._need = order - 1 if counts.context_index else 0
         self._token_name = names.__getitem__
         self._cache: dict[tuple[int, ...], np.ndarray] = {}
 
     def _context_of(self, prefix_ids: tuple[int, ...]) -> tuple[int, ...]:
-        need = self.order - 1
+        need = self._need
         if need == 0:
             return ()
         padded = (self.vocabulary.bos_id,) * max(0, need - len(prefix_ids)) + prefix_ids
@@ -272,13 +278,12 @@ class NGramModel(SequenceModel):
         columns = self._columns
         k = columns.context_index.get(" ".join(map(self._token_name, ctx)))
         if k is not None:
-            token_id = self.vocabulary._index
             start, end = columns.offsets[k], columns.offsets[k + 1]
             # One item at a time: a row holds a handful of events, too few
             # to repay numpy's per-call cost.
-            for token, c in zip(columns.event_tokens[start:end],
-                                columns.event_counts[start:end].tolist()):
-                counts[token_id[token]] = c
+            for tid, c in zip(columns.event_ids[start:end].tolist(),
+                              columns.event_counts[start:end].tolist()):
+                counts[tid] = c
         probs = (counts + self.add_k) / (counts.sum() + self.add_k * size)
         arr = np.log(probs)
         arr.setflags(write=False)
@@ -303,11 +308,9 @@ class NGramModel(SequenceModel):
         return math.nextafter(float(np.log(probs).max()), math.inf)
 
     def to_spec(self) -> dict:
+        """The model file's fields, the counts in its four columns."""
         vocab = self.vocabulary
         columns = self._columns
-        offsets, tokens = columns.offsets, columns.event_tokens
-        counts = columns.event_counts.tolist()
-        spans = {ctx: slice(offsets[k], offsets[k + 1]) for ctx, k in columns.context_index.items()}
         return {
             "kind": "ngram",
             "vocab": list(vocab.tokens),
@@ -315,38 +318,31 @@ class NGramModel(SequenceModel):
             "eos": vocab.eos,
             "order": self.order,
             "add_k": self.add_k,
-            "counts": {ctx: dict(zip(tokens[span], counts[span])) for ctx, span in spans.items()},
+            "contexts": list(columns.context_index),
+            "events_per_context": np.diff(columns.offsets).tolist(),
+            "event_tokens": list(map(self._token_name, columns.event_ids.tolist())),
+            "event_counts": columns.event_counts.tolist(),
         }
 
 
+# The count columns of an n-gram model file.
+_COLUMNS = ("contexts", "events_per_context", "event_tokens", "event_counts")
+
+
 class _CountColumns(NamedTuple):
-    """An n-gram model's counts, stored flat and spelled as in a model file.
-    The events of a context are ``event_tokens[s:e]`` and
-    ``event_counts[s:e]``, where ``s, e = offsets[k], offsets[k + 1]`` and
-    ``k = context_index[c]``, ``c`` being the context's tokens joined by
-    single spaces. Tokens are mapped to ids only when a row is built."""
+    """An n-gram model's counts, stored flat. The events of a context are
+    ``event_ids[s:e]`` and ``event_counts[s:e]``, where
+    ``s, e = offsets[k], offsets[k + 1]`` and ``k = context_index[c]``,
+    ``c`` being the context's tokens joined by single spaces, as in a model
+    file. Each context is listed once and its events are distinct."""
 
     context_index: dict[str, int]
     offsets: list[int]
-    event_tokens: list[str]
+    event_ids: np.ndarray  # intp
     event_counts: np.ndarray  # int64
 
     def has_negative_count(self) -> bool:
         return bool(len(self.event_counts)) and self.event_counts.min() < 0
-
-
-def _columns(
-    contexts: Iterable[str], sizes: Iterable[int], tokens: list[str], counts: Iterable
-) -> _CountColumns:
-    """Columns from the contexts, their numbers of events, and the event
-    tokens and counts of all contexts in the same order. Overflows on a
-    count of 2**63 or more."""
-    return _CountColumns(
-        dict(zip(contexts, itertools.count())),
-        list(itertools.accumulate(sizes, initial=0)),
-        tokens,
-        np.fromiter(counts, dtype=np.int64, count=len(tokens)),
-    )
 
 
 def _integers(values: list) -> bool:
@@ -354,7 +350,8 @@ def _integers(values: list) -> bool:
 
 
 def _columns_of(
-    counts: Mapping[tuple[int, ...], Mapping[int, int]], vocab: Vocabulary, names: tuple
+    counts: Mapping[tuple[int, ...], Mapping[int, int]], vocab: Vocabulary, order: int,
+    names: tuple,
 ) -> _CountColumns:
     """Columns from id-keyed counts; ``names`` are the token names in id order."""
     context_ids = list(itertools.chain.from_iterable(counts))
@@ -365,12 +362,18 @@ def _columns_of(
         raise ContractError("token ids and counts must be integers")
     if context_ids and not (0 <= min(context_ids) and max(context_ids) <= vocab.bos_id):
         raise ContractError(f"context token ids must lie in [0, {vocab.bos_id}]")
+    if not set(map(len, counts)) <= {order - 1}:
+        raise ContractError(f"every context must hold order - 1 = {order - 1} token ids")
     if ids and not (0 <= min(ids) and max(ids) < vocab.dist_size):
         raise ContractError(f"event token ids must lie in [0, {vocab.dist_size})")
     name = names.__getitem__
-    contexts = [" ".join(map(name, ctx)) for ctx in counts]
     try:
-        return _columns(contexts, map(len, events), list(map(name, ids)), values)
+        return _CountColumns(
+            {" ".join(map(name, ctx)): k for k, ctx in enumerate(counts)},
+            list(itertools.accumulate(map(len, events), initial=0)),
+            np.fromiter(ids, dtype=np.intp, count=len(ids)),
+            np.fromiter(values, dtype=np.int64, count=len(values)),
+        )
     except OverflowError:
         raise ContractError("counts must be below 2**63") from None
 
@@ -388,7 +391,10 @@ def train_ngram(corpus: Iterable[TokenSeq], order: int, add_k: float) -> NGramMo
     tokens = sorted({t for line in lines for t in line})
     vocab = Vocabulary(tuple(tokens))
     counts: dict[tuple[int, ...], dict[int, int]] = {}
-    pad = (vocab.bos_id,) * (order - 1)
+    try:
+        pad = (vocab.bos_id,) * (order - 1)
+    except OverflowError:
+        raise ContractError(f"order {order} is too large to pad a context to") from None
     need = len(pad)  # never negative, so any order reaches NGramModel's check
     for line in lines:
         ids = pad + tuple(vocab.id_of(t) for t in line) + (vocab.eos_id,)
@@ -400,10 +406,19 @@ def train_ngram(corpus: Iterable[TokenSeq], order: int, add_k: float) -> NGramMo
 
 
 def _ngram_model_from_spec(raw: dict, path: str | Path) -> NGramModel:
-    missing = [name for name in ("vocab", "order", "add_k", "counts") if name not in raw]
+    mapping = "counts" in raw  # the older layout
+    both = [name for name in _COLUMNS if mapping and name in raw]
+    if both:
+        raise ModelFormatError(
+            f"n-gram model {path} holds both counts and {', '.join(both)}: one layout per file"
+        )
+    layout = ("counts",) if mapping else _COLUMNS
+    missing = [name for name in ("vocab", "order", "add_k", *layout) if name not in raw]
     if missing:
         raise ModelFormatError(f"n-gram model {path} is missing {', '.join(missing)}")
-    if not isinstance(raw["counts"], dict) or not set(map(type, raw["counts"].values())) <= {dict}:
+    if mapping and not (
+        isinstance(raw["counts"], dict) and set(map(type, raw["counts"].values())) <= {dict}
+    ):
         raise ModelFormatError(f"n-gram model {path}: counts must map contexts to token counts")
     order = raw["order"]
     if isinstance(order, bool) or not isinstance(order, int) or order < 1:
@@ -415,50 +430,118 @@ def _ngram_model_from_spec(raw: dict, path: str | Path) -> NGramModel:
         vocab = Vocabulary(
             tuple(raw["vocab"]), bos=raw.get("bos", "<s>"), eos=raw.get("eos", "</s>")
         )
-        counts = _count_columns(raw["counts"], vocab)
-        if counts is None:  # a check failed: the walk names the first fault
-            counts = _walk_counts(raw["counts"], vocab)
+        if mapping:
+            items = ((ctx, events.items()) for ctx, events in raw["counts"].items())
+            counts = _walk_counts(items, vocab, order)
+        else:
+            columns = _column_lists(raw)
+            counts = _checked_columns(*columns, vocab, order)
+            if counts is None:  # a check failed: the walk names the first fault
+                counts = _walk_counts(_column_items(*columns), vocab, order)
         return NGramModel(vocab, order, float(add_k), counts)
     except (VocabularyError, ContractError, TypeError, ValueError, OverflowError) as exc:
         raise ModelFormatError(f"bad n-gram model {path}: {exc}") from exc
 
 
-def _count_columns(raw_counts: dict, vocab: Vocabulary) -> _CountColumns | None:
-    """The columns of a file's ``counts``, checked and built in bulk passes,
-    or None when a check fails: a context not spelled as its tokens joined
-    by single spaces, an unknown token, a begin-marker event, or a count
-    that is not an int (a bool is not), negative or 2**63 or more."""
-    contexts = list(raw_counts)
-    joined = " ".join(contexts)
-    words = joined.split()
-    if " ".join(words) != joined or not vocab._index.keys() >= set(words):
-        return None
-    events = list(raw_counts.values())
-    tokens = list(itertools.chain.from_iterable(events))
-    counts = list(itertools.chain.from_iterable(map(dict.values, events)))
-    names = set(tokens)
-    if not (names <= vocab._index.keys() and vocab.bos not in names and _integers(counts)):
+def _column_lists(raw: dict) -> tuple[list, list, list, list]:
+    """A file's four count columns, once they are lists whose lengths agree
+    and whose numbers of events split the events among the contexts."""
+    for name in _COLUMNS:
+        if not isinstance(raw[name], list):
+            raise ValueError(f"{name} must be a list, got {type(raw[name]).__name__}")
+    contexts, sizes, tokens, counts = (raw[name] for name in _COLUMNS)
+    if len(sizes) != len(contexts):
+        raise ValueError(
+            f"events_per_context has {len(sizes)} entries for {len(contexts)} contexts"
+        )
+    if len(counts) != len(tokens):
+        raise ValueError(f"event_counts has {len(counts)} entries for {len(tokens)} event_tokens")
+    if not (_integers(sizes) and min(sizes, default=0) >= 0 and sum(sizes) == len(tokens)):
+        raise ValueError(
+            f"events_per_context must be non-negative integers summing to the {len(tokens)} events"
+        )
+    return contexts, sizes, tokens, counts
+
+
+def _checked_columns(
+    contexts: list, sizes: list, tokens: list, counts: list, vocab: Vocabulary, order: int
+) -> _CountColumns | None:
+    """The columns of a file, checked and built in bulk passes, or None when
+    a check fails: a context listed twice, not spelled as ``order - 1``
+    known tokens joined by single spaces, an unknown or begin-marker event,
+    an event listed twice in one context, or a count that is not an int (a
+    bool is not), negative or 2**63 or more."""
+    if not _integers(counts):
         return None
     try:
-        columns = _columns(contexts, map(len, events), tokens, counts)
-    except OverflowError:
+        context_index = dict(zip(contexts, itertools.count()))
+        joined = " ".join(contexts)
+        ids = np.fromiter(map(vocab._index.__getitem__, tokens), dtype=np.intp, count=len(tokens))
+        values = np.fromiter(counts, dtype=np.int64, count=len(counts))
+    except (TypeError, KeyError, OverflowError):
         return None
-    return None if columns.has_negative_count() else columns
+    if len(context_index) != len(contexts):
+        return None
+    if order == 1:
+        spelled = not joined  # the one context of a unigram model is empty
+    else:
+        spelled = not contexts or (
+            set(joined.split(" ")) <= vocab._index.keys()
+            and set(map(str.count, contexts, itertools.repeat(" "))) == {order - 2}
+        )
+    if not spelled or (len(ids) and ids.max() >= vocab.dist_size) or (values < 0).any():
+        return None
+    # Each event's key, its context's number times D plus its id, repeats
+    # only where a context lists an event twice.
+    size = vocab.dist_size
+    keys = np.repeat(np.arange(0, len(sizes) * size, size), sizes) + ids
+    keys.sort()
+    if (keys[1:] == keys[:-1]).any():
+        return None
+    return _CountColumns(context_index, list(itertools.accumulate(sizes, initial=0)), ids, values)
 
 
-def _walk_counts(raw_counts: dict, vocab: Vocabulary) -> dict[tuple[int, ...], dict[int, int]]:
-    """A file's ``counts``, read one event at a time in file order; raises
-    on the first fault."""
+def _column_items(contexts: list, sizes: list, tokens: list, counts: list) -> Iterator:
+    """The mapping the columns spell, as (context, its (token, count) pairs)
+    in file order; an event listed twice stays listed twice."""
+    bounds = itertools.pairwise(itertools.accumulate(sizes, initial=0))
+    return ((ctx, zip(tokens[s:e], counts[s:e])) for ctx, (s, e) in zip(contexts, bounds))
+
+
+def _walk_counts(
+    items: Iterable, vocab: Vocabulary, order: int
+) -> dict[tuple[int, ...], dict[int, int]]:
+    """A file's counts, given as (context, its (token, count) pairs), read
+    one event at a time in file order; raises on the first fault. A context
+    spelled twice keeps its later events."""
     counts: dict[tuple[int, ...], dict[int, int]] = {}
-    for ctx_str, events in raw_counts.items():
-        ctx = tuple(vocab.id_of(t) for t in ctx_str.split())
-        counts[ctx] = {
-            _event_id(vocab, t, ctx_str): _event_count(c, ctx_str, t) for t, c in events.items()
-        }
+    for ctx_str, events in items:
+        ctx = _context_ids(vocab, ctx_str, order)
+        row: dict[int, int] = {}
+        for token, value in events:
+            tid = _event_id(vocab, token, ctx_str)
+            if tid in row:
+                raise ValueError(f"event {token!r} after {ctx_str!r} is listed twice")
+            row[tid] = _event_count(value, ctx_str, token)
+        counts[ctx] = row
     return counts
 
 
+def _context_ids(vocab: Vocabulary, ctx: str, order: int) -> tuple[int, ...]:
+    if not isinstance(ctx, str):
+        raise ValueError(f"context {ctx!r} is not a string")
+    ids = tuple(vocab.id_of(t) for t in ctx.split())
+    if len(ids) != order - 1:
+        raise ValueError(
+            f"context {ctx!r} holds {len(ids)} tokens, but an order-{order} context holds "
+            f"{order - 1}"
+        )
+    return ids
+
+
 def _event_id(vocab: Vocabulary, token: str, ctx: str) -> int:
+    if not isinstance(token, str):
+        raise ValueError(f"event {token!r} after {ctx!r} is not a string")
     tid = vocab.id_of(token)
     if tid == vocab.bos_id:
         raise ValueError(f"event {token!r} after {ctx!r} is the begin marker, never predicted")
@@ -479,12 +562,16 @@ def load_model(path: str | Path) -> SequenceModel:
     """Dispatch on the optional ``kind`` field; plain specs are table models.
 
     Every malformed file ends in ``ModelFormatError``, one that is not
-    UTF-8 text included. For an n-gram file that is a missing field, an
-    unknown token, a begin-marker event, a count that is not a
-    non-negative integer below 2**63, an order that is not an integer of at
-    least 1 (a JSON number with a fraction or exponent, or a boolean, is
-    not), or an ``add_k`` that is not a finite number above 0 (a boolean or
-    a string is not); all of them are raised here, before any decode.
+    UTF-8 text included. For an n-gram file that is a missing field, count
+    columns that are not lists, disagree in length or do not split the
+    events among the contexts, a file with both the columns and the older
+    ``counts`` mapping, a context that is not ``order - 1`` known tokens,
+    an unknown token, a begin-marker event, an event listed twice in one
+    context, a count that is not a non-negative integer below 2**63, an
+    order that is not an integer of at least 1 (a JSON number with a
+    fraction or exponent, or a boolean, is not), or an ``add_k`` that is
+    not a finite number above 0 (a boolean or a string is not); all of them
+    are raised here, before any decode.
     """
     try:
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -496,7 +583,6 @@ def load_model(path: str | Path) -> SequenceModel:
 
 
 def save_model(model: TableModel | NGramModel, path: str | Path) -> None:
-    """Write ``model.to_spec()`` as the JSON file ``load_model`` reads."""
-    Path(path).write_text(
-        json.dumps(model.to_spec(), indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    """Write ``model.to_spec()`` as the JSON file ``load_model`` reads, with
+    sorted keys and no indentation, which ``json`` encodes in C."""
+    Path(path).write_text(json.dumps(model.to_spec(), sort_keys=True) + "\n", encoding="utf-8")

@@ -164,10 +164,19 @@ def _ngram_spec(**changes):
     return {k: v for k, v in spec.items() if v is not None}
 
 
+def _column_spec(**changes):
+    """``_ngram_spec()``'s model with its counts in the file's columns."""
+    spec = {"kind": "ngram", "vocab": ["a", "b"], "order": 2, "add_k": 0.5,
+            "contexts": ["<s>", "a"], "events_per_context": [2, 1],
+            "event_tokens": ["a", "</s>", "b"], "event_counts": [2, 1, 1]}
+    spec.update(changes)
+    return {k: v for k, v in spec.items() if v is not None}
+
+
 @pytest.mark.parametrize(
     "spec, named",
     [
-        pytest.param(_ngram_spec(counts=None), [], id="missing-counts"),
+        pytest.param(_ngram_spec(counts=None), ["missing contexts"], id="missing-counts"),
         pytest.param(_ngram_spec(counts={"<s>": {"zz": 1}}), ["'zz'"], id="unknown-token"),
         pytest.param(_ngram_spec(counts={"zz": {"a": 1}}), ["'zz'"], id="unknown-context"),
         pytest.param(_ngram_spec(counts={"<s>": {"a": -3}}), ["'a'", "'<s>'"],
@@ -194,6 +203,60 @@ def _ngram_spec(**changes):
         pytest.param(_ngram_spec(add_k="0.5"), ["add_k", "'0.5'"], id="string-add-k"),
         pytest.param(_ngram_spec(add_k=[1]), ["add_k", "[1]"], id="list-add-k"),
         pytest.param(_ngram_spec(add_k=10**400), ["too large"], id="add-k-too-large-for-a-float"),
+        # A context that is not order - 1 tokens was kept, and best_step read it.
+        pytest.param(_ngram_spec(counts={"<s>": {"a": 1}, "<s> a": {"b": 1}}),
+                     ["'<s> a' holds 2 tokens"], id="context-of-another-order"),
+        pytest.param(_ngram_spec(counts={"": {"a": 1}}), ["'' holds 0 tokens"],
+                     id="empty-context"),
+        # The same faults, and those only columns can hold, in the column layout.
+        pytest.param(_column_spec(event_tokens=["a", "zz", "b"]), ["'zz'"],
+                     id="columns-unknown-token"),
+        pytest.param(_column_spec(contexts=["<s>", "zz"]), ["'zz'"],
+                     id="columns-unknown-context"),
+        pytest.param(_column_spec(contexts=["<s>", "<s> a"]), ["'<s> a' holds 2 tokens"],
+                     id="columns-context-of-another-order"),
+        pytest.param(_column_spec(contexts=["<s>", 7]), ["context 7 is not a string"],
+                     id="columns-context-not-a-string"),
+        pytest.param(_column_spec(contexts=["<s>", ["a"]]), ["context ['a'] is not a string"],
+                     id="columns-context-a-list"),
+        pytest.param(_column_spec(event_tokens=["a", "<s>", "b"]), ["'<s>' after '<s>'"],
+                     id="columns-begin-marker-event"),
+        pytest.param(_column_spec(event_tokens=["a", "</s>", 3]), ["event 3 after 'a'"],
+                     id="columns-event-not-a-string"),
+        pytest.param(_column_spec(event_counts=[2, -3, 1]), ["'</s>' after '<s>'", "-3"],
+                     id="columns-negative-count"),
+        pytest.param(_column_spec(event_counts=[2, 1.5, 1]), ["'</s>' after '<s>'", "1.5"],
+                     id="columns-fractional-count"),
+        pytest.param(_column_spec(event_counts=[True, 1, 1]), ["'a' after '<s>'", "True"],
+                     id="columns-bool-count"),
+        pytest.param(_column_spec(event_counts=[2, 1, 2**63]), ["'b' after 'a'", "2**63"],
+                     id="columns-count-of-2**63"),
+        # The mapping form cannot list an event twice; a walk that rebuilt
+        # it as a dict would keep the later count and hide the first.
+        pytest.param(_column_spec(event_tokens=["a", "a", "b"]),
+                     ["'a' after '<s>' is listed twice"], id="columns-event-listed-twice"),
+        pytest.param(_column_spec(events_per_context=[3]),
+                     ["events_per_context has 1 entries for 2 contexts"],
+                     id="columns-fewer-event-numbers-than-contexts"),
+        pytest.param(_column_spec(event_counts=[2, 1]),
+                     ["event_counts has 2 entries for 3 event_tokens"],
+                     id="columns-fewer-counts-than-tokens"),
+        pytest.param(_column_spec(events_per_context=[2, 2]), ["summing to the 3 events"],
+                     id="columns-event-numbers-do-not-sum"),
+        pytest.param(_column_spec(events_per_context=[4, -1]), ["non-negative"],
+                     id="columns-negative-event-number"),
+        pytest.param(_column_spec(events_per_context=[2, 1.0]), ["integers"],
+                     id="columns-fractional-event-number"),
+        pytest.param(_column_spec(contexts={"<s>": 2, "a": 1}), ["contexts must be a list"],
+                     id="columns-contexts-not-a-list"),
+        pytest.param(_column_spec(event_counts="2 1 1"), ["event_counts must be a list"],
+                     id="columns-counts-not-a-list"),
+        pytest.param(_column_spec(event_counts=None), ["missing event_counts"],
+                     id="columns-missing-a-column"),
+        pytest.param(_column_spec(counts=_ngram_spec()["counts"]), ["both counts and contexts"],
+                     id="columns-and-counts"),
+        pytest.param(_column_spec(order=10**21), ["'<s>' holds 1 tokens"],
+                     id="columns-huge-order-with-counts"),
     ],
 )
 def test_decode_malformed_ngram_model_is_format_error(tmp_path, capsys, spec, named):
@@ -208,6 +271,43 @@ def test_decode_malformed_ngram_model_is_format_error(tmp_path, capsys, spec, na
     code = run(["decode", model, inputs, "--decoder", "greedy", "--out", tmp_path / "o.jsonl"])
     assert code == 3
     assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("layout", [_column_spec, _ngram_spec], ids=["columns", "mapping"])
+def test_decode_huge_order_without_counts(tmp_path, capsys, layout):
+    """Every row of a model without counts is the unseen-context row, so an
+    order of 10**21 decodes as order 2 does. It used to end in an
+    OverflowError traceback at the first decode, when a prefix was padded
+    to its context."""
+    empty = {"contexts": [], "events_per_context": [], "event_tokens": [], "event_counts": []}
+    if layout is _ngram_spec:
+        empty = {"counts": {}}
+    inputs = tmp_path / "in.txt"
+    inputs.write_text("x\n")
+    runs = []
+    for order in (2, 10**21):
+        model = tmp_path / f"lm{len(runs)}.json"
+        model.write_text(json.dumps(layout(order=order, **empty)))
+        out = tmp_path / f"o{len(runs)}.jsonl"
+        exact = run(["decode", model, inputs, "--decoder", "exact", "--out", out])
+        # Uniform rows tie every step, and beam keeps extending on a tie.
+        beam = run(["decode", model, inputs, "--decoder", "beam", "--k", "2",
+                    "--out", tmp_path / "beam.jsonl"])
+        assert "Traceback" not in capsys.readouterr().err
+        runs.append((exact, beam, out.read_bytes()))
+    assert runs[0] == runs[1]
+    assert runs[0][:2] == (0, 2)
+    assert json.loads(runs[0][2])["tokens"] == []
+
+
+def test_train_ngram_huge_order_is_usage_error(tmp_path, capsys):
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text("a b\n")
+    out = tmp_path / "model.json"
+    assert run(["train-ngram", corpus, "--order", str(10**21), "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert "order" in err and "Traceback" not in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

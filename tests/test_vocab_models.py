@@ -166,7 +166,7 @@ def test_best_step_bounds_every_ngram_row():
         ]
         top = max(float(model.next_log_probs_ids("", p).max()) for p in prefixes)
         assert top <= model.best_step <= math.nextafter(top, math.inf)
-        stored = set(model.to_spec()["counts"])
+        stored = set(_count_map(model.to_spec()))
         unseen += sum(" ".join(vocab.decode(model._context_of(p))) not in stored for p in prefixes)
     assert unseen > 1  # rows of contexts never counted are among those checked
 
@@ -206,6 +206,19 @@ def test_ngram_rejects_bad_parameters():
     for add_k in (math.inf, math.nan):
         with pytest.raises(ContractError):
             train_ngram([["a"]], order=1, add_k=add_k)
+    vocab = Vocabulary(("a",))
+    for context in ((), (vocab.bos_id,), (vocab.bos_id,) * 3):
+        with pytest.raises(ContractError, match="order - 1"):
+            NGramModel(vocab, 3, 0.5, {context: {0: 1}})
+
+
+def _count_map(spec: dict) -> dict[str, dict[str, int]]:
+    """An n-gram spec's count columns as the mapping {context: {token: count}}."""
+    events = iter(zip(spec["event_tokens"], spec["event_counts"]))
+    return {
+        ctx: dict(itertools.islice(events, n))
+        for ctx, n in zip(spec["contexts"], spec["events_per_context"])
+    }
 
 
 def _seeded_corpus(seed: int) -> list[list[str]]:
@@ -221,7 +234,7 @@ def test_loaded_ngram_equals_trained(tmp_path, order):
     save_model(trained, path)
     loaded = load_model(path)
     vocab = trained.vocabulary
-    contexts = [tuple(vocab.encode(ctx.split())) for ctx in trained.to_spec()["counts"]]
+    contexts = [tuple(vocab.encode(ctx.split())) for ctx in _count_map(trained.to_spec())]
     if order > 1:  # no line goes on after its end marker, so this context is unseen
         unseen = (vocab.eos_id,) * (order - 1)
         assert unseen not in contexts
@@ -238,6 +251,36 @@ def test_loaded_ngram_equals_trained(tmp_path, order):
     assert again.read_bytes() == path.read_bytes()
 
 
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_mapping_layout_loads_as_the_same_counts_in_columns(tmp_path, order):
+    """A file in the older layout, ``counts`` as {context: {token: count}}
+    written with sorted keys, loads to the model its counts give when they
+    are written as columns in the same order."""
+    spec = train_ngram(_seeded_corpus(order + 10), order, 0.3).to_spec()
+    fields = {k: v for k, v in spec.items()
+              if k not in ("contexts", "events_per_context", "event_tokens", "event_counts")}
+    counts = json.loads(json.dumps(_count_map(spec), sort_keys=True))
+    mapping_path, columns_path = tmp_path / "mapping.json", tmp_path / "columns.json"
+    mapping_path.write_text(json.dumps({**fields, "counts": counts}, indent=2, sort_keys=True))
+    columns_path.write_text(json.dumps({
+        **fields,
+        "contexts": list(counts),
+        "events_per_context": [len(events) for events in counts.values()],
+        "event_tokens": [token for events in counts.values() for token in events],
+        "event_counts": [count for events in counts.values() for count in events.values()],
+    }))
+    old, new = load_model(mapping_path), load_model(columns_path)
+    assert old.to_spec() == new.to_spec()
+    assert _count_map(new.to_spec()) == counts
+    assert old.best_step == new.best_step
+    vocab = new.vocabulary
+    contexts = [tuple(vocab.encode(ctx.split())) for ctx in counts]
+    contexts.append((vocab.eos_id,) * (order - 1))  # never counted
+    for ctx in contexts:
+        prefix = (vocab.bos_id, *ctx)
+        assert np.array_equal(old._step_log_probs("", prefix), new._step_log_probs("", prefix))
+
+
 def test_ngram_rejects_event_ids_outside_the_distribution():
     vocab = Vocabulary(("a",))
     for tid in (vocab.bos_id, -1, 7):
@@ -249,20 +292,26 @@ def test_ngram_rejects_event_ids_outside_the_distribution():
         NGramModel(vocab, 2, 0.5, {(vocab.bos_id,): {0: 1.5}})
 
 
-@pytest.mark.parametrize("spelling", [
-    ["<s> <s>", "<s> a", "a b"],  # as save_model writes them
-    ["<s>  <s>", "<s> a", "a\tb"],  # any whitespace separates tokens
-    [" <s> <s>", "<s> a ", "a b"],
-    ["<s> <s>", "a", "a b"],  # a context of another order is kept but never looked up
+@pytest.mark.parametrize("spelling, fault", [
+    pytest.param(["<s> <s>", "<s> a", "a b"], None, id="spelling0"),  # as save_model writes them
+    # Any whitespace separates tokens.
+    pytest.param(["<s>  <s>", "<s> a", "a\tb"], None, id="spelling1"),
+    pytest.param([" <s> <s>", "<s> a ", "a b"], None, id="spelling2"),
+    # A context of another order is a format error.
+    pytest.param(["<s> <s>", "a", "a b"], "context 'a' holds 1 tokens", id="spelling3"),
 ])
-def test_ngram_contexts_split_on_whitespace(tmp_path, spelling):
+def test_ngram_contexts_split_on_whitespace(tmp_path, spelling, fault):
     events = [{"a": 2, "</s>": 1}, {"b": 1}, {"</s>": 1}]
     path = tmp_path / "lm.json"
     path.write_text(json.dumps({"kind": "ngram", "vocab": ["a", "b"], "order": 3, "add_k": 0.5,
                                 "counts": dict(zip(spelling, events))}))
+    if fault is not None:
+        with pytest.raises(ModelFormatError, match=fault):
+            load_model(path)
+        return
     model = load_model(path)
-    written = ["<s> <s>", "<s> a" if spelling[1] != "a" else "a", "a b"]
-    assert model.to_spec()["counts"] == dict(zip(written, events))
+    written = ["<s> <s>", "<s> a", "a b"]
+    assert _count_map(model.to_spec()) == dict(zip(written, events))
     vocab = model.vocabulary
     row = model.next_log_probs_ids("", (vocab.bos_id,))
     assert math.exp(row[0]) == pytest.approx((2 + 0.5) / (3 + 0.5 * 3))
@@ -291,9 +340,16 @@ def test_ngram_context_spelled_twice_keeps_the_later_events(tmp_path):
     path.write_text(json.dumps({"kind": "ngram", "vocab": ["a", "b"], "order": 2, "add_k": 0.5,
                                 "counts": {"a": {"b": 9}, "<s>": {"a": 1}, " a": {"a": 1}}}))
     model = load_model(path)
-    assert model.to_spec()["counts"] == {"<s>": {"a": 1}, "a": {"a": 1}}
+    assert _count_map(model.to_spec()) == {"<s>": {"a": 1}, "a": {"a": 1}}
     vocab = model.vocabulary
     kept = NGramModel(vocab, 2, 0.5, {(vocab.bos_id,): {0: 1}, (0,): {0: 1}})
+    assert model.best_step == kept.best_step
+    # The same holds for a context listed twice in the column layout.
+    path.write_text(json.dumps({"kind": "ngram", "vocab": ["a", "b"], "order": 2, "add_k": 0.5,
+                                "contexts": ["a", "<s>", "a"], "events_per_context": [1, 1, 1],
+                                "event_tokens": ["b", "a", "a"], "event_counts": [9, 1, 1]}))
+    model = load_model(path)
+    assert _count_map(model.to_spec()) == {"<s>": {"a": 1}, "a": {"a": 1}}
     assert model.best_step == kept.best_step
 
 
