@@ -39,6 +39,7 @@ from .search import (
     exact_search,
     greedy_search,
 )
+from .vocab import DEFAULT_BOS, DEFAULT_EOS
 
 SEED_ENV_VAR = "REGDECODE_SEED"
 
@@ -86,15 +87,19 @@ def _default_seed() -> int:
 
 
 class _TextFormatError(RegdecodeError, ValueError):
-    """A corpus, input or references file is not UTF-8 text (exit 3)."""
+    """A corpus, input or references file is not UTF-8 text, or a corpus
+    line holds a marker (exit 3)."""
+
+
+def _read_text(path: str) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise _TextFormatError(f"{path} is not UTF-8 text: {exc}") from exc
 
 
 def _read_token_lines(path: str) -> list[list[str]]:
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise _TextFormatError(f"{path} is not UTF-8 text: {exc}") from exc
-    return [line.split() for line in text.splitlines()]
+    return [line.split() for line in _read_text(path).splitlines()]
 
 
 def _decode_one(decoder: str, model, source, objective, config):
@@ -136,8 +141,25 @@ def _record_json(source: list[str], record) -> dict:
     }
 
 
+def _read_corpus(path: str) -> list[list[str]]:
+    """A training corpus; a line that holds a begin or end marker is a
+    format error that names the first such line."""
+    text = _read_text(path)
+    lines = [line.split() for line in text.splitlines()]
+    markers = {DEFAULT_BOS, DEFAULT_EOS}
+    if any(marker in text for marker in markers):  # a substring scan before the line walk
+        for line_no, line in enumerate(lines, start=1):
+            found = markers.intersection(line)
+            if found:
+                raise _TextFormatError(
+                    f"{path} line {line_no} holds {' and '.join(sorted(found))}: the begin "
+                    "and end markers are implicit and may not appear in a corpus"
+                )
+    return lines
+
+
 def cmd_train_ngram(args) -> int:
-    corpus = _read_token_lines(args.corpus)
+    corpus = _read_corpus(args.corpus)
     model = train_ngram(corpus, args.order, args.add_k)
     out = Path(args.out)
     save_model(model, out)

@@ -15,10 +15,12 @@ ids and their int64 counts. A model file holds the same layout, with the
 event tokens by name. A row is built from its context's slice the first
 time that context is looked up (an unseen context gets the smoothed
 uniform row), and is then kept in a private cache, one row per distinct
-context visited. ``load_model`` checks and stores a file's columns in bulk
-passes, so a valid file costs no per-event Python; a file that fails a
-check, or one in the older layout (``counts`` as a mapping), is walked
-event by event, and the walk names the first fault.
+context visited. ``train_ngram`` counts a corpus into these columns in
+bulk numpy passes, contexts in first-seen corpus order and each context's
+events in first-seen order. ``load_model`` checks and stores a file's
+columns in bulk passes, so a valid file costs no per-event Python; a file
+that fails a check, or one in the older layout (``counts`` as a mapping),
+is walked event by event, and the walk names the first fault.
 Every model also carries ``row_terms``, the decoders' memo of each
 distinct row's scoring terms (``objectives.step_terms``), keyed by the
 row's identity. It holds one entry per distinct row visited and lives as
@@ -117,7 +119,7 @@ def _dist_to_log_array(dist: Mapping[str, float], vocab: Vocabulary, where: str)
         probs[tid] += p
     total = probs.sum()
     if abs(total - 1.0) > NORMALIZATION_TOL:
-        raise ModelFormatError(f"{where}: distribution sums to {total!r}, not 1")
+        raise ModelFormatError(f"{where}: distribution sums to {float(total)}, not 1")
     if total != 1.0:
         # Silent below 1e-9: that is float dust, not a sloppy file.
         if abs(total - 1.0) > 1e-9:
@@ -244,7 +246,7 @@ class NGramModel(SequenceModel):
             )
         if order < 1:
             raise ContractError("order must be >= 1")
-        # load_model passes the columns it has built and checked in bulk.
+        # train_ngram and load_model pass the columns they have built in bulk.
         if not isinstance(counts, _CountColumns):
             counts = _columns_of(counts, vocabulary, order, names)
         if not (math.isfinite(add_k) and add_k > 0):
@@ -383,26 +385,98 @@ def train_ngram(corpus: Iterable[TokenSeq], order: int, add_k: float) -> NGramMo
 
     The corpus defines the vocabulary. Each line is padded with begin
     markers on the left and closed with one end-marker event, so an empty
-    line still trains p(eos | bos-context).
+    line still trains p(eos | bos-context). Contexts are stored in the
+    order the corpus first shows them, and the events of each context in
+    the order they first follow it, which is the order a model file lists
+    them in.
+
+    Counting runs in bulk numpy passes over every event, one pass per
+    context position: each context gets an integer code, built up one
+    token at a time, and the (context, event) pairs are counted on the
+    codes. No code passes int64, whatever the order and vocabulary: the
+    codes are renumbered densely whenever the next position could overflow.
     """
-    lines = [list(line) for line in corpus]
+    lines = list(corpus)  # each line a sequence: sized, and read twice
     if not lines:
         raise ContractError("corpus must be nonempty")
-    tokens = sorted({t for line in lines for t in line})
-    vocab = Vocabulary(tuple(tokens))
-    counts: dict[tuple[int, ...], dict[int, int]] = {}
+    tokens = list(itertools.chain.from_iterable(lines))
+    vocab = Vocabulary(tuple(sorted(set(tokens))))
+    need = max(order - 1, 0)  # never negative, so any order reaches NGramModel's check
+    lengths = np.fromiter(map(len, lines), dtype=np.intp, count=len(lines))
+    # Beyond the longest line every context token is the begin marker, so
+    # only the nearest ``depth`` positions tell contexts apart.
+    depth = min(need, int(lengths.max()))
     try:
-        pad = (vocab.bos_id,) * (order - 1)
+        pad = [vocab.bos] * (need - depth)
     except OverflowError:
         raise ContractError(f"order {order} is too large to pad a context to") from None
-    need = len(pad)  # never negative, so any order reaches NGramModel's check
-    for line in lines:
-        ids = pad + tuple(vocab.id_of(t) for t in line) + (vocab.eos_id,)
-        for i in range(need, len(ids)):
-            ctx = ids[i - need : i]
-            events = counts.setdefault(ctx, {})
-            events[ids[i]] = events.get(ids[i], 0) + 1
-    return NGramModel(vocab, order, add_k, counts)
+    ids = np.fromiter(map(vocab._index.__getitem__, tokens), dtype=np.intp, count=len(tokens))
+    # Every line's events in corpus order: its tokens, then the end marker.
+    events = np.insert(ids, np.cumsum(lengths), vocab.eos_id)
+    n_events = len(events)
+    starts = np.cumsum(lengths + 1) - (lengths + 1)  # each line's first event
+    position = np.arange(n_events) - np.repeat(starts, lengths + 1)  # within its line
+    base = vocab.bos_id + 1  # context tokens are ids in [0, bos_id]
+    codes, span = np.zeros(n_events, dtype=np.int64), 1
+    for back in range(depth, 0, -1):  # the farthest context position first
+        codes, span = _dense(codes, span, base)
+        token = np.full(n_events, vocab.bos_id)
+        token[back:] = events[:-back]
+        token[position < back] = vocab.bos_id  # before the line's start: padding
+        codes = codes * base + token
+        span *= base
+    size = vocab.dist_size
+    codes, span = _dense(codes, span, size)
+    present, first, counts = _count_pairs(codes * size + events, span * size)
+    # The pairs come sorted by key, so each context's pairs are adjacent.
+    context = present // size
+    bounds = np.flatnonzero(np.diff(context, prepend=-1))
+    context_first = np.minimum.reduceat(first, bounds)
+    sizes = np.diff(bounds, append=len(present))
+    # Contexts by their first event, and within each its events by theirs.
+    order_of_pairs = np.lexsort((first, np.repeat(context_first, sizes)))
+    order_of_contexts = np.argsort(context_first)
+    seen = context_first[order_of_contexts]
+    back = np.arange(depth, 0, -1)
+    spelled = np.where(position[seen, None] >= back, events[seen[:, None] - back], vocab.bos_id)
+    names = np.array((*vocab.tokens, vocab.eos, vocab.bos), dtype=object)
+    contexts = [" ".join(pad + row) for row in names[spelled].tolist()]
+    columns = _CountColumns(
+        dict(zip(contexts, itertools.count())),
+        list(itertools.accumulate(sizes[order_of_contexts].tolist(), initial=0)),
+        (present % size)[order_of_pairs],
+        counts[order_of_pairs].astype(np.int64),
+    )
+    return NGramModel(vocab, order, add_k, columns)
+
+
+def _dense(codes: np.ndarray, span: int, factor: int) -> tuple[np.ndarray, int]:
+    """``codes`` below ``span``, renumbered densely first when
+    ``span * factor`` would not fit in int64, so that multiplying them by
+    ``factor`` and adding a number below it cannot overflow."""
+    if span * factor < 2**63:
+        return codes, span
+    codes = np.unique(codes, return_inverse=True)[1].astype(np.int64)
+    return codes, int(codes.max()) + 1
+
+
+# A key space of at most this many keys per event is counted with bincount.
+_BINCOUNT_KEYS_PER_EVENT = 4
+
+
+def _count_pairs(keys: np.ndarray, span: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The distinct ``keys`` (each below ``span``) in ascending order, the
+    index of each one's first occurrence, and how often each occurs."""
+    if span <= _BINCOUNT_KEYS_PER_EVENT * len(keys):
+        counts = np.bincount(keys)
+        first = np.full(len(counts), len(keys))
+        np.minimum.at(first, keys, np.arange(len(keys)))
+        present = np.flatnonzero(counts)
+        return present, first[present], counts[present]
+    order = np.argsort(keys, kind="stable")
+    ordered = keys[order]
+    starts = np.flatnonzero(np.diff(ordered, prepend=-1))
+    return ordered[starts], order[starts], np.diff(starts, append=len(keys))
 
 
 def _ngram_model_from_spec(raw: dict, path: str | Path) -> NGramModel:
@@ -558,11 +632,22 @@ def _event_count(value, ctx: str, token: str) -> int:
     return value
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object as a dict, or ValueError naming a key it repeats
+    (plain ``json.loads`` would keep the last of them)."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        seen: set[str] = set()
+        key = next(k for k, _ in pairs if k in seen or seen.add(k))
+        raise ValueError(f"key {key!r} appears twice in one object")
+    return obj
+
+
 def load_model(path: str | Path) -> SequenceModel:
     """Dispatch on the optional ``kind`` field; plain specs are table models.
 
     Every malformed file ends in ``ModelFormatError``, one that is not
-    UTF-8 text included. For an n-gram file that is a missing field, count
+    UTF-8 text or whose JSON repeats a key within one object included. For an n-gram file that is a missing field, count
     columns that are not lists, disagree in length or do not split the
     events among the contexts, a file with both the columns and the older
     ``counts`` mapping, a context that is not ``order - 1`` known tokens,
@@ -574,8 +659,8 @@ def load_model(path: str | Path) -> SequenceModel:
     are raised here, before any decode.
     """
     try:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raw = json.loads(Path(path).read_text(encoding="utf-8"), object_pairs_hook=_unique_keys)
+    except (OSError, ValueError) as exc:  # ValueError: not UTF-8, not JSON, a repeated key
         raise ModelFormatError(f"cannot parse model {path}: {exc}") from exc
     if isinstance(raw, dict) and raw.get("kind") == "ngram":
         return _ngram_model_from_spec(raw, path)

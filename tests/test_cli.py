@@ -300,6 +300,28 @@ def test_decode_huge_order_without_counts(tmp_path, capsys, layout):
     assert json.loads(runs[0][2])["tokens"] == []
 
 
+@pytest.mark.parametrize("text, line_no, named", [
+    ("a b\nb <s> a\n</s>\n", 2, "<s>"),
+    ("a\n\n</s> a <s>\n", 3, "</s> and <s>"),
+])
+def test_train_ngram_corpus_with_marker_is_format_error(tmp_path, capsys, text, line_no, named):
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text(text)
+    out = tmp_path / "model.json"
+    assert run(["train-ngram", corpus, "--out", out]) == 3
+    err = capsys.readouterr().err
+    assert f"{corpus} line {line_no} holds {named}:" in err
+    assert not out.exists()
+
+
+def test_train_ngram_token_that_only_contains_a_marker_is_ordinary(tmp_path):
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text("a<s> </s>b\n")
+    out = tmp_path / "model.json"
+    assert run(["train-ngram", corpus, "--out", out]) == 0
+    assert load_model(out).vocabulary.tokens == ("</s>b", "a<s>")
+
+
 def test_train_ngram_huge_order_is_usage_error(tmp_path, capsys):
     corpus = tmp_path / "corpus.txt"
     corpus.write_text("a b\n")

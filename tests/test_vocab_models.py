@@ -494,3 +494,30 @@ def test_default_only_model_is_total():
     m = TableModel(v, {}, {"a": 0.25, "</s>": 0.75})
     for prefix in (["<s>"], ["<s>", "a"], ["<s>", "a", "a"]):
         assert math.exp(m.next_log_probs(None, prefix)[v.eos_id]) == pytest.approx(0.75)
+
+
+def test_table_bad_sum_names_the_sum_as_a_plain_number(tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"vocab": ["a"], "entries": {}, "default": {"a": 0.7}}))
+    with pytest.raises(ModelFormatError, match=r"^default: distribution sums to 0\.7, not 1$"):
+        load_model(path)
+
+
+@pytest.mark.parametrize("text, key", [
+    pytest.param('{"kind": "ngram", "vocab": ["a"], "order": 2, "add_k": 1.0,'
+                 ' "counts": {"<s>": {"a": 5, "a": 1}}}', "a", id="mapping-event"),
+    pytest.param('{"kind": "ngram", "vocab": ["a"], "order": 1, "order": 2, "add_k": 1.0,'
+                 ' "contexts": [], "events_per_context": [], "event_tokens": [],'
+                 ' "event_counts": []}', "order", id="columns-field"),
+    pytest.param('{"vocab": ["a"], "entries": {},'
+                 ' "default": {"a": 0.5, "a": 0.25, "</s>": 0.5}}', "a", id="table-default"),
+    pytest.param('{"vocab": ["a"], "entries": {"<s>": {"a": 1.0}, "<s>": {"</s>": 1.0}},'
+                 ' "default": {"a": 0.5, "</s>": 0.5}}', "<s>", id="table-context"),
+])
+def test_repeated_json_key_is_format_error(tmp_path, text, key):
+    """Plain ``json.loads`` keeps the last of two equal keys, which would
+    load a count or probability the file does not mean."""
+    path = tmp_path / "lm.json"
+    path.write_text(text)
+    with pytest.raises(ModelFormatError, match=f"key '{key}' appears twice in one object"):
+        load_model(path)
