@@ -2,11 +2,12 @@
 self-verification against the brute-force oracles.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 I/O or
-format error (a file that cannot be read, is not UTF-8 text, or is not a
-well-formed model). A decode with no complete hypothesis within
-``--n-max``, a brute-force search above its size guard, or an exact search
-whose agenda outgrows its guard is a usage error: the fix is always a flag
-(``--n-max`` or ``--decoder``). So is a negative or malformed seed
+format error (a file that cannot be read, is not UTF-8 text, is not a
+well-formed model, or is a training corpus with a marker token). A decode
+with no complete hypothesis within ``--n-max``, a brute-force search
+above its size guard, or an exact search whose agenda outgrows its guard
+is a usage error: the fix is always a flag (``--n-max`` or
+``--decoder``). So is a negative or malformed seed
 (``--seed`` or ``$REGDECODE_SEED``) and a ``verify --trials`` below 1.
 Every output file gets a sidecar ``<name>.manifest.json`` recording the
 command, configuration, input digests, and seed; identical manifests give
@@ -147,7 +148,7 @@ def _read_corpus(path: str) -> list[list[str]]:
     text = _read_text(path)
     lines = [line.split() for line in text.splitlines()]
     markers = {DEFAULT_BOS, DEFAULT_EOS}
-    if any(marker in text for marker in markers):  # a substring scan before the line walk
+    if any(marker in text for marker in markers):  # cheap; the line walk runs only on a hit
         for line_no, line in enumerate(lines, start=1):
             found = markers.intersection(line)
             if found:
