@@ -92,15 +92,25 @@ class _TextFormatError(RegdecodeError, ValueError):
     line holds a marker (exit 3)."""
 
 
-def _read_text(path: str) -> str:
+def _read_token_lines(path: str, *, corpus: bool = False) -> list[list[str]]:
+    """The whitespace-split lines of a UTF-8 text file. In a training
+    ``corpus`` a line that holds a begin or end marker is a format error
+    that names the first such line."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise _TextFormatError(f"{path} is not UTF-8 text: {exc}") from exc
-
-
-def _read_token_lines(path: str) -> list[list[str]]:
-    return [line.split() for line in _read_text(path).splitlines()]
+    lines = [line.split() for line in text.splitlines()]
+    markers = {DEFAULT_BOS, DEFAULT_EOS} if corpus else set()
+    if any(marker in text for marker in markers):  # cheap; the line walk runs only on a hit
+        for line_no, line in enumerate(lines, start=1):
+            found = markers.intersection(line)
+            if found:
+                raise _TextFormatError(
+                    f"{path} line {line_no} holds {' and '.join(sorted(found))}: the begin "
+                    "and end markers are implicit and may not appear in a corpus"
+                )
+    return lines
 
 
 def _decode_one(decoder: str, model, source, objective, config):
@@ -142,25 +152,8 @@ def _record_json(source: list[str], record) -> dict:
     }
 
 
-def _read_corpus(path: str) -> list[list[str]]:
-    """A training corpus; a line that holds a begin or end marker is a
-    format error that names the first such line."""
-    text = _read_text(path)
-    lines = [line.split() for line in text.splitlines()]
-    markers = {DEFAULT_BOS, DEFAULT_EOS}
-    if any(marker in text for marker in markers):  # cheap; the line walk runs only on a hit
-        for line_no, line in enumerate(lines, start=1):
-            found = markers.intersection(line)
-            if found:
-                raise _TextFormatError(
-                    f"{path} line {line_no} holds {' and '.join(sorted(found))}: the begin "
-                    "and end markers are implicit and may not appear in a corpus"
-                )
-    return lines
-
-
 def cmd_train_ngram(args) -> int:
-    corpus = _read_corpus(args.corpus)
+    corpus = _read_token_lines(args.corpus, corpus=True)
     model = train_ngram(corpus, args.order, args.add_k)
     out = Path(args.out)
     save_model(model, out)

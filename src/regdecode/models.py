@@ -388,7 +388,7 @@ def train_ngram(corpus: Iterable[TokenSeq], order: int, add_k: float) -> NGramMo
     line still trains p(eos | bos-context). Contexts are stored in the
     order the corpus first shows them, and the events of each context in
     the order they first follow it, which is the order a model file lists
-    them in.
+    them in. Each line is read once, so it may be any iterable of tokens.
 
     Counting runs in bulk numpy passes over every event, one pass per
     context position: each context gets an integer code, built up one
@@ -396,13 +396,13 @@ def train_ngram(corpus: Iterable[TokenSeq], order: int, add_k: float) -> NGramMo
     codes. No code passes int64, whatever the order and vocabulary: the
     codes are renumbered densely whenever the next position could overflow.
     """
-    lines = list(corpus)  # each line a sequence: sized, and read twice
-    if not lines:
+    tokens: list = []
+    ends = [tokens.extend(line) or len(tokens) for line in corpus]
+    if not ends:
         raise ContractError("corpus must be nonempty")
-    tokens = list(itertools.chain.from_iterable(lines))
     vocab = Vocabulary(tuple(sorted(set(tokens))))
     need = max(order - 1, 0)  # never negative, so any order reaches NGramModel's check
-    lengths = np.fromiter(map(len, lines), dtype=np.intp, count=len(lines))
+    lengths = np.diff(ends, prepend=0)
     # Beyond the longest line every context token is the begin marker, so
     # only the nearest ``depth`` positions tell contexts apart.
     depth = min(need, int(lengths.max()))
@@ -410,24 +410,28 @@ def train_ngram(corpus: Iterable[TokenSeq], order: int, add_k: float) -> NGramMo
         pad = [vocab.bos] * (need - depth)
     except OverflowError:
         raise ContractError(f"order {order} is too large to pad a context to") from None
-    ids = np.fromiter(map(vocab._index.__getitem__, tokens), dtype=np.intp, count=len(tokens))
-    # Every line's events in corpus order: its tokens, then the end marker.
-    events = np.insert(ids, np.cumsum(lengths), vocab.eos_id)
-    n_events = len(events)
-    starts = np.cumsum(lengths + 1) - (lengths + 1)  # each line's first event
-    position = np.arange(n_events) - np.repeat(starts, lengths + 1)  # within its line
+    # Every line laid out as ``depth`` begin markers, its ids, then the end
+    # marker; each event reads its context off the ``depth`` ids before it.
+    stops = np.cumsum(lengths + depth + 1)  # one past each line's end marker
+    layout = np.full(stops[-1], vocab.bos_id)
+    is_token = np.ones(len(layout), dtype=bool)
+    is_token[(stops - lengths - 1)[:, None] - np.arange(1, depth + 1)] = False  # padding
+    events = np.flatnonzero(is_token)  # in corpus order: tokens and end markers
+    is_token[stops - 1] = False
+    layout[is_token] = np.fromiter(
+        map(vocab._index.__getitem__, tokens), dtype=np.intp, count=len(tokens)
+    )
+    layout[stops - 1] = vocab.eos_id
     base = vocab.bos_id + 1  # context tokens are ids in [0, bos_id]
-    codes, span = np.zeros(n_events, dtype=np.int64), 1
+    codes, span = np.zeros(len(layout), dtype=np.int64), 1
     for back in range(depth, 0, -1):  # the farthest context position first
         codes, span = _dense(codes, span, base)
-        token = np.full(n_events, vocab.bos_id)
-        token[back:] = events[:-back]
-        token[position < back] = vocab.bos_id  # before the line's start: padding
-        codes = codes * base + token
+        codes *= base  # a padding position's code reads the line before: never counted
+        codes[back:] += layout[:-back]
         span *= base
     size = vocab.dist_size
-    codes, span = _dense(codes, span, size)
-    present, first, counts = _count_pairs(codes * size + events, span * size)
+    codes, span = _dense(codes[events], span, size)
+    present, first, counts = _count_pairs(codes * size + layout[events])
     # The pairs come sorted by key, so each context's pairs are adjacent.
     context = present // size
     bounds = np.flatnonzero(np.diff(context, prepend=-1))
@@ -436,9 +440,8 @@ def train_ngram(corpus: Iterable[TokenSeq], order: int, add_k: float) -> NGramMo
     # Contexts by their first event, and within each its events by theirs.
     order_of_pairs = np.lexsort((first, np.repeat(context_first, sizes)))
     order_of_contexts = np.argsort(context_first)
-    seen = context_first[order_of_contexts]
-    back = np.arange(depth, 0, -1)
-    spelled = np.where(position[seen, None] >= back, events[seen[:, None] - back], vocab.bos_id)
+    seen = events[context_first[order_of_contexts]]
+    spelled = layout[seen[:, None] - np.arange(depth, 0, -1)]
     names = np.array((*vocab.tokens, vocab.eos, vocab.bos), dtype=object)
     contexts = [" ".join(pad + row) for row in names[spelled].tolist()]
     columns = _CountColumns(
@@ -460,23 +463,13 @@ def _dense(codes: np.ndarray, span: int, factor: int) -> tuple[np.ndarray, int]:
     return codes, int(codes.max()) + 1
 
 
-# A key space of at most this many keys per event is counted with bincount.
-_BINCOUNT_KEYS_PER_EVENT = 4
-
-
-def _count_pairs(keys: np.ndarray, span: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The distinct ``keys`` (each below ``span``) in ascending order, the
-    index of each one's first occurrence, and how often each occurs."""
-    if span <= _BINCOUNT_KEYS_PER_EVENT * len(keys):
-        counts = np.bincount(keys)
-        first = np.full(len(counts), len(keys))
-        np.minimum.at(first, keys, np.arange(len(keys)))
-        present = np.flatnonzero(counts)
-        return present, first[present], counts[present]
-    order = np.argsort(keys, kind="stable")
+def _count_pairs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The distinct ``keys`` in ascending order, the index of each one's
+    first occurrence, and how often each occurs."""
+    order = np.argsort(keys)
     ordered = keys[order]
-    starts = np.flatnonzero(np.diff(ordered, prepend=-1))
-    return ordered[starts], order[starts], np.diff(starts, append=len(keys))
+    starts = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1])))
+    return ordered[starts], np.minimum.reduceat(order, starts), np.diff(starts, append=len(keys))
 
 
 def _ngram_model_from_spec(raw: dict, path: str | Path) -> NGramModel:
@@ -646,17 +639,17 @@ def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
 def load_model(path: str | Path) -> SequenceModel:
     """Dispatch on the optional ``kind`` field; plain specs are table models.
 
-    Every malformed file ends in ``ModelFormatError``, one that is not
-    UTF-8 text or whose JSON repeats a key within one object included. For an n-gram file that is a missing field, count
-    columns that are not lists, disagree in length or do not split the
-    events among the contexts, a file with both the columns and the older
-    ``counts`` mapping, a context that is not ``order - 1`` known tokens,
-    an unknown token, a begin-marker event, an event listed twice in one
-    context, a count that is not a non-negative integer below 2**63, an
-    order that is not an integer of at least 1 (a JSON number with a
-    fraction or exponent, or a boolean, is not), or an ``add_k`` that is
-    not a finite number above 0 (a boolean or a string is not); all of them
-    are raised here, before any decode.
+    Every malformed file ends in ``ModelFormatError``, one that is not UTF-8
+    text or whose JSON repeats a key within one object included. For an
+    n-gram file that is a missing field, count columns that are not lists,
+    disagree in length or do not split the events among the contexts, a file
+    with both the columns and the older ``counts`` mapping, a context that
+    is not ``order - 1`` known tokens, an unknown token, a begin-marker
+    event, an event listed twice in one context, a count that is not a
+    non-negative integer below 2**63, an order that is not an integer of at
+    least 1 (a JSON number with a fraction or exponent, or a boolean, is
+    not), or an ``add_k`` that is not a finite number above 0 (a boolean or
+    a string is not); all of them are raised here, before any decode.
     """
     try:
         raw = json.loads(Path(path).read_text(encoding="utf-8"), object_pairs_hook=_unique_keys)

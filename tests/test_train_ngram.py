@@ -4,7 +4,6 @@ reference that counts one event at a time, field by field and in order."""
 import numpy as np
 import pytest
 
-import regdecode.models
 from regdecode import NGramModel, Vocabulary, save_model, train_ngram
 from regdecode.cli import main
 
@@ -49,13 +48,11 @@ def seeded_corpus(seed, n_tokens, n_lines, max_len):
     return [lines[i] for i in rng.permutation(len(lines))]
 
 
-@pytest.mark.parametrize("keys_per_event", [0, 10**6], ids=["sort", "bincount"])
 @pytest.mark.parametrize("order, max_len", [(1, 6), (2, 6), (3, 6), (4, 6), (9, 5)])
 @pytest.mark.parametrize("seed", [0, 1, 2])
-def test_trained_counts_equal_the_reference(monkeypatch, keys_per_event, order, max_len, seed):
-    """Both ways of counting pairs give the reference's spec. Order 9 is
-    longer than every line, so every context opens with padding."""
-    monkeypatch.setattr(regdecode.models, "_BINCOUNT_KEYS_PER_EVENT", keys_per_event)
+def test_trained_counts_equal_the_reference(order, max_len, seed):
+    """Order 9 is longer than every line, so every context opens with
+    padding."""
     corpus = seeded_corpus(seed, 5, 60, max_len)
     assert_same_spec(train_ngram(corpus, order, 0.3), reference_model(corpus, order, 0.3))
 
@@ -68,7 +65,7 @@ def test_one_token_vocabulary(order):
 
 @pytest.mark.parametrize("order", [2, 3])
 def test_large_vocabulary(order):
-    """More distinct keys than events: the default counts pairs by sorting."""
+    """More distinct keys than events."""
     corpus = seeded_corpus(3, 300, 40, 8)
     assert_same_spec(train_ngram(corpus, order, 0.1), reference_model(corpus, order, 0.1))
 
@@ -92,3 +89,9 @@ def test_train_ngram_writes_the_reference_bytes(tmp_path):
     assert main(argv) == 0
     save_model(reference_model(corpus, 3, 0.25), expected)
     assert out.read_bytes() == expected.read_bytes()
+
+
+def test_lines_may_be_one_shot_iterables():
+    corpus = seeded_corpus(6, 7, 40, 6)
+    trained = train_ngram((iter(line) for line in corpus), 3, 0.5)
+    assert_same_spec(trained, reference_model(corpus, 3, 0.5))
