@@ -397,7 +397,7 @@ def train_ngram(corpus: Iterable[TokenSeq], order: int, add_k: float) -> NGramMo
     codes are renumbered densely whenever the next position could overflow.
     """
     tokens: list = []
-    ends = [tokens.extend(line) or len(tokens) for line in corpus]
+    ends = [tokens.extend(line) or len(tokens) for line in corpus]  # each line read once
     if not ends:
         raise ContractError("corpus must be nonempty")
     vocab = Vocabulary(tuple(sorted(set(tokens))))
@@ -430,8 +430,8 @@ def train_ngram(corpus: Iterable[TokenSeq], order: int, add_k: float) -> NGramMo
         codes[back:] += layout[:-back]
         span *= base
     size = vocab.dist_size
-    codes, span = _dense(codes[events], span, size)
-    present, first, counts = _count_pairs(codes * size + layout[events])
+    codes, span = _dense(codes, span, size)
+    present, first, counts = _count_pairs((codes * size + layout)[events])
     # The pairs come sorted by key, so each context's pairs are adjacent.
     context = present // size
     bounds = np.flatnonzero(np.diff(context, prepend=-1))
