@@ -4,7 +4,9 @@ All decoders share one tie-breaking rule so their outputs are directly
 comparable: higher total score first, then higher log-probability, then
 the lexicographically smallest token-id sequence.
 
-Beam and exact search expand a prefix through one kernel,
+Greedy search is beam search at width 1 under the plain objective
+(``MAP_OBJECTIVE``), the paper's first result, and runs through beam's
+loop. So all three decoders expand a prefix through one kernel,
 ``objectives.child_scores``. One model call per expanded prefix fetches
 its next-token row (``objectives.step_terms``, with per-row terms memoized
 on the model), and the kernel scores all of its children in one numpy
@@ -103,9 +105,9 @@ class Hypothesis:
 
     @property
     def surface(self) -> tuple[str, ...]:
-        """Tokens without the begin/end markers."""
-        end = -1 if self.complete else len(self.tokens)
-        return self.tokens[1:end]
+        """Tokens without the begin/end markers; every hypothesis a decoder
+        returns ends in the end marker."""
+        return self.tokens[1:-1]
 
 
 @dataclass
@@ -132,28 +134,10 @@ def _make_hypothesis(model: SequenceModel, objective: Objective, ids, trace, min
 
 
 def greedy_search(model: SequenceModel, source, config: SearchConfig) -> DecodeRecord:
-    """Stepwise argmax until the end marker; ties go to the lowest token id."""
-    vocab = model.vocabulary
-    source_key = _source_key(source)
-    eos = vocab.eos_id
-    ids = [vocab.bos_id]
-    trace: list[float] = []
-    minima: list[float] = []
-    log_prob = 0.0
-    expanded = 0
-    for _ in range(config.n_max):
-        dist = model.next_log_probs_ids(source_key, tuple(ids)).tolist()
-        expanded += 1
-        best_tid = max(range(len(dist)), key=lambda i: (dist[i], -i))
-        logv = dist[best_tid]
-        ids.append(best_tid)
-        log_prob += logv
-        trace.append(-logv)
-        minima.append(-logv)
-        if best_tid == eos:
-            hyp = _make_hypothesis(model, MAP_OBJECTIVE, ids, trace, minima, log_prob)
-            return DecodeRecord(best=hyp, nodes_expanded=expanded)
-    raise NoHypothesisError(f"greedy path did not terminate within n_max={config.n_max}")
+    """Beam search at width 1 under the plain objective (``config.beam_width``
+    is not read): each step keeps the child with the highest log-probability
+    so far, ties going to the smaller token id."""
+    return _beam(model, source, MAP_OBJECTIVE, 1, config.n_max)
 
 
 def beam_search(
@@ -167,16 +151,23 @@ def beam_search(
     Stops early once all survivors have ended; survivors still open at
     n_max are dropped as invalid.
     """
+    return _beam(model, source, objective, config.beam_width, config.n_max)
+
+
+def _beam(model: SequenceModel, source, objective: Objective, k: int,
+          n_max: int) -> DecodeRecord:
+    """The loop behind ``beam_search`` and ``greedy_search``. Neither public
+    decoder calls the other, so a wrapper around both names sees each decode
+    once."""
     vocab = model.vocabulary
     source_key = _source_key(source)
     eos = vocab.eos_id
-    k = config.beam_width
     expanded = 0
 
     Node = tuple  # (ids, trace, minima, log_prob, total); the root is never ranked
     beams: list[Node] = [((vocab.bos_id,), (), (), 0.0, None)]
 
-    for _ in range(config.n_max):
+    for _ in range(n_max):
         if all(node[0][-1] == eos for node in beams):
             break
         # One block of candidates per beam member: (node, terms, totals,
@@ -224,7 +215,7 @@ def beam_search(
     finished = [node for node in beams if node[0][-1] == eos]
     if not finished:
         raise NoHypothesisError(
-            f"no beam member reached the end marker within n_max={config.n_max}"
+            f"no beam member reached the end marker within n_max={n_max}"
         )
     hyps = [_make_hypothesis(model, objective, *node[:4]) for node in finished]
     hyps.sort(key=Hypothesis.sort_key)

@@ -412,6 +412,10 @@ def test_no_hypothesis_error_names_input_line(tmp_path, capsys):
     assert run(["decode", model, inputs, "--decoder", "exact", "--n-max", "3",
                 "--out", tmp_path / "o.jsonl"]) == 2
     assert "input line 2: no complete hypothesis within n_max=3" in capsys.readouterr().err
+    assert run(["decode", model, inputs, "--decoder", "greedy", "--n-max", "3",
+                "--out", tmp_path / "o.jsonl"]) == 2
+    err = capsys.readouterr().err
+    assert "input line 2:" in err and "n_max=3" in err
     assert run(["sweep", model, inputs, refs, "--objective-kind", "none",
                 "--decoder", "beam", "--n-max", "3", "--out", tmp_path / "rows.csv"]) == 2
     assert "input line 2:" in capsys.readouterr().err

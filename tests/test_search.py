@@ -76,6 +76,23 @@ def test_greedy_tie_break_lowest_index():
     assert rec.best.tokens[1] == "a"
 
 
+def test_greedy_breaks_a_sub_ulp_tie_on_the_running_log_prob():
+    """Greedy ranks a step by the log-probability so far, as beam does. Two
+    row entries one ulp apart round to the same running sum after eight
+    uniform steps, so the completions tie and the smaller id wins."""
+    v = Vocabulary(("a", "b", "c"))
+    uniform = {t: 0.25 for t in ("a", "b", "c", "</s>")}
+    entries = {" ".join(("<s>",) + ("a",) * i): uniform for i in range(8)}
+    b = float(np.nextafter(0.45, 1))
+    entries["<s>" + " a" * 8] = {"a": 0.45, "b": b, "c": 0.0, "</s>": 1 - 0.45 - b}
+    m = TableModel(v, entries, {"</s>": 1.0})
+    config = SearchConfig(n_max=12)
+    rec = greedy_search(m, None, config)
+    assert rec.best.surface == ("a",) * 9
+    assert rec.best.log_prob == -11.888862585176897
+    assert rec.best.token_ids == beam_search(m, None, MAP_OBJECTIVE, config).best.token_ids
+
+
 def test_greedy_without_termination_raises():
     v = Vocabulary(("a",))
     m = TableModel(v, {}, {"a": 0.9, "</s>": 0.1})
