@@ -92,19 +92,29 @@ class _TextFormatError(RegdecodeError, ValueError):
     line holds a marker (exit 3)."""
 
 
-def _read_token_lines(path: str, *, corpus: bool = False) -> list[list[str]]:
-    """The whitespace-split lines of a UTF-8 text file. In a training
-    ``corpus`` a line that holds a begin or end marker is a format error
-    that names the first such line."""
+def _read_text(path: str) -> str:
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise _TextFormatError(f"{path} is not UTF-8 text: {exc}") from exc
-    lines = [line.split() for line in text.splitlines()]
-    markers = {DEFAULT_BOS, DEFAULT_EOS} if corpus else set()
+
+
+def _read_token_lines(path: str) -> list[list[str]]:
+    """The whitespace-split lines of a UTF-8 text file."""
+    return [line.split() for line in _read_text(path).splitlines()]
+
+
+def _read_corpus_lines(path: str) -> list[str]:
+    """The lines of a UTF-8 training corpus, not yet split, so that a
+    reader can split each in turn and hold no line's tokens past it. A line
+    that holds a begin or end marker is a format error that names the first
+    such line."""
+    text = _read_text(path)
+    lines = text.splitlines()
+    markers = {DEFAULT_BOS, DEFAULT_EOS}
     if any(marker in text for marker in markers):  # cheap; the line walk runs only on a hit
         for line_no, line in enumerate(lines, start=1):
-            found = markers.intersection(line)
+            found = markers.intersection(line.split())
             if found:
                 raise _TextFormatError(
                     f"{path} line {line_no} holds {' and '.join(sorted(found))}: the begin "
@@ -153,8 +163,8 @@ def _record_json(source: list[str], record) -> dict:
 
 
 def cmd_train_ngram(args) -> int:
-    corpus = _read_token_lines(args.corpus, corpus=True)
-    model = train_ngram(corpus, args.order, args.add_k)
+    corpus = _read_corpus_lines(args.corpus)
+    model = train_ngram(map(str.split, corpus), args.order, args.add_k)  # one line at a time
     out = Path(args.out)
     save_model(model, out)
     config = {"order": args.order, "add_k": args.add_k, "corpus": args.corpus}

@@ -107,9 +107,10 @@ def r_square(trace: Trace) -> float:
 
 
 class Children(NamedTuple):
-    """What the expansion kernel reads of some children of one row: numpy
-    arrays aligned with ``StepTerms.ids`` for every allowed child, or floats
-    for the end-marker child alone. The same arithmetic serves both."""
+    """What the expansion kernel reads of some children: numpy arrays
+    aligned with ``StepTerms.ids`` for every allowed child of one row (or
+    with the candidates of a beam step, one row after another), or floats
+    for the end-marker child alone. The same arithmetic serves all three."""
 
     log_prob: np.ndarray | float
     surprisal: np.ndarray | float
@@ -123,12 +124,14 @@ class StepTerms:
     ``ids`` are the allowed token ids (finite log-probability) in ascending
     order and ``children`` their terms; forbidden tokens never enter the
     arrays, so no ``0 * inf`` can arise. ``step_min`` is the step's minimum
-    surprisal. The end marker has the largest id of the row, so when it is
-    allowed it is the last child, and ``end`` holds its terms as floats
+    surprisal. ``table`` holds the children's terms as the rows of one
+    array, so that a beam step joins its members' children in one
+    concatenation. The end marker has the largest id of the row, so when it
+    is allowed it is the last child, and ``end`` holds its terms as floats
     (``None`` otherwise).
     """
 
-    __slots__ = ("row", "ids", "step_min", "children", "surprisal_list", "end")
+    __slots__ = ("row", "ids", "step_min", "table", "children", "surprisal_list", "end")
 
     def __init__(self, row: np.ndarray) -> None:
         self.row = row
@@ -137,7 +140,8 @@ class StepTerms:
         log_prob = row if len(self.ids) == len(row) else row[self.ids]
         u = -log_prob
         gap = u - self.step_min
-        self.children = Children(log_prob, u, gap * gap, u * u)
+        table = self.table = np.array((log_prob, u, gap * gap, u * u))
+        self.children = Children(table[0], table[1], table[2], table[3])
         self.surprisal_list = u.tolist()
         self.end = None
         if self.ids[-1] == len(row) - 1:
@@ -158,10 +162,12 @@ def step_terms(model: SequenceModel, source_key: str, prefix_ids: tuple[int, ...
 
 # Prefix forms: each penalty's partial sum over a prefix's (possibly empty)
 # trace, which ``prefix_sums`` computes once per expanded prefix. Children
-# forms: the penalty of each child of that prefix, from the partial sum, the
-# prefix's step count and the children's terms. Each repeats its spec's last
-# loop step on the children, so it equals the spec on the child's trace bit
-# for bit.
+# forms: the penalty of each child, from the partial sum, the prefix's step
+# count and the children's terms. A partial sum is either one prefix's,
+# shared by all of its children, or one per child (``_batch_sums``; the
+# last axis runs over the children). Each form repeats its spec's last loop
+# step on the children, so it equals the spec on the child's trace bit for
+# bit.
 
 
 def _greedy_children(partial, steps, children):
@@ -170,17 +176,26 @@ def _greedy_children(partial, steps, children):
 
 def _variance_children(trace, steps, children):
     # The mean moves with the child's step, so the squared deviations are
-    # summed again over the prefix, left to right as in the spec: variance's
-    # partial sum is the prefix's trace itself.
+    # summed again over the prefix: variance's partial sum is the prefix's
+    # trace itself, or in a batch the (steps x children) matrix of the
+    # children's prefix traces. Both sums run over the steps in order, one
+    # row added at a time as the spec adds them; an array sum is updated in
+    # place once the first row has made it, a float one rebound. Not
+    # ``np.sum`` or ``np.add.reduce`` along the step axis: on a single
+    # column numpy sums pairwise from 8 rows up, which can differ from the
+    # spec in the last bit.
     n = steps + 1
     u = children.surprisal
-    mu = (_running_sum(trace) + u) / n
+    run = 0.0
+    for row in trace:
+        run += row
+    mu = (run + u) / n
     total = 0.0
-    for v in trace:
-        d = v - mu
-        total = total + d * d
-    d = u - mu
-    return (total + d * d) / n
+    for row in (*trace, u):
+        d = row - mu
+        d *= d
+        total += d
+    return total / n
 
 
 def _local_sums(partial, steps, children):
@@ -196,13 +211,11 @@ def _local_children(partial, steps, children):
 
 
 def _max_prefix(trace, minima):
-    return r_max(trace) if trace else None
+    return r_max(trace) if trace else -math.inf  # below every surprisal
 
 
 def _max_children(partial, steps, children):
     u = children.surprisal
-    if partial is None:
-        return u
     return np.where(u > partial, u, partial)  # max() keeps the first of equal values
 
 
@@ -376,11 +389,27 @@ def prefix_sums(objective: Objective, trace: Trace, minima: Trace) -> list:
     return sums
 
 
-def child_scores(objective: Objective, steps: int, sums: list, log_prob: float,
-                 children: Children):
-    """(totals, log-probabilities) of children of a prefix of ``steps``
-    steps with ``prefix_sums`` ``sums``, in one vector expression over its
-    row (or one float expression for ``StepTerms.end``).
+def _batch_sums(objective: Objective, prefixes: Sequence[tuple], owner: np.ndarray) -> list:
+    """``prefix_sums`` of several (trace, minima) prefixes of one length as
+    one batch for ``child_scores``: each partial sum stacked over the
+    prefixes on the last axis, then taken for every child from its prefix,
+    ``owner[c]`` being child c's prefix. Variance's stacked traces are a
+    (steps x children) matrix, local's (sum, last surprisal) pairs a
+    2 x children one."""
+    batch = []
+    for kind, lam in objective.regularizers:
+        penalty = _PENALTIES[kind]
+        stacked = np.array([penalty.prefix(trace, minima) for trace, minima in prefixes])
+        batch.append((lam, penalty, stacked.T[..., owner]))
+    return batch
+
+
+def child_scores(objective: Objective, steps: int, sums: list, log_prob, children: Children):
+    """(totals, log-probabilities) of children of prefixes of ``steps``
+    steps, in one vector expression: the children of one prefix, with its
+    ``prefix_sums`` and log-probability (or one float expression for
+    ``StepTerms.end``), or the children of a whole beam, with per-child
+    partial sums (``_batch_sums``) and prefix log-probabilities.
 
     This is the expansion kernel of beam and exact search. Each total
     equals ``score_parts(objective, child trace, child minima, child

@@ -6,20 +6,21 @@ the lexicographically smallest token-id sequence.
 
 Greedy search is beam search at width 1 under the plain objective
 (``MAP_OBJECTIVE``), the paper's first result, and runs through beam's
-loop. So all three decoders expand a prefix through one kernel,
+loop. So all three decoders score through one kernel,
 ``objectives.child_scores``. One model call per expanded prefix fetches
 its next-token row (``objectives.step_terms``, with per-row terms memoized
-on the model), and the kernel scores all of its children in one numpy
-expression from the prefix's penalty partial sums
-(``objectives.prefix_sums``, computed once per expanded prefix; exact
-search hands them to both the end-marker child and the bounds). Traces,
-minima and ``ScoreBreakdown``s (through the spec, ``score_parts``) are
-built only for the hypotheses a decoder returns; survivors and queued
-prefixes carry their trace and minima tuples so the partial sums can be
-recomputed.
+on the model), and the kernel scores children in one numpy expression
+from their prefixes' penalty partial sums (``objectives.prefix_sums``,
+computed once per expanded prefix). Beam search makes one kernel call per
+step for the children of all of its open members; exact search makes one
+per expanded prefix, whose partial sums serve both the end-marker child
+and the bounds. Traces, minima and ``ScoreBreakdown``s (through the spec,
+``score_parts``) are built only for the hypotheses a decoder returns;
+survivors and queued prefixes carry their trace and minima tuples so the
+partial sums can be recomputed.
 
 Beam search keeps, per step, the candidates at or above the k-th best
-total (an ``np.partition`` threshold, so every tie survives) and orders
+total (one ``np.partition`` threshold, so every tie survives) and orders
 only those by the shared tie-break. Exact search is a single best-first
 loop: it scores each end-marker child on the spot, orders the open
 children by ``objectives.completion_bounds`` (the child's log-probability
@@ -40,7 +41,6 @@ scoring a set once its running penalty passes the incumbent's.
 
 from __future__ import annotations
 
-import bisect
 import heapq
 import itertools
 import math
@@ -52,11 +52,13 @@ import numpy as np
 from .exceptions import ContractError, NoHypothesisError, SearchSpaceError
 from .models import SequenceModel, _source_key
 from .objectives import (
+    Children,
     MAP_OBJECTIVE,
     Objective,
     ScoreBreakdown,
     _PENALTIES,
     _SetDeviationTable,
+    _batch_sums,
     _total,
     child_scores,
     completion_bounds,
@@ -158,7 +160,16 @@ def _beam(model: SequenceModel, source, objective: Objective, k: int,
           n_max: int) -> DecodeRecord:
     """The loop behind ``beam_search`` and ``greedy_search``. Neither public
     decoder calls the other, so a wrapper around both names sees each decode
-    once."""
+    once.
+
+    One ``child_scores`` call per step scores the children of every open
+    member: their rows' terms are concatenated, and an owner index (each
+    candidate's member) takes each member's log-probability and partial
+    sums to its children. Each ended member is its own only candidate, with
+    its stored total. One ``np.partition`` over all candidates keeps those
+    at or above the k-th best total (so every tie on it survives), and the
+    owner index maps each kept candidate back to its member and column.
+    """
     vocab = model.vocabulary
     source_key = _source_key(source)
     eos = vocab.eos_id
@@ -167,50 +178,54 @@ def _beam(model: SequenceModel, source, objective: Objective, k: int,
     Node = tuple  # (ids, trace, minima, log_prob, total); the root is never ranked
     beams: list[Node] = [((vocab.bos_id,), (), (), 0.0, None)]
 
-    for _ in range(n_max):
-        if all(node[0][-1] == eos for node in beams):
+    for steps in range(n_max):  # every open member has ``steps`` steps
+        parents = [node for node in beams if node[0][-1] != eos]
+        if not parents:
             break
-        # One block of candidates per beam member: (node, terms, totals,
-        # log-probabilities) for its children, or terms None for an ended
-        # member, which is its own only candidate.
-        blocks = []
-        for node in beams:
-            ids, trace, minima, log_prob, total = node
-            if ids[-1] == eos:
-                blocks.append((node, None, [total], [log_prob]))
-                continue
-            expanded += 1
-            terms = step_terms(model, source_key, ids)
-            sums = prefix_sums(objective, trace, minima)
-            blocks.append((node, terms, *child_scores(objective, len(trace), sums, log_prob,
-                                                      terms.children)))
-        starts = list(itertools.accumulate((len(b[2]) for b in blocks), initial=0))
-        totals = np.concatenate([b[2] for b in blocks])
-        log_probs = np.concatenate([b[3] for b in blocks])
-        # Only candidates at or above the k-th best total can survive; ties
-        # on it are all kept and then ordered like every other candidate.
+        ended = [node for node in beams if node[0][-1] == eos]
+        expanded += len(parents)
+        terms = [step_terms(model, source_key, node[0]) for node in parents]
+        counts, first, n_children = [], [], 0  # per member: its children, its first one
+        for t in terms:
+            first.append(n_children)
+            counts.append(len(t.ids))
+            n_children += len(t.ids)
+        owner = np.arange(len(parents)).repeat(counts)
+        sums = _batch_sums(objective, [node[1:3] for node in parents], owner)
+        log_probs = np.array([node[3] for node in parents])[owner]
+        table = np.concatenate([t.table for t in terms], axis=1)
+        children = Children(table[0], table[1], table[2], table[3])
+        totals, log_probs = child_scores(objective, steps, sums, log_probs, children)
+        if ended:  # each its own only candidate, after every child
+            totals = np.concatenate((totals, [node[4] for node in ended]))
+            log_probs = np.concatenate((log_probs, [node[3] for node in ended]))
         cut = len(totals) - k
         if cut > 0:
-            kept = np.flatnonzero(totals >= np.partition(totals, cut)[cut])
+            threshold = totals.copy()
+            threshold.partition(cut)  # in place: np.partition's wrapper costs more than the sort
+            kept = (totals >= threshold[cut]).nonzero()[0]
         else:
             kept = np.arange(len(totals))
-        ranked = []
+        ranked = []  # (-total, -log_prob, ids, member, column); an ended member's column is -1
         for i, c_total, c_lp in zip(kept.tolist(), totals[kept].tolist(), log_probs[kept].tolist()):
-            b = bisect.bisect_right(starts, i) - 1
-            node, terms = blocks[b][:2]
-            j = i - starts[b]
-            c_ids = node[0] if terms is None else (*node[0], terms.ids[j])
+            if i < n_children:
+                b = int(owner[i])
+                j = i - first[b]
+                c_ids = (*parents[b][0], terms[b].ids[j])
+            else:
+                b, j = i - n_children, -1
+                c_ids = ended[b][0]
             ranked.append((-c_total, -c_lp, c_ids, b, j))
         ranked.sort()
         beams = []
         for neg_total, neg_lp, c_ids, b, j in ranked[:k]:
-            node, terms = blocks[b][:2]
-            if terms is None:
-                beams.append(node)
-            else:
-                _, trace, minima, _, _ = node
-                beams.append((c_ids, trace + (terms.surprisal_list[j],),
-                              minima + (terms.step_min,), -neg_lp, -neg_total))
+            if j < 0:
+                beams.append(ended[b])
+                continue
+            _, trace, minima, _, _ = parents[b]
+            t = terms[b]
+            beams.append((c_ids, trace + (t.surprisal_list[j],), minima + (t.step_min,),
+                          -neg_lp, -neg_total))
 
     finished = [node for node in beams if node[0][-1] == eos]
     if not finished:

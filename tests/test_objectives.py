@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from regdecode import (
@@ -27,8 +27,10 @@ from regdecode import (
     trace,
 )
 from regdecode.objectives import (
+    Children,
     StepTerms,
     _SetDeviationTable,
+    _batch_sums,
     child_scores,
     completion_bounds,
     prefix_sums,
@@ -237,6 +239,84 @@ def test_kernel_totals_equal_spec(row, steps, order, weights, length):
     else:  # the float path for the end-marker child alone
         end_total, end_log_prob = child_scores(objective, len(trace), sums, log_prob, terms.end)
         assert end_total == totals[-1] and end_log_prob == log_probs[-1]
+
+
+def _one_allowed_row(size_position_logv):
+    size, position, logv = size_position_logv
+    row = [-math.inf] * size
+    row[position % size] = logv
+    return row
+
+
+KERNEL_ROWS = st.one_of(
+    st.lists(
+        st.one_of(st.just(-math.inf), st.floats(min_value=-30.0, max_value=0.0)),
+        min_size=1,
+        max_size=8,
+    ).filter(lambda r: max(r) > -math.inf),
+    st.tuples(st.integers(1, 8), st.integers(0, 7), st.floats(min_value=-30.0, max_value=0.0))
+    .map(_one_allowed_row),
+)
+KERNEL_STEP = st.tuples(st.floats(min_value=0.0, max_value=30.0),
+                        st.floats(min_value=0.0, max_value=30.0))
+# A trace whose 16 steps and child numpy's pairwise summation would add in a
+# different order than the spec, with a different last bit.
+PAIRWISE_TRAP = [
+    (15.101, 0.436), (27.997, 13.1), (6.098, 2.575), (25.348, 9.748), (24.186, 11.036),
+    (28.531, 9.494), (11.983, 4.471), (28.093, 20.955), (16.685, 13.456), (23.968, 7.204),
+    (22.243, 7.065), (20.232, 9.594), (23.996, 20.526), (15.212, 13.915), (15.192, 6.657),
+    (19.228, 7.086),
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    prefixes=st.integers(min_value=0, max_value=16).flatmap(lambda n: st.lists(
+        st.tuples(KERNEL_ROWS, st.lists(KERNEL_STEP, min_size=n, max_size=n)),
+        min_size=1,
+        max_size=4,
+    )),
+    order=st.permutations(list(RegularizerKind)),
+    weights=st.lists(
+        st.sampled_from([None, 0.0, 0.25, 1.0, 3.0]),
+        min_size=len(RegularizerKind),
+        max_size=len(RegularizerKind),
+    ),
+    length=st.sampled_from(["none", "normalize", "reward:0.2", "reward:1.5"]),
+)
+@example(prefixes=[([-math.inf, -0.5], PAIRWISE_TRAP)], order=list(RegularizerKind),
+         weights=[None, 1.0, None, None, None], length="none")
+def test_batched_kernel_totals_equal_spec(prefixes, order, weights, length):
+    """One kernel call scores the children of 1-4 prefixes of one length,
+    each with its own row, trace and log-probability, as a beam step does:
+    every candidate's total and log-probability equal ``score_parts`` of
+    its child with ``==``. Traces run up to 16 steps and some rows allow one
+    token, so a batch can have a single candidate, the case where numpy's
+    pairwise summation along the step axis differs from the spec."""
+    regs = tuple((kind, w) for kind, w in zip(order, weights) if w is not None)
+    mode, _, lam = length.partition(":")
+    objective = Objective(regs, mode, float(lam or 0.0))
+    members = []
+    for row, steps in prefixes:
+        trace = tuple(max(a, b) for a, b in steps)
+        minima = tuple(min(a, b) for a, b in steps)
+        members.append((StepTerms(np.array(row)), trace, minima, -sum(trace)))
+    counts = [len(terms.ids) for terms, *_ in members]
+    owner = np.arange(len(members)).repeat(counts)
+    sums = _batch_sums(objective, [(trace, minima) for _, trace, minima, _ in members], owner)
+    table = np.concatenate([terms.table for terms, *_ in members], axis=1)
+    log_probs = np.array([log_prob for *_, log_prob in members])[owner]
+    totals, log_probs = child_scores(objective, len(members[0][1]), sums, log_probs,
+                                     Children(*table))
+    assert len(totals) == len(log_probs) == sum(counts)
+    c = 0
+    for (terms, trace, minima, log_prob), row in zip(members, (row for row, _ in prefixes)):
+        for tid in terms.ids:
+            logv = row[tid]
+            spec = score_parts(objective, trace + (-logv,), minima + (-max(row),), log_prob + logv)
+            assert totals[c] == spec.total
+            assert log_probs[c] == log_prob + logv
+            c += 1
 
 
 @settings(max_examples=300, deadline=None)

@@ -14,6 +14,7 @@ from regdecode import (
     RegularizerKind,
     SearchConfig,
     SearchSpaceError,
+    SequenceModel,
     TableModel,
     Vocabulary,
     beam_search,
@@ -140,15 +141,20 @@ def test_wider_beam_recovers_longer_hypothesis(m2):
     ]
 
 
-def reference_beam(model, objective, k, n_max):
+def reference_beam(model, objective, k, n_max, mixed_steps=None):
     """Beam search by its definition: score every candidate with the spec,
-    sort all of them by the shared order, keep k. Returns the ids of the
-    finished survivors in that order."""
+    sort all of them by the shared order, keep k. Returns (ids, total,
+    log-probability) of the finished survivors in that order. A list passed
+    as ``mixed_steps`` gets the index of every step at which ended and open
+    members are ranked together."""
     eos = model.vocabulary.eos_id
     beams = [((model.vocabulary.bos_id,), (), (), 0.0, None)]
-    for _ in range(n_max):
-        if all(b[0][-1] == eos for b in beams):
+    for step in range(n_max):
+        n_ended = sum(b[0][-1] == eos for b in beams)
+        if n_ended == len(beams):
             break
+        if n_ended and mixed_steps is not None:
+            mixed_steps.append(step)
         candidates = []
         for node in beams:
             ids, trace, minima, log_prob, _ = node
@@ -162,7 +168,7 @@ def reference_beam(model, objective, k, n_max):
                     candidates.append((*child, score_parts(objective, *child[1:]).total))
         candidates.sort(key=lambda c: (-c[4], -c[3], c[0]))
         beams = candidates[:k]
-    return [b[0] for b in beams if b[0][-1] == eos]
+    return [(b[0], b[4], b[3]) for b in beams if b[0][-1] == eos]
 
 
 def test_beam_keeps_every_tie_on_the_kth_total():
@@ -197,7 +203,73 @@ def test_beam_matches_reference_under_heavy_ties():
                         beam_search(model, None, objective, config)
                     continue
                 rec = beam_search(model, None, objective, config)
-                assert [h.token_ids for h in rec.beam_set] == expected
+                assert [(h.token_ids, h.score, h.log_prob) for h in rec.beam_set] == expected
+
+
+class LengthModel(SequenceModel):
+    """Random rows keyed by a prefix's length and last token, so that
+    traces run long and hypotheses end at many lengths: the end marker is
+    forbidden for the first two steps and its weight grows with the
+    length. A fifth of the rows allow a single token, three tenths are
+    uniform over a random subset (ties), the rest are random."""
+
+    def __init__(self, rng, n_max):
+        super().__init__(Vocabulary(("a", "b", "c")))
+        size = self.vocabulary.dist_size
+        eos = self.vocabulary.eos_id
+        self.rows = {}
+        for steps in range(n_max):
+            for last in range(size + 1):
+                draw = rng.random()
+                p = np.zeros(size)
+                if draw < 0.2:
+                    p[int(rng.integers(size if steps >= 2 else eos))] = 1.0
+                elif draw < 0.5:
+                    allowed = rng.random(size) < 0.6
+                    allowed[eos] &= steps >= 2
+                    allowed[0] |= not allowed.any()
+                    p[allowed] = 1.0
+                else:
+                    p = rng.random(size) + 0.05
+                    p[eos] *= 2 * steps / n_max
+                with np.errstate(divide="ignore"):
+                    row = np.log(p / p.sum())
+                row.setflags(write=False)
+                self.rows[steps, last] = row
+
+    def _step_log_probs(self, source_key, prefix_ids):
+        return self.rows[len(prefix_ids) - 1, prefix_ids[-1]]
+
+
+def test_beam_matches_reference_on_long_traces():
+    """Traces up to 12 steps under variance and mixed objectives, with
+    members that end at different steps, so that ended and open members are
+    ranked in one step: ids, totals and log-probabilities equal the
+    sort-everything reference's. Rows that allow one token let a step score
+    a single child; uniform rows make candidates tie."""
+    rng = np.random.default_rng(29)
+    objectives = [parse_objective(spec) for spec in (
+        "variance=1", "variance=1,square=0.1", "variance=2,greedy=0.5,local=0.3",
+        "max=1,variance=0.5,len=norm", "square=0.2,len=reward:0.8", "greedy=1,local=0.5")]
+    n_max = 12
+    mixed_steps, lengths = [], []
+    for _ in range(8):
+        model = LengthModel(rng, n_max)
+        for objective in objectives:
+            for k in (1, 2, 3, 4, 5):
+                expected = reference_beam(model, objective, k, n_max, mixed_steps)
+                config = SearchConfig(beam_width=k, n_max=n_max)
+                if not expected:
+                    with pytest.raises(NoHypothesisError):
+                        beam_search(model, None, objective, config)
+                    continue
+                rec = beam_search(model, None, objective, config)
+                assert [(h.token_ids, h.score, h.log_prob) for h in rec.beam_set] == expected
+                lengths += [len(ids) - 1 for ids, _, _ in expected]
+    # What the draw covers: long returned traces, and steps where ended and
+    # open members meet late in a decode.
+    assert sum(n >= 10 for n in lengths) >= 50
+    assert sum(step >= 9 for step in mixed_steps) >= 100
 
 
 def test_beam_set_ordered_by_final_score(m1):
