@@ -124,14 +124,12 @@ class StepTerms:
     ``ids`` are the allowed token ids (finite log-probability) in ascending
     order and ``children`` their terms; forbidden tokens never enter the
     arrays, so no ``0 * inf`` can arise. ``step_min`` is the step's minimum
-    surprisal. ``table`` holds the children's terms as the rows of one
-    array, so that a beam step joins its members' children in one
-    concatenation. The end marker has the largest id of the row, so when it
-    is allowed it is the last child, and ``end`` holds its terms as floats
+    surprisal. The end marker has the largest id of the row, so when it is
+    allowed it is the last child, and ``end`` holds its terms as floats
     (``None`` otherwise).
     """
 
-    __slots__ = ("row", "ids", "step_min", "table", "children", "surprisal_list", "end")
+    __slots__ = ("row", "ids", "step_min", "children", "surprisal_list", "end", "_table")
 
     def __init__(self, row: np.ndarray) -> None:
         self.row = row
@@ -140,14 +138,25 @@ class StepTerms:
         log_prob = row if len(self.ids) == len(row) else row[self.ids]
         u = -log_prob
         gap = u - self.step_min
-        table = self.table = np.array((log_prob, u, gap * gap, u * u))
-        self.children = Children(table[0], table[1], table[2], table[3])
+        self.children = Children(log_prob, u, gap * gap, u * u)
+        self._table = None
         self.surprisal_list = u.tolist()
         self.end = None
         if self.ids[-1] == len(row) - 1:
             end_lp = float(row[-1])
             u, gap = -end_lp, -end_lp - self.step_min
             self.end = Children(end_lp, u, gap * gap, u * u)
+
+    @property
+    def table(self) -> np.ndarray:
+        """The children's terms as the rows of one array, so that a beam
+        step joins its members' children in one concatenation. Built on
+        first use, which exact search never makes; ``children`` are then
+        views of its rows, equal to the arrays they replace."""
+        if self._table is None:
+            table = self._table = np.array(self.children)
+            self.children = Children(table[0], table[1], table[2], table[3])
+        return self._table
 
 
 def step_terms(model: SequenceModel, source_key: str, prefix_ids: tuple[int, ...]) -> StepTerms:
