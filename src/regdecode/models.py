@@ -19,8 +19,9 @@ context visited. ``train_ngram`` counts a corpus into these columns in
 bulk numpy passes, contexts in first-seen corpus order and each context's
 events in first-seen order. ``load_model`` checks and stores a file's
 columns in bulk passes, so a valid file costs no per-event Python; a file
-that fails a check, or one in the older layout (``counts`` as a mapping),
-is walked event by event, and the walk names the first fault.
+that fails a check is walked event by event, and the walk names the first
+fault. The columns are the only n-gram file layout: a file that holds the
+older ``counts`` mapping instead is missing them, a format error.
 Every model also carries ``row_terms``, the decoders' memo of each
 distinct row's scoring terms (``objectives.step_terms``), keyed by the
 row's identity. It holds one entry per distinct row visited and lives as
@@ -37,12 +38,12 @@ import json
 import logging
 import math
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from .exceptions import ContractError, ModelFormatError, VocabularyError
-from .vocab import Vocabulary
+from .vocab import DEFAULT_BOS, DEFAULT_EOS, Vocabulary
 
 log = logging.getLogger(__name__)
 
@@ -108,8 +109,8 @@ class SequenceModel:
 
 def _dist_to_log_array(dist: Mapping[str, float], vocab: Vocabulary, where: str) -> np.ndarray:
     probs = np.zeros(vocab.dist_size)
-    for token, p in dist.items():
-        if not isinstance(p, (int, float)) or math.isnan(p):
+    for token, p in _json_object(dist, where).items():
+        if isinstance(p, bool) or not isinstance(p, (int, float)) or math.isnan(p):
             raise ModelFormatError(f"{where}: probability for {token!r} is not a number")
         if p < 0:
             raise ModelFormatError(f"{where}: negative probability for {token!r}")
@@ -150,18 +151,18 @@ class TableModel(SequenceModel):
         self.source_keyed = source_keyed
         self._default = _dist_to_log_array(default, vocabulary, "default")
         self._tables: dict[str, dict[tuple[int, ...], np.ndarray]] = {}
-        self._raw_entries = {k: dict(v) for k, v in entries.items()}
-        self._raw_default = dict(default)
         if source_keyed:
-            for src, ctxs in entries.items():
+            for src, ctxs in _json_object(entries, "entries").items():
                 self._tables[src] = self._build_table(ctxs, f"entries[{src!r}]")
         else:
             self._tables[""] = self._build_table(entries, "entries")
+        self._raw_entries = {k: dict(v) for k, v in entries.items()}
+        self._raw_default = dict(default)
 
     def _build_table(self, ctxs: Mapping[str, Mapping[str, float]], where: str) -> dict:
         table = {}
         vocab = self.vocabulary
-        for ctx, dist in ctxs.items():
+        for ctx, dist in _json_object(ctxs, where).items():
             try:
                 ids = vocab.prefix_ids(ctx.split())
             except ContractError as exc:
@@ -194,22 +195,35 @@ class TableModel(SequenceModel):
         return spec
 
 
-def _table_model_from_spec(raw: Mapping) -> TableModel:
+def _json_object(value, where: str) -> Mapping:
+    if not isinstance(value, Mapping):
+        raise ModelFormatError(f"{where} must be a JSON object, got {type(value).__name__}")
+    return value
+
+
+def _vocabulary_of(raw: dict) -> Vocabulary:
+    """The vocabulary a model file names: ``vocab`` a list of strings, and
+    ``bos`` and ``eos`` strings when given."""
+    tokens = raw["vocab"]
+    if not (isinstance(tokens, list) and all(isinstance(t, str) for t in tokens)):
+        raise ContractError("vocab must be a list of strings")
+    bos, eos = raw.get("bos", DEFAULT_BOS), raw.get("eos", DEFAULT_EOS)
+    for name, marker in (("bos", bos), ("eos", eos)):
+        if not isinstance(marker, str):
+            raise ContractError(f"{name} must be a string, got {marker!r}")
+    return Vocabulary(tuple(tokens), bos=bos, eos=eos)
+
+
+def _table_model_from_spec(raw) -> TableModel:
+    _json_object(raw, "table model spec")
+    missing = [name for name in ("vocab", "default") if name not in raw]
+    if missing:
+        raise ModelFormatError(f"table model spec is missing {', '.join(missing)}")
+    source_keyed = raw.get("source_keyed", False)
+    if not isinstance(source_keyed, bool):
+        raise ModelFormatError(f"source_keyed must be true or false, got {source_keyed!r}")
     try:
-        tokens = tuple(raw["vocab"])
-        entries = raw.get("entries", {})
-        default = raw["default"]
-    except (KeyError, TypeError) as exc:
-        raise ModelFormatError(f"table model spec missing field: {exc}") from exc
-    try:
-        vocab = Vocabulary(
-            tokens,
-            bos=raw.get("bos", "<s>"),
-            eos=raw.get("eos", "</s>"),
-        )
-        return TableModel(
-            vocab, entries, default, source_keyed=bool(raw.get("source_keyed", False))
-        )
+        return TableModel(_vocabulary_of(raw), raw.get("entries", {}), raw["default"], source_keyed)
     except (VocabularyError, ContractError) as exc:
         raise ModelFormatError(f"bad table model spec: {exc}") from exc
 
@@ -239,7 +253,7 @@ class NGramModel(SequenceModel):
         add_k: float,
         counts: Mapping[tuple[int, ...], Mapping[int, int]] | _CountColumns,
     ) -> None:
-        names = (*vocabulary.tokens, vocabulary.eos, vocabulary.bos)  # in id order
+        names = vocabulary._names
         if len(" ".join(names).split()) != len(names):
             raise ContractError(
                 "n-gram tokens and markers must be non-empty and hold no whitespace"
@@ -248,7 +262,7 @@ class NGramModel(SequenceModel):
             raise ContractError("order must be >= 1")
         # train_ngram and load_model pass the columns they have built in bulk.
         if not isinstance(counts, _CountColumns):
-            counts = _columns_of(counts, vocabulary, order, names)
+            counts = _columns_of(counts, vocabulary, order)
         if not (math.isfinite(add_k) and add_k > 0):
             raise ContractError(f"add_k must be finite and > 0, got {add_k!r}")
         if counts.has_negative_count():
@@ -352,10 +366,9 @@ def _integers(values: list) -> bool:
 
 
 def _columns_of(
-    counts: Mapping[tuple[int, ...], Mapping[int, int]], vocab: Vocabulary, order: int,
-    names: tuple,
+    counts: Mapping[tuple[int, ...], Mapping[int, int]], vocab: Vocabulary, order: int
 ) -> _CountColumns:
-    """Columns from id-keyed counts; ``names`` are the token names in id order."""
+    """Columns from id-keyed counts."""
     context_ids = list(itertools.chain.from_iterable(counts))
     events = list(counts.values())
     ids = list(itertools.chain.from_iterable(events))
@@ -368,7 +381,7 @@ def _columns_of(
         raise ContractError(f"every context must hold order - 1 = {order - 1} token ids")
     if ids and not (0 <= min(ids) and max(ids) < vocab.dist_size):
         raise ContractError(f"event token ids must lie in [0, {vocab.dist_size})")
-    name = names.__getitem__
+    name = vocab._names.__getitem__
     try:
         return _CountColumns(
             {" ".join(map(name, ctx)): k for k, ctx in enumerate(counts)},
@@ -442,7 +455,7 @@ def train_ngram(corpus: Iterable[TokenSeq], order: int, add_k: float) -> NGramMo
     order_of_contexts = np.argsort(context_first)
     seen = events[context_first[order_of_contexts]]
     spelled = layout[seen[:, None] - np.arange(depth, 0, -1)]
-    names = np.array((*vocab.tokens, vocab.eos, vocab.bos), dtype=object)
+    names = np.array(vocab._names, dtype=object)
     contexts = [" ".join(pad + row) for row in names[spelled].tolist()]
     columns = _CountColumns(
         dict(zip(contexts, itertools.count())),
@@ -473,20 +486,9 @@ def _count_pairs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _ngram_model_from_spec(raw: dict, path: str | Path) -> NGramModel:
-    mapping = "counts" in raw  # the older layout
-    both = [name for name in _COLUMNS if mapping and name in raw]
-    if both:
-        raise ModelFormatError(
-            f"n-gram model {path} holds both counts and {', '.join(both)}: one layout per file"
-        )
-    layout = ("counts",) if mapping else _COLUMNS
-    missing = [name for name in ("vocab", "order", "add_k", *layout) if name not in raw]
+    missing = [name for name in ("vocab", "order", "add_k", *_COLUMNS) if name not in raw]
     if missing:
         raise ModelFormatError(f"n-gram model {path} is missing {', '.join(missing)}")
-    if mapping and not (
-        isinstance(raw["counts"], dict) and set(map(type, raw["counts"].values())) <= {dict}
-    ):
-        raise ModelFormatError(f"n-gram model {path}: counts must map contexts to token counts")
     order = raw["order"]
     if isinstance(order, bool) or not isinstance(order, int) or order < 1:
         raise ModelFormatError(f"n-gram model {path}: order must be an integer >= 1, got {order!r}")
@@ -494,17 +496,11 @@ def _ngram_model_from_spec(raw: dict, path: str | Path) -> NGramModel:
     if isinstance(add_k, bool) or not isinstance(add_k, (int, float)):
         raise ModelFormatError(f"n-gram model {path}: add_k must be a number, got {add_k!r}")
     try:
-        vocab = Vocabulary(
-            tuple(raw["vocab"]), bos=raw.get("bos", "<s>"), eos=raw.get("eos", "</s>")
-        )
-        if mapping:
-            items = ((ctx, events.items()) for ctx, events in raw["counts"].items())
-            counts = _walk_counts(items, vocab, order)
-        else:
-            columns = _column_lists(raw)
-            counts = _checked_columns(*columns, vocab, order)
-            if counts is None:  # a check failed: the walk names the first fault
-                counts = _walk_counts(_column_items(*columns), vocab, order)
+        vocab = _vocabulary_of(raw)
+        columns = _column_lists(raw)
+        counts = _checked_columns(*columns, vocab, order)
+        if counts is None:  # a check failed: the walk names the first fault
+            counts = _walk_counts(*columns, vocab, order)
         return NGramModel(vocab, order, float(add_k), counts)
     except (VocabularyError, ContractError, TypeError, ValueError, OverflowError) as exc:
         raise ModelFormatError(f"bad n-gram model {path}: {exc}") from exc
@@ -568,30 +564,24 @@ def _checked_columns(
     return _CountColumns(context_index, list(itertools.accumulate(sizes, initial=0)), ids, values)
 
 
-def _column_items(contexts: list, sizes: list, tokens: list, counts: list) -> Iterator:
-    """The mapping the columns spell, as (context, its (token, count) pairs)
-    in file order; an event listed twice stays listed twice."""
-    bounds = itertools.pairwise(itertools.accumulate(sizes, initial=0))
-    return ((ctx, zip(tokens[s:e], counts[s:e])) for ctx, (s, e) in zip(contexts, bounds))
-
-
 def _walk_counts(
-    items: Iterable, vocab: Vocabulary, order: int
+    contexts: list, sizes: list, tokens: list, counts: list, vocab: Vocabulary, order: int
 ) -> dict[tuple[int, ...], dict[int, int]]:
-    """A file's counts, given as (context, its (token, count) pairs), read
-    one event at a time in file order; raises on the first fault. A context
-    spelled twice keeps its later events."""
-    counts: dict[tuple[int, ...], dict[int, int]] = {}
-    for ctx_str, events in items:
+    """A file's columns read one event at a time in file order, as id-keyed
+    counts; raises on the first fault. A context spelled twice keeps its
+    later events."""
+    events = zip(tokens, counts)
+    walked: dict[tuple[int, ...], dict[int, int]] = {}
+    for ctx_str, size in zip(contexts, sizes):
         ctx = _context_ids(vocab, ctx_str, order)
         row: dict[int, int] = {}
-        for token, value in events:
+        for token, value in itertools.islice(events, size):
             tid = _event_id(vocab, token, ctx_str)
             if tid in row:
                 raise ValueError(f"event {token!r} after {ctx_str!r} is listed twice")
             row[tid] = _event_count(value, ctx_str, token)
-        counts[ctx] = row
-    return counts
+        walked[ctx] = row
+    return walked
 
 
 def _context_ids(vocab: Vocabulary, ctx: str, order: int) -> tuple[int, ...]:
@@ -640,10 +630,15 @@ def load_model(path: str | Path) -> SequenceModel:
     """Dispatch on the optional ``kind`` field; plain specs are table models.
 
     Every malformed file ends in ``ModelFormatError``, one that is not UTF-8
-    text or whose JSON repeats a key within one object included. For an
-    n-gram file that is a missing field, count columns that are not lists,
-    disagree in length or do not split the events among the contexts, a file
-    with both the columns and the older ``counts`` mapping, a context that
+    text or whose JSON repeats a key within one object included. In any
+    model file that is a ``vocab`` that is not a list of strings, or a
+    ``bos`` or ``eos`` that is not a string. For a table file it is also a
+    spec that is not a JSON object, a missing ``vocab`` or ``default``, an
+    ``entries``, source table or distribution that is not a JSON object, or
+    a ``source_keyed`` that is not a boolean. For an n-gram file it is a
+    missing field (a file with only the older ``counts`` mapping is missing
+    the four count columns), count columns that are not lists, disagree in
+    length or do not split the events among the contexts, a context that
     is not ``order - 1`` known tokens, an unknown token, a begin-marker
     event, an event listed twice in one context, a count that is not a
     non-negative integer below 2**63, an order that is not an integer of at

@@ -20,6 +20,9 @@ class Vocabulary:
     tokens: tuple[str, ...]
     bos: str = DEFAULT_BOS
     eos: str = DEFAULT_EOS
+    # Every token name in id order: the ordinary tokens, the end marker, then
+    # the begin marker.
+    _names: tuple[str, ...] = field(init=False, repr=False, compare=False)
     _index: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -29,10 +32,9 @@ class Vocabulary:
             raise ContractError("bos/eos markers may not appear among ordinary tokens")
         if len(set(self.tokens)) != len(self.tokens):
             raise ContractError("tokens must be unique")
-        index = {tok: i for i, tok in enumerate(self.tokens)}
-        index[self.eos] = len(self.tokens)
-        index[self.bos] = len(self.tokens) + 1
-        object.__setattr__(self, "_index", index)
+        names = (*self.tokens, self.eos, self.bos)
+        object.__setattr__(self, "_names", names)
+        object.__setattr__(self, "_index", {tok: i for i, tok in enumerate(names)})
 
     @property
     def eos_id(self) -> int:
@@ -54,12 +56,8 @@ class Vocabulary:
             raise VocabularyError(f"unknown token {token!r}") from None
 
     def token_of(self, token_id: int) -> str:
-        if token_id == self.bos_id:
-            return self.bos
-        if token_id == self.eos_id:
-            return self.eos
-        if 0 <= token_id < len(self.tokens):
-            return self.tokens[token_id]
+        if 0 <= token_id < len(self._names):
+            return self._names[token_id]
         raise VocabularyError(f"token id {token_id} out of range")
 
     def encode(self, tokens) -> tuple[int, ...]:

@@ -158,14 +158,7 @@ def test_decode_calls_exact_search_through_cli_global(tmp_path, monkeypatch):
 
 
 def _ngram_spec(**changes):
-    spec = {"kind": "ngram", "vocab": ["a", "b"], "order": 2, "add_k": 0.5,
-            "counts": {"<s>": {"a": 2, "</s>": 1}, "a": {"b": 1}}}
-    spec.update(changes)
-    return {k: v for k, v in spec.items() if v is not None}
-
-
-def _column_spec(**changes):
-    """``_ngram_spec()``'s model with its counts in the file's columns."""
+    """A bigram model file over ``a`` and ``b``; a change of None drops the field."""
     spec = {"kind": "ngram", "vocab": ["a", "b"], "order": 2, "add_k": 0.5,
             "contexts": ["<s>", "a"], "events_per_context": [2, 1],
             "event_tokens": ["a", "</s>", "b"], "event_counts": [2, 1, 1]}
@@ -176,22 +169,12 @@ def _column_spec(**changes):
 @pytest.mark.parametrize(
     "spec, named",
     [
-        pytest.param(_ngram_spec(counts=None), ["missing contexts"], id="missing-counts"),
-        pytest.param(_ngram_spec(counts={"<s>": {"zz": 1}}), ["'zz'"], id="unknown-token"),
-        pytest.param(_ngram_spec(counts={"zz": {"a": 1}}), ["'zz'"], id="unknown-context"),
-        pytest.param(_ngram_spec(counts={"<s>": {"a": -3}}), ["'a'", "'<s>'"],
-                     id="negative-count"),
-        pytest.param(_ngram_spec(counts={"<s>": {"a": 1.5}}), ["'a'", "'<s>'"],
-                     id="fractional-count"),
-        pytest.param(_ngram_spec(order=0), [], id="bad-order"),
-        pytest.param(_ngram_spec(counts=[1, 2]), [], id="counts-not-a-map"),
+        pytest.param(_ngram_spec(order=0), ["order must be an integer >= 1, got 0"],
+                     id="bad-order"),
         # Each of these loaded once and left decoding to fail, or could slip
         # through a check made on all counts at once.
-        pytest.param(_ngram_spec(counts={"<s>": {"a": 2, "<s>": 1}}), ["'<s>' after '<s>'"],
-                     id="begin-marker-event"),
-        pytest.param(_ngram_spec(counts={"<s>": {"a": True}}), ["'a' after '<s>'", "True"],
-                     id="bool-count"),
-        pytest.param(_ngram_spec(counts={"<s>": {"a": 2, "</s>": 1}, "a": {"b": 1, "a": -1}}),
+        pytest.param(_ngram_spec(events_per_context=[2, 2], event_tokens=["a", "</s>", "b", "a"],
+                                 event_counts=[2, 1, 1, -1]),
                      ["'a' after 'a'", "-1"], id="bad-count-in-a-later-context"),
         # An infinite add_k (JSON 1e400 parses to inf) made every row NaN:
         # beam and exact then ended in an IndexError traceback. A boolean or
@@ -204,58 +187,59 @@ def _column_spec(**changes):
         pytest.param(_ngram_spec(add_k=[1]), ["add_k", "[1]"], id="list-add-k"),
         pytest.param(_ngram_spec(add_k=10**400), ["too large"], id="add-k-too-large-for-a-float"),
         # A context that is not order - 1 tokens was kept, and best_step read it.
-        pytest.param(_ngram_spec(counts={"<s>": {"a": 1}, "<s> a": {"b": 1}}),
-                     ["'<s> a' holds 2 tokens"], id="context-of-another-order"),
-        pytest.param(_ngram_spec(counts={"": {"a": 1}}), ["'' holds 0 tokens"],
+        pytest.param(_ngram_spec(contexts=["<s>", ""]), ["'' holds 0 tokens"],
                      id="empty-context"),
-        # The same faults, and those only columns can hold, in the column layout.
-        pytest.param(_column_spec(event_tokens=["a", "zz", "b"]), ["'zz'"],
+        pytest.param(_ngram_spec(event_tokens=["a", "zz", "b"]), ["'zz'"],
                      id="columns-unknown-token"),
-        pytest.param(_column_spec(contexts=["<s>", "zz"]), ["'zz'"],
+        pytest.param(_ngram_spec(contexts=["<s>", "zz"]), ["'zz'"],
                      id="columns-unknown-context"),
-        pytest.param(_column_spec(contexts=["<s>", "<s> a"]), ["'<s> a' holds 2 tokens"],
+        pytest.param(_ngram_spec(contexts=["<s>", "<s> a"]), ["'<s> a' holds 2 tokens"],
                      id="columns-context-of-another-order"),
-        pytest.param(_column_spec(contexts=["<s>", 7]), ["context 7 is not a string"],
+        pytest.param(_ngram_spec(contexts=["<s>", 7]), ["context 7 is not a string"],
                      id="columns-context-not-a-string"),
-        pytest.param(_column_spec(contexts=["<s>", ["a"]]), ["context ['a'] is not a string"],
+        pytest.param(_ngram_spec(contexts=["<s>", ["a"]]), ["context ['a'] is not a string"],
                      id="columns-context-a-list"),
-        pytest.param(_column_spec(event_tokens=["a", "<s>", "b"]), ["'<s>' after '<s>'"],
+        pytest.param(_ngram_spec(event_tokens=["a", "<s>", "b"]), ["'<s>' after '<s>'"],
                      id="columns-begin-marker-event"),
-        pytest.param(_column_spec(event_tokens=["a", "</s>", 3]), ["event 3 after 'a'"],
+        pytest.param(_ngram_spec(event_tokens=["a", "</s>", 3]), ["event 3 after 'a'"],
                      id="columns-event-not-a-string"),
-        pytest.param(_column_spec(event_counts=[2, -3, 1]), ["'</s>' after '<s>'", "-3"],
+        pytest.param(_ngram_spec(event_counts=[2, -3, 1]), ["'</s>' after '<s>'", "-3"],
                      id="columns-negative-count"),
-        pytest.param(_column_spec(event_counts=[2, 1.5, 1]), ["'</s>' after '<s>'", "1.5"],
+        pytest.param(_ngram_spec(event_counts=[2, 1.5, 1]), ["'</s>' after '<s>'", "1.5"],
                      id="columns-fractional-count"),
-        pytest.param(_column_spec(event_counts=[True, 1, 1]), ["'a' after '<s>'", "True"],
+        pytest.param(_ngram_spec(event_counts=[True, 1, 1]), ["'a' after '<s>'", "True"],
                      id="columns-bool-count"),
-        pytest.param(_column_spec(event_counts=[2, 1, 2**63]), ["'b' after 'a'", "2**63"],
+        pytest.param(_ngram_spec(event_counts=[2, 1, 2**63]), ["'b' after 'a'", "2**63"],
                      id="columns-count-of-2**63"),
-        # The mapping form cannot list an event twice; a walk that rebuilt
-        # it as a dict would keep the later count and hide the first.
-        pytest.param(_column_spec(event_tokens=["a", "a", "b"]),
+        # A walk that rebuilt a context's events as a dict would keep the
+        # later count and hide the first.
+        pytest.param(_ngram_spec(event_tokens=["a", "a", "b"]),
                      ["'a' after '<s>' is listed twice"], id="columns-event-listed-twice"),
-        pytest.param(_column_spec(events_per_context=[3]),
+        pytest.param(_ngram_spec(events_per_context=[3]),
                      ["events_per_context has 1 entries for 2 contexts"],
                      id="columns-fewer-event-numbers-than-contexts"),
-        pytest.param(_column_spec(event_counts=[2, 1]),
+        pytest.param(_ngram_spec(event_counts=[2, 1]),
                      ["event_counts has 2 entries for 3 event_tokens"],
                      id="columns-fewer-counts-than-tokens"),
-        pytest.param(_column_spec(events_per_context=[2, 2]), ["summing to the 3 events"],
+        pytest.param(_ngram_spec(events_per_context=[2, 2]), ["summing to the 3 events"],
                      id="columns-event-numbers-do-not-sum"),
-        pytest.param(_column_spec(events_per_context=[4, -1]), ["non-negative"],
+        pytest.param(_ngram_spec(events_per_context=[4, -1]), ["non-negative"],
                      id="columns-negative-event-number"),
-        pytest.param(_column_spec(events_per_context=[2, 1.0]), ["integers"],
+        pytest.param(_ngram_spec(events_per_context=[2, 1.0]), ["integers"],
                      id="columns-fractional-event-number"),
-        pytest.param(_column_spec(contexts={"<s>": 2, "a": 1}), ["contexts must be a list"],
+        pytest.param(_ngram_spec(contexts={"<s>": 2, "a": 1}), ["contexts must be a list"],
                      id="columns-contexts-not-a-list"),
-        pytest.param(_column_spec(event_counts="2 1 1"), ["event_counts must be a list"],
+        pytest.param(_ngram_spec(event_counts="2 1 1"), ["event_counts must be a list"],
                      id="columns-counts-not-a-list"),
-        pytest.param(_column_spec(event_counts=None), ["missing event_counts"],
+        pytest.param(_ngram_spec(event_counts=None), ["missing event_counts"],
                      id="columns-missing-a-column"),
-        pytest.param(_column_spec(counts=_ngram_spec()["counts"]), ["both counts and contexts"],
-                     id="columns-and-counts"),
-        pytest.param(_column_spec(order=10**21), ["'<s>' holds 1 tokens"],
+        # The older layout, one ``counts`` mapping of {context: {token: count}},
+        # is not read: such a file is missing every column.
+        pytest.param(_ngram_spec(contexts=None, events_per_context=None, event_tokens=None,
+                                 event_counts=None, counts={"<s>": {"a": 2, "</s>": 1}}),
+                     ["missing contexts, events_per_context, event_tokens, event_counts"],
+                     id="older-counts-layout"),
+        pytest.param(_ngram_spec(order=10**21), ["'<s>' holds 1 tokens"],
                      id="columns-huge-order-with-counts"),
     ],
 )
@@ -273,21 +257,80 @@ def test_decode_malformed_ngram_model_is_format_error(tmp_path, capsys, spec, na
     assert "Traceback" not in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("layout", [_column_spec, _ngram_spec], ids=["columns", "mapping"])
-def test_decode_huge_order_without_counts(tmp_path, capsys, layout):
+def _table_spec(**changes):
+    """A one-token table model file; a change of None drops the field."""
+    spec = {"vocab": ["a"], "default": {"a": 0.5, "</s>": 0.5}}
+    spec.update(changes)
+    return {k: v for k, v in spec.items() if v is not None}
+
+
+@pytest.mark.parametrize(
+    "spec, named",
+    [
+        # Each of these ended in an AttributeError or TypeError traceback.
+        pytest.param(_table_spec(entries=[]), "entries must be a JSON object", id="entries-list"),
+        pytest.param(_table_spec(default=[0.5, 0.5]), "default must be a JSON object",
+                     id="default-list"),
+        pytest.param(_table_spec(entries={"<s>": [1]}), "entries['<s>'] must be a JSON object",
+                     id="distribution-list"),
+        pytest.param(_table_spec(source_keyed=True, entries={"x": [1]}),
+                     "entries['x'] must be a JSON object", id="source-table-list"),
+        # Each of these loaded as something the file does not say.
+        pytest.param(_table_spec(vocab="ab"), "vocab must be a list of strings",
+                     id="table-vocab-string"),
+        pytest.param(_ngram_spec(vocab="ab"), "vocab must be a list of strings",
+                     id="ngram-vocab-string"),
+        pytest.param(_table_spec(source_keyed="no"), "source_keyed must be true or false",
+                     id="source-keyed-string"),
+        pytest.param(_table_spec(bos=3), "bos must be a string", id="bos-number"),
+        pytest.param(_table_spec(default={"a": True, "</s>": False}),
+                     "default: probability for 'a' is not a number", id="boolean-probability"),
+        # These were format errors already, through branches no other test runs.
+        pytest.param(_table_spec(default={"a": "0.5", "</s>": 0.5}),
+                     "default: probability for 'a' is not a number", id="string-probability"),
+        pytest.param(_table_spec(entries={"<s>": {"a": 0.5, "</s>": 0.5, "<s>": 0.0}}),
+                     "entries['<s>']: begin marker cannot receive probability",
+                     id="begin-marker-probability"),
+        pytest.param(_table_spec(vocab=None), "missing vocab", id="missing-vocab"),
+        pytest.param(_table_spec(default=None), "missing default", id="missing-default"),
+        pytest.param([_table_spec()], "table model spec must be a JSON object", id="not-an-object"),
+    ],
+)
+def test_decode_wrong_shaped_model_field_is_format_error(tmp_path, capsys, spec, named):
+    model = tmp_path / "m.json"
+    model.write_text(json.dumps(spec))
+    inputs = tmp_path / "in.txt"
+    inputs.write_text("x\n")
+    code = run(["decode", model, inputs, "--decoder", "exact", "--out", tmp_path / "o.jsonl"])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert named in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("lambdas, named", [
+    pytest.param("a,b", "bad numeric list 'a,b'", id="not-numbers"),
+    pytest.param(",", "lambda list is empty", id="empty"),
+])
+def test_sweep_bad_lambdas_is_usage_error(tmp_path, capsys, lambdas, named):
+    rows = tmp_path / "rows.csv"
+    fixture = [FIXTURES / "m3.json", FIXTURES / "m3.inputs.txt", FIXTURES / "m3.refs.txt"]
+    assert run(["sweep", *fixture, "--lambdas", lambdas, "--out", rows]) == 2
+    assert named in capsys.readouterr().err
+    assert not rows.exists()
+
+
+def test_decode_huge_order_without_counts(tmp_path, capsys):
     """Every row of a model without counts is the unseen-context row, so an
     order of 10**21 decodes as order 2 does. It used to end in an
     OverflowError traceback at the first decode, when a prefix was padded
     to its context."""
     empty = {"contexts": [], "events_per_context": [], "event_tokens": [], "event_counts": []}
-    if layout is _ngram_spec:
-        empty = {"counts": {}}
     inputs = tmp_path / "in.txt"
     inputs.write_text("x\n")
     runs = []
     for order in (2, 10**21):
         model = tmp_path / f"lm{len(runs)}.json"
-        model.write_text(json.dumps(layout(order=order, **empty)))
+        model.write_text(json.dumps(_ngram_spec(order=order, **empty)))
         out = tmp_path / f"o{len(runs)}.jsonl"
         exact = run(["decode", model, inputs, "--decoder", "exact", "--out", out])
         # Uniform rows tie every step, and beam keeps extending on a tie.

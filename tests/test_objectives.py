@@ -51,6 +51,8 @@ def test_greedy_examples():
     assert r_greedy([2.0, 1.0], [1.0, 1.0]) == 1.0
     with pytest.raises(ContractError):
         r_greedy([1.0], [1.0, 1.0])
+    with pytest.raises(ContractError, match="stepwise minima"):
+        r_greedy([1.0], None)
 
 
 def test_greedy_zero_on_greedy_output(m1):
@@ -384,6 +386,10 @@ def test_objective_validation():
         Objective(length_mode="none", length_lambda=1.0)
     with pytest.raises(ContractError):
         Objective(((RegularizerKind.SQUARE, 1.0), (RegularizerKind.SQUARE, 2.0)))
+    with pytest.raises(ContractError, match="unknown regularizer 'greedy'"):
+        Objective((("greedy", 1.0),))  # a string, not a RegularizerKind
+    with pytest.raises(ContractError, match="length reward weight"):
+        Objective(length_mode="reward", length_lambda=-1.0)
 
 
 def test_parse_objective_round_trip():
@@ -406,7 +412,7 @@ def test_parse_objective_round_trip():
 
 
 def test_parse_objective_errors():
-    for bad in ("coverage=1", "greedy", "greedy=x", "greedy=-1", "len=reward:x",
+    for bad in ("coverage=1", "greedy", "greedy=x", "greedy=-1", "len=reward:x", "len=foo",
                 "len=norm,len=norm", "greedy=1,greedy=2"):
         with pytest.raises(ContractError):
             parse_objective(bad)

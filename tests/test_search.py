@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from regdecode import (
     ContractError,
     MAP_OBJECTIVE,
+    NGramModel,
     NoHypothesisError,
     Objective,
     RegularizerKind,
@@ -437,6 +438,8 @@ def test_brute_force_guard():
     m = TableModel(v, {}, {t: 1 / 6 for t in ("a", "b", "c", "d", "e", "</s>")})
     with pytest.raises(SearchSpaceError):
         brute_force(m, None, MAP_OBJECTIVE, 12)
+    with pytest.raises(ContractError, match="n_max must be >= 1"):
+        brute_force(chain_model(), None, MAP_OBJECTIVE, 0)
 
 
 # The exactness suite's 16 objectives plus both length transforms.
@@ -576,6 +579,11 @@ def test_brute_force_set_guards(m1):
         brute_force_set(m1, None, 4, 0.0, 3)
     with pytest.raises(SearchSpaceError):
         brute_force_set(m1, None, 2, 0.0, 6)
+    with pytest.raises(SearchSpaceError, match=r"\|V\|\+1 <= 4"):
+        brute_force_set(uniform_model(4), None, 2, 0.0, 3)
+    # The chain model's one complete hypothesis within two steps is <s> a </s>.
+    with pytest.raises(NoHypothesisError, match="only 1 complete hypotheses"):
+        brute_force_set(chain_model(), None, 2, 0.0, 2)
 
 
 def test_brute_force_set_top_k_at_lambda_zero(m1):
@@ -774,3 +782,38 @@ def test_exact_equals_brute_on_random_objective_mixes(seed, n_tokens, n_max, wei
     b = brute_force(model, None, objective, n_max)
     assert e.best.score == b.best.score
     assert e.best.token_ids == b.best.token_ids
+
+
+def sparse_ngram_model(rng: np.random.Generator, order: int, n_tokens: int) -> NGramModel:
+    """A random n-gram model from id-keyed counts: each possible context is
+    stored with probability one half, and each of its events with
+    probability one half and a count in [0, 4], so zero counts, contexts
+    without events and unseen contexts all occur."""
+    vocab = Vocabulary(tuple("abcd"[:n_tokens]))
+    counts = {}
+    for ctx in itertools.product(range(vocab.bos_id + 1), repeat=order - 1):
+        if rng.random() < 0.5:
+            counts[ctx] = {tid: int(rng.integers(0, 5))
+                           for tid in range(vocab.dist_size) if rng.random() < 0.5}
+    return NGramModel(vocab, order, float(rng.choice([0.1, 0.5, 1.0])), counts)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    order=st.integers(1, 3),
+    n_tokens=st.integers(2, 4),
+    n_max=st.integers(1, 5),
+)
+def test_exact_equals_brute_on_random_ngram_models(seed, order, n_tokens, n_max):
+    """Exact search matches the brute-force oracle with exact score and
+    token-id equality on sparse n-gram models, where the rows of unseen
+    contexts repeat and the best step of many rows is far below
+    ``best_step``, under every penalty kind, mixes and both length modes."""
+    model = sparse_ngram_model(np.random.default_rng(seed), order, n_tokens)
+    for spec in BOUND_OBJECTIVES:
+        objective = parse_objective(spec)
+        e = exact_search(model, None, objective, SearchConfig(n_max=n_max))
+        b = brute_force(model, None, objective, n_max)
+        assert e.best.score == b.best.score
+        assert e.best.token_ids == b.best.token_ids

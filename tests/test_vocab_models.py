@@ -31,6 +31,11 @@ def test_vocabulary_layout():
     assert v.id_of("y") == 1
     assert v.token_of(v.eos_id) == "</s>"
     assert v.decode(v.encode(["<s>", "x", "</s>"])) == ("<s>", "x", "</s>")
+    assert v._names == ("x", "y", "z", "</s>", "<s>")  # every name, in id order
+    assert [v.token_of(i) for i in range(5)] == list(v._names)
+    for bad in (-1, -5, -6, 5, 10):
+        with pytest.raises(VocabularyError, match="out of range"):
+            v.token_of(bad)
 
 
 def test_vocabulary_rejects_markers_and_duplicates():
@@ -210,6 +215,9 @@ def test_ngram_rejects_bad_parameters():
     for context in ((), (vocab.bos_id,), (vocab.bos_id,) * 3):
         with pytest.raises(ContractError, match="order - 1"):
             NGramModel(vocab, 3, 0.5, {context: {0: 1}})
+    for context in ((-1,), (vocab.bos_id + 1,)):
+        with pytest.raises(ContractError, match=r"context token ids must lie in \[0, 2\]"):
+            NGramModel(vocab, 2, 0.5, {context: {0: 1}})
 
 
 def _count_map(spec: dict) -> dict[str, dict[str, int]]:
@@ -251,36 +259,6 @@ def test_loaded_ngram_equals_trained(tmp_path, order):
     assert again.read_bytes() == path.read_bytes()
 
 
-@pytest.mark.parametrize("order", [1, 2, 3])
-def test_mapping_layout_loads_as_the_same_counts_in_columns(tmp_path, order):
-    """A file in the older layout, ``counts`` as {context: {token: count}}
-    written with sorted keys, loads to the model its counts give when they
-    are written as columns in the same order."""
-    spec = train_ngram(_seeded_corpus(order + 10), order, 0.3).to_spec()
-    fields = {k: v for k, v in spec.items()
-              if k not in ("contexts", "events_per_context", "event_tokens", "event_counts")}
-    counts = json.loads(json.dumps(_count_map(spec), sort_keys=True))
-    mapping_path, columns_path = tmp_path / "mapping.json", tmp_path / "columns.json"
-    mapping_path.write_text(json.dumps({**fields, "counts": counts}, indent=2, sort_keys=True))
-    columns_path.write_text(json.dumps({
-        **fields,
-        "contexts": list(counts),
-        "events_per_context": [len(events) for events in counts.values()],
-        "event_tokens": [token for events in counts.values() for token in events],
-        "event_counts": [count for events in counts.values() for count in events.values()],
-    }))
-    old, new = load_model(mapping_path), load_model(columns_path)
-    assert old.to_spec() == new.to_spec()
-    assert _count_map(new.to_spec()) == counts
-    assert old.best_step == new.best_step
-    vocab = new.vocabulary
-    contexts = [tuple(vocab.encode(ctx.split())) for ctx in counts]
-    contexts.append((vocab.eos_id,) * (order - 1))  # never counted
-    for ctx in contexts:
-        prefix = (vocab.bos_id, *ctx)
-        assert np.array_equal(old._step_log_probs("", prefix), new._step_log_probs("", prefix))
-
-
 def test_ngram_rejects_event_ids_outside_the_distribution():
     vocab = Vocabulary(("a",))
     for tid in (vocab.bos_id, -1, 7):
@@ -304,7 +282,9 @@ def test_ngram_contexts_split_on_whitespace(tmp_path, spelling, fault):
     events = [{"a": 2, "</s>": 1}, {"b": 1}, {"</s>": 1}]
     path = tmp_path / "lm.json"
     path.write_text(json.dumps({"kind": "ngram", "vocab": ["a", "b"], "order": 3, "add_k": 0.5,
-                                "counts": dict(zip(spelling, events))}))
+                                "contexts": spelling, "events_per_context": [2, 1, 1],
+                                "event_tokens": ["a", "</s>", "b", "</s>"],
+                                "event_counts": [2, 1, 1, 1]}))
     if fault is not None:
         with pytest.raises(ModelFormatError, match=fault):
             load_model(path)
@@ -324,7 +304,8 @@ def test_ngram_tokens_and_markers_hold_no_whitespace(tmp_path, tokens, bos):
     is empty or holds whitespace could not be read back."""
     path = tmp_path / "lm.json"
     path.write_text(json.dumps({"kind": "ngram", "vocab": tokens, "bos": bos, "order": 2,
-                                "add_k": 1.0, "counts": {"a": {"a": 1}}}))
+                                "add_k": 1.0, "contexts": ["a"], "events_per_context": [1],
+                                "event_tokens": ["a"], "event_counts": [1]}))
     with pytest.raises(ModelFormatError, match="whitespace"):
         load_model(path)
     vocab = Vocabulary(tuple(tokens), bos=bos)
@@ -337,26 +318,24 @@ def test_ngram_tokens_and_markers_hold_no_whitespace(tmp_path, tokens, bos):
 
 def test_ngram_context_spelled_twice_keeps_the_later_events(tmp_path):
     path = tmp_path / "lm.json"
-    path.write_text(json.dumps({"kind": "ngram", "vocab": ["a", "b"], "order": 2, "add_k": 0.5,
-                                "counts": {"a": {"b": 9}, "<s>": {"a": 1}, " a": {"a": 1}}}))
-    model = load_model(path)
-    assert _count_map(model.to_spec()) == {"<s>": {"a": 1}, "a": {"a": 1}}
-    vocab = model.vocabulary
+    vocab = Vocabulary(("a", "b"))
     kept = NGramModel(vocab, 2, 0.5, {(vocab.bos_id,): {0: 1}, (0,): {0: 1}})
-    assert model.best_step == kept.best_step
-    # The same holds for a context listed twice in the column layout.
-    path.write_text(json.dumps({"kind": "ngram", "vocab": ["a", "b"], "order": 2, "add_k": 0.5,
-                                "contexts": ["a", "<s>", "a"], "events_per_context": [1, 1, 1],
-                                "event_tokens": ["b", "a", "a"], "event_counts": [9, 1, 1]}))
-    model = load_model(path)
-    assert _count_map(model.to_spec()) == {"<s>": {"a": 1}, "a": {"a": 1}}
-    assert model.best_step == kept.best_step
+    # Listed twice as written, and spelled again with a leading space.
+    for again in ("a", " a"):
+        path.write_text(json.dumps({"kind": "ngram", "vocab": ["a", "b"], "order": 2,
+                                    "add_k": 0.5, "contexts": ["a", "<s>", again],
+                                    "events_per_context": [1, 1, 1],
+                                    "event_tokens": ["b", "a", "a"], "event_counts": [9, 1, 1]}))
+        model = load_model(path)
+        assert _count_map(model.to_spec()) == {"<s>": {"a": 1}, "a": {"a": 1}}
+        assert model.best_step == kept.best_step
 
 
 def test_ngram_count_beyond_int64_is_format_error(tmp_path):
     path = tmp_path / "lm.json"
     path.write_text(json.dumps({"kind": "ngram", "vocab": ["a"], "order": 1, "add_k": 1.0,
-                                "counts": {"": {"a": 2**63, "</s>": 1}}}))
+                                "contexts": [""], "events_per_context": [2],
+                                "event_tokens": ["a", "</s>"], "event_counts": [2**63, 1]}))
     with pytest.raises(ModelFormatError, match="'a' after ''"):
         load_model(path)
     vocab = Vocabulary(("a",))
