@@ -37,7 +37,6 @@ from .objectives import (
 from .search import (
     DecodeRecord,
     Hypothesis,
-    SearchConfig,
     beam_search,
     brute_force,
     brute_force_set,
@@ -60,7 +59,6 @@ __all__ = [
     "RegdecodeError",
     "RegularizerKind",
     "ScoreBreakdown",
-    "SearchConfig",
     "SearchSpaceError",
     "SequenceModel",
     "SurprisalStats",

@@ -31,7 +31,7 @@ from .models import load_model, save_model, train_ngram
 from .objectives import MAP_OBJECTIVE, Objective, RegularizerKind, parse_objective
 from .randmodels import exactness_instance, set_limit_instance, tie_free_instance
 from .search import (
-    SearchConfig,
+    _check_budget,
     _complete_walk,
     _oracle_argmax,
     beam_search,
@@ -123,23 +123,21 @@ def _read_corpus_lines(path: str) -> list[str]:
     return lines
 
 
-def _decode_one(decoder: str, model, source, objective, config):
+def _decode_one(decoder: str, model, source, objective, k: int, n_max: int):
     if decoder == "greedy":
-        return greedy_search(model, source, config)
+        return greedy_search(model, source, n_max)
     if decoder == "beam":
-        return beam_search(model, source, objective, config)
+        return beam_search(model, source, objective, k, n_max)
     if decoder == "exact":
-        return exact_search(model, source, objective, config)
-    if decoder == "brute":
-        return brute_force(model, source, objective, config.n_max)
-    raise ContractError(f"unknown decoder {decoder!r}")
+        return exact_search(model, source, objective, n_max)
+    return brute_force(model, source, objective, n_max)
 
 
-def _decode_corpus(decoder, model, sources, objective, config):
+def _decode_corpus(decoder, model, sources, objective, k: int, n_max: int):
     records = []
     for line_no, src in enumerate(sources, start=1):
         try:
-            records.append(_decode_one(decoder, model, src, objective, config))
+            records.append(_decode_one(decoder, model, src, objective, k, n_max))
         except NoHypothesisError as exc:
             raise NoHypothesisError(f"input line {line_no}: {exc}") from exc
     return records
@@ -181,8 +179,9 @@ def cmd_decode(args) -> int:
     model = load_model(args.model)
     sources = _read_token_lines(args.input)
     objective = parse_objective(args.objective)
-    config = SearchConfig(beam_width=1 if args.k is None else args.k, n_max=args.n_max)
-    records = _decode_corpus(args.decoder, model, sources, objective, config)
+    k = 1 if args.k is None else args.k
+    _check_budget(k, args.n_max)  # so a bad flag fails on an empty input too
+    records = _decode_corpus(args.decoder, model, sources, objective, k, args.n_max)
     out = Path(args.out)
     with out.open("w", encoding="utf-8") as fh:
         for source, record in zip(sources, records):
@@ -234,8 +233,8 @@ def cmd_sweep(args) -> int:
         else:
             objective = Objective(((RegularizerKind(kind), lam),))
         for k in ks:
-            config = SearchConfig(beam_width=k, n_max=args.n_max)
-            records = _decode_corpus(args.decoder, model, sources, objective, config)
+            _check_budget(k, args.n_max)
+            records = _decode_corpus(args.decoder, model, sources, objective, k, args.n_max)
             rows.append(summarize_run(lam, k, records, references))
     out = Path(args.out)
     with out.open("w", encoding="utf-8") as fh:
@@ -266,14 +265,13 @@ def _suite_exactness(seed: int, trials: int):
     failures = []
     for i in range(trials):
         model, n_max = exactness_instance(seed * 1_000_003 + i)
-        config = SearchConfig(beam_width=1, n_max=n_max)
         # One brute-force walk per trial, streamed once into the oracle
         # argmax of all 16 objectives: each penalty kind's spec runs once
         # per hypothesis, and only one chunk of the walk is held at a time.
         brutes = _oracle_argmax(model, [o for _, _, o in objectives],
                                 _complete_walk(model, None, n_max), n_max)
         for (kind, lam, objective), brute in zip(objectives, brutes):
-            exact = exact_search(model, None, objective, config)
+            exact = exact_search(model, None, objective, n_max)
             checks += 1
             if (
                 exact.best.score != brute.best.score
@@ -298,9 +296,8 @@ def _suite_thm1(seed: int, trials: int):
     failures = []
     for i in range(trials):
         model, n_max = tie_free_instance(seed * 1_000_003 + i)
-        config = SearchConfig(beam_width=1, n_max=n_max)
-        exact = exact_search(model, None, objective, config)
-        greedy = greedy_search(model, None, config)
+        exact = exact_search(model, None, objective, n_max)
+        greedy = greedy_search(model, None, n_max)
         checks += 1
         if exact.best.token_ids != greedy.best.token_ids:
             failures.append(
@@ -318,8 +315,7 @@ def _suite_thm2(seed: int, trials: int):
     failures = []
     for i in range(trials):
         model, k, n_max = set_limit_instance(seed * 1_000_003 + i)
-        config = SearchConfig(beam_width=k, n_max=n_max)
-        beam = beam_search(model, None, MAP_OBJECTIVE, config)
+        beam = beam_search(model, None, MAP_OBJECTIVE, k, n_max)
         chosen = brute_force_set(model, None, k, math.inf, n_max)
         checks += 1
         beam_ids = sorted(h.token_ids for h in beam.beam_set)

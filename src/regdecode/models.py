@@ -627,7 +627,8 @@ def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
 
 
 def load_model(path: str | Path) -> SequenceModel:
-    """Dispatch on the optional ``kind`` field; plain specs are table models.
+    """Dispatch on the optional ``kind`` field: ``"ngram"``, or none for a
+    table model; any other ``kind`` is a format error.
 
     Every malformed file ends in ``ModelFormatError``, one that is not UTF-8
     text or whose JSON repeats a key within one object included. In any
@@ -650,7 +651,9 @@ def load_model(path: str | Path) -> SequenceModel:
         raw = json.loads(Path(path).read_text(encoding="utf-8"), object_pairs_hook=_unique_keys)
     except (OSError, ValueError) as exc:  # ValueError: not UTF-8, not JSON, a repeated key
         raise ModelFormatError(f"cannot parse model {path}: {exc}") from exc
-    if isinstance(raw, dict) and raw.get("kind") == "ngram":
+    if isinstance(raw, dict) and "kind" in raw:
+        if raw["kind"] != "ngram":
+            raise ModelFormatError(f"unknown model kind {raw['kind']!r}: expected 'ngram' or none")
         return _ngram_model_from_spec(raw, path)
     return _table_model_from_spec(raw)
 

@@ -471,6 +471,23 @@ def completion_bounds(
     return bounds, log_probs
 
 
+def _walk(model: SequenceModel, source, tokens: Sequence[str]) -> tuple[tuple, list, float]:
+    """(trace, rows, log-probability) of a bos-initial token sequence, one
+    model call per step; rows, not their minima, so ``trace`` takes no max."""
+    ids = model.vocabulary.prefix_ids(tokens, stepped=True)
+    source_key = _source_key(source)
+    values = []
+    rows = []
+    log_prob = 0.0
+    for t in range(1, len(ids)):
+        dist = model.next_log_probs_ids(source_key, ids[:t])
+        step = float(dist[ids[t]])
+        log_prob += step
+        values.append(-step)
+        rows.append(dist)
+    return tuple(values), rows, log_prob
+
+
 def score(
     hypothesis: Sequence[str],
     objective: Objective,
@@ -478,18 +495,9 @@ def score(
     source=None,
 ) -> ScoreBreakdown:
     """Score a bos-initial token sequence by walking the model."""
-    ids = model.vocabulary.prefix_ids(hypothesis, stepped=True)
-    source_key = _source_key(source)
-    values = []
-    minima = []
-    log_prob = 0.0
-    for t in range(1, len(ids)):
-        dist = model.next_log_probs_ids(source_key, ids[:t])
-        step = float(dist[ids[t]])
-        log_prob += step
-        values.append(-step)
-        minima.append(-float(dist.max()))
-    return score_parts(objective, tuple(values), tuple(minima), log_prob)
+    values, rows, log_prob = _walk(model, source, hypothesis)
+    minima = tuple([-float(dist.max()) for dist in rows])
+    return score_parts(objective, values, minima, log_prob)
 
 
 def r_beam(

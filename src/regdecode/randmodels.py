@@ -17,7 +17,7 @@ import numpy as np
 from .exceptions import NoHypothesisError
 from .models import TableModel
 from .objectives import MAP_OBJECTIVE, r_beam_ids
-from .search import SearchConfig, beam_search
+from .search import beam_search
 from .vocab import Vocabulary
 
 TOKEN_POOL = ("a", "b", "c", "d", "e")
@@ -140,7 +140,7 @@ def set_limit_instance(seed: int) -> tuple[TableModel, int, int]:
             default_eos_mass=0.7,
         )
         try:
-            record = beam_search(model, None, MAP_OBJECTIVE, SearchConfig(beam_width=k, n_max=n_max))
+            record = beam_search(model, None, MAP_OBJECTIVE, k, n_max)
         except NoHypothesisError:
             continue
         if len(record.beam_set) != k:

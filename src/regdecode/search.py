@@ -76,16 +76,12 @@ EXACT_AGENDA_GUARD = 10**6
 _ARGMAX_CHUNK = 256
 
 
-@dataclass(frozen=True)
-class SearchConfig:
-    beam_width: int = 1
-    n_max: int = 50
-
-    def __post_init__(self) -> None:
-        if self.beam_width < 1:
-            raise ContractError("beam width must be >= 1")
-        if self.n_max < 1:
-            raise ContractError("n_max must be >= 1")
+def _check_budget(k: int, n_max: int) -> None:
+    """Check a search's beam width (1 for a search without one) and budget."""
+    if k < 1:
+        raise ContractError("beam width must be >= 1")
+    if n_max < 1:
+        raise ContractError("n_max must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -135,15 +131,15 @@ def _make_hypothesis(model: SequenceModel, objective: Objective, ids, trace, min
     )
 
 
-def greedy_search(model: SequenceModel, source, config: SearchConfig) -> DecodeRecord:
-    """Beam search at width 1 under the plain objective (``config.beam_width``
-    is not read): each step keeps the child with the highest log-probability
-    so far, ties going to the smaller token id."""
-    return _beam(model, source, MAP_OBJECTIVE, 1, config.n_max)
+def greedy_search(model: SequenceModel, source, n_max: int) -> DecodeRecord:
+    """Beam search at width 1 under the plain objective: each step keeps the
+    child with the highest log-probability so far, ties going to the smaller
+    token id."""
+    return _beam(model, source, MAP_OBJECTIVE, 1, n_max)
 
 
 def beam_search(
-    model: SequenceModel, source, objective: Objective, config: SearchConfig
+    model: SequenceModel, source, objective: Objective, k: int, n_max: int
 ) -> DecodeRecord:
     """Width-limited breadth-first search under the given objective.
 
@@ -153,7 +149,7 @@ def beam_search(
     Stops early once all survivors have ended; survivors still open at
     n_max are dropped as invalid.
     """
-    return _beam(model, source, objective, config.beam_width, config.n_max)
+    return _beam(model, source, objective, k, n_max)
 
 
 def _beam(model: SequenceModel, source, objective: Objective, k: int,
@@ -170,6 +166,7 @@ def _beam(model: SequenceModel, source, objective: Objective, k: int,
     at or above the k-th best total (so every tie on it survives), and the
     owner index maps each kept candidate back to its member and column.
     """
+    _check_budget(k, n_max)
     vocab = model.vocabulary
     source_key = _source_key(source)
     eos = vocab.eos_id
@@ -238,7 +235,7 @@ def _beam(model: SequenceModel, source, objective: Objective, k: int,
 
 
 def exact_search(
-    model: SequenceModel, source, objective: Objective, config: SearchConfig
+    model: SequenceModel, source, objective: Objective, n_max: int
 ) -> DecodeRecord:
     """Optimal decoding with a certificate, restricted to |y| <= n_max.
 
@@ -253,10 +250,10 @@ def exact_search(
     tie-breaking matches the brute-force oracle). More than
     ``EXACT_AGENDA_GUARD`` queued prefixes raise ``SearchSpaceError``.
     """
+    _check_budget(1, n_max)
     vocab = model.vocabulary
     source_key = _source_key(source)
     eos = vocab.eos_id
-    n_max = config.n_max
     # Every row is a distribution, so 0.0 bounds every step. The model's
     # best_step is tighter, but its first use costs a pass over the model's
     # parameters: until some decode has paid for it (the cached property
@@ -348,8 +345,7 @@ def enumerate_complete(model: SequenceModel, source_key: str, n_max: int):
 def _complete_walk(model: SequenceModel, source, n_max: int):
     """``enumerate_complete``'s walk for the brute-force oracle, after its
     size guard; a generator, so a caller may stream it or keep it."""
-    if n_max < 1:
-        raise ContractError("n_max must be >= 1")
+    _check_budget(1, n_max)
     n_tokens = len(model.vocabulary.tokens)
     space = _enumerated_prefix_count(n_tokens, n_max)
     if space > BRUTE_FORCE_PREFIX_GUARD:
@@ -436,12 +432,13 @@ def brute_force_set(
     so ties still go to higher log-probability, then token ids. At finite
     ``lam`` every set is scored in full.
     """
+    _check_budget(k, n_max)
     vocab = model.vocabulary
-    if k < 1 or k > 3:
+    if k > 3:
         raise SearchSpaceError("set decoding is guarded to k <= 3")
     if vocab.dist_size > 4:
         raise SearchSpaceError("set decoding is guarded to |V|+1 <= 4")
-    if n_max < 1 or n_max > 5:
+    if n_max > 5:
         raise SearchSpaceError("set decoding is guarded to n_max <= 5")
     source_key = _source_key(source)
     pool = sorted(enumerate_complete(model, source_key, n_max), key=lambda h: h[0])

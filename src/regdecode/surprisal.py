@@ -11,8 +11,8 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .models import SequenceModel, _source_key
-from .objectives import r_variance
+from .models import SequenceModel
+from .objectives import _walk, r_variance
 
 Trace = tuple[float, ...]
 
@@ -23,12 +23,7 @@ def trace(model: SequenceModel, source, tokens: Sequence[str]) -> Trace:
     The entries sum to the negated cumulative log-probability. A step the
     model forbids yields ``inf`` rather than being clipped.
     """
-    ids = model.vocabulary.prefix_ids(tokens, stepped=True)
-    source_key = _source_key(source)
-    values = []
-    for t in range(1, len(ids)):
-        values.append(-float(model.next_log_probs_ids(source_key, ids[:t])[ids[t]]))
-    return tuple(values)
+    return _walk(model, source, tokens)[0]
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,7 @@ from regdecode import load_model
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
 @pytest.fixture(scope="session")

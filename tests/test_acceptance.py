@@ -14,7 +14,6 @@ from regdecode import (
     MAP_OBJECTIVE,
     Objective,
     RegularizerKind,
-    SearchConfig,
     beam_search,
     brute_force,
     corpus_bleu,
@@ -100,7 +99,7 @@ def test_criterion_4_regularizer_algebra():
     # Set deviation at width one is the greedy penalty, to 1e-12.
     for i in range(50):
         model = random_table_model(np.random.default_rng(SEED + i), int(1 + i % 4) + 1)
-        hyp = greedy_search(model, None, SearchConfig(n_max=5)).best
+        hyp = greedy_search(model, None, 5).best
         a = r_beam_ids([hyp.token_ids], model, "", 1, 5)
         b = r_greedy(hyp.trace, hyp.minima)
         assert abs(a - b) <= 1e-12
@@ -117,7 +116,7 @@ def _m3_sweep(m3):
         objective = MAP_OBJECTIVE if lam == 0.0 else Objective(((RegularizerKind.GREEDY, lam),))
         records = []
         for source in M3_SOURCES:
-            record = exact_search(m3, source, objective, SearchConfig(n_max=6))
+            record = exact_search(m3, source, objective, 6)
             oracle = brute_force(m3, source, objective, 6)
             assert record.best.score == oracle.best.score
             assert record.best.token_ids == oracle.best.token_ids
@@ -172,7 +171,7 @@ def _family_bleu(model, objective):
     bleus = []
     for k in BF_KS:
         records = [
-            beam_search(model, source, objective, SearchConfig(beam_width=k, n_max=8))
+            beam_search(model, source, objective, k, 8)
             for source in BF_SOURCES
         ]
         bleus.append(summarize_run(0.0, k, records, BF_REFS).bleu)
@@ -191,7 +190,7 @@ def test_criterion_6_beam_degradation(beam_family):
         for lam in (0.5, 1.0, 2.0, 5.0):
             objective = Objective(((kind, lam),))
             records = [
-                beam_search(beam_family, s, objective, SearchConfig(beam_width=8, n_max=8))
+                beam_search(beam_family, s, objective, 8, 8)
                 for s in BF_SOURCES
             ]
             bleu = summarize_run(lam, 8, records, BF_REFS).bleu

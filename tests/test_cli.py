@@ -1,3 +1,6 @@
+import dataclasses
+import importlib
+import importlib.util
 import json
 import math
 
@@ -6,7 +9,6 @@ import pytest
 from regdecode import (
     MAP_OBJECTIVE,
     ModelFormatError,
-    SearchConfig,
     beam_search,
     load_model,
     train_ngram,
@@ -14,7 +16,7 @@ from regdecode import (
 import regdecode.search
 from regdecode.cli import main
 
-from .conftest import FIXTURES
+from .conftest import BENCH, FIXTURES
 
 
 def run(args):
@@ -80,7 +82,7 @@ def test_decode_beam_matches_library(tmp_path, m1):
     ]) == 0
     records = [json.loads(line) for line in out.read_text().splitlines()]
     assert len(records) == 2
-    expected = beam_search(m1, ["x1"], MAP_OBJECTIVE, SearchConfig(beam_width=5, n_max=6))
+    expected = beam_search(m1, ["x1"], MAP_OBJECTIVE, 5, 6)
     assert records[0]["tokens"] == list(expected.best.surface)
     assert records[0]["log_prob"] == expected.best.log_prob
     assert records[0]["surprisals"] == list(expected.best.trace)
@@ -109,6 +111,47 @@ def test_decode_k_needs_beam_decoder(tmp_path, capsys, decoder):
                 "--n-max", "6", "--out", out])
     assert code == 2
     assert "--k" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text", ["x\n", ""], ids=["one-line", "empty"])
+@pytest.mark.parametrize(
+    "flags, named",
+    [(["--decoder", "beam", "--k", "0"], "beam width must be >= 1")]
+    + [(["--decoder", d, "--n-max", "0"], "n_max must be >= 1")
+       for d in ("greedy", "beam", "exact", "brute")],
+    ids=["beam-k-0", "greedy-n-max-0", "beam-n-max-0", "exact-n-max-0", "brute-n-max-0"],
+)
+def test_decode_bad_width_or_budget_is_usage_error(tmp_path, capsys, flags, named, text):
+    """The width and budget are checked before any line is decoded, so an
+    empty input fails as a one-line input does."""
+    inputs = tmp_path / "in.txt"
+    inputs.write_text(text)
+    out = tmp_path / "out.jsonl"
+    assert run(["decode", FIXTURES / "m1.json", inputs, *flags, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert named in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "text, flags, named",
+    [
+        ("x\n", ["--decoder", "beam", "--ks", "1,0", "--n-max", "6"], "beam width must be >= 1"),
+        ("", ["--decoder", "beam", "--ks", "0"], "beam width must be >= 1"),
+        ("x\n", ["--decoder", "exact", "--n-max", "0"], "n_max must be >= 1"),
+    ],
+    ids=["ks-1-0", "ks-0-empty-input", "exact-n-max-0"],
+)
+def test_sweep_bad_width_or_budget_is_usage_error(tmp_path, capsys, text, flags, named):
+    inputs = tmp_path / "in.txt"
+    inputs.write_text(text)
+    refs = tmp_path / "refs.txt"
+    refs.write_text(text)
+    out = tmp_path / "rows.csv"
+    assert run(["sweep", FIXTURES / "m1.json", inputs, refs, *flags, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert named in err and "Traceback" not in err
     assert not out.exists()
 
 
@@ -155,6 +198,22 @@ def test_decode_calls_exact_search_through_cli_global(tmp_path, monkeypatch):
     assert run(["decode", FIXTURES / "m3.json", inputs, "--decoder", "exact", "--n-max", "6",
                 "--out", tmp_path / "out.jsonl"]) == 0
     assert calls == [["s1"], ["s2"], ["s3"]]
+
+
+def test_benchmark_bindings_resolve():
+    """The benchmark wraps the names ``bench/tracing.py`` lists where they
+    are bound, so a rename must fail here rather than in a traced pass."""
+    spec = importlib.util.spec_from_file_location("bench_tracing", BENCH / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)  # not entered in sys.modules
+    for _, module, name in tracing.FUNCTIONS:
+        assert callable(getattr(importlib.import_module(module), name, None)), (module, name)
+    for _, module, cls, method in tracing.METHODS:
+        assert method in vars(getattr(importlib.import_module(module), cls)), (cls, method)
+    from regdecode import cli
+
+    for name in tracing.DECODERS:
+        assert getattr(cli, name, None) is getattr(regdecode.search, name), name
 
 
 def _ngram_spec(**changes):
@@ -285,6 +344,10 @@ def _table_spec(**changes):
         pytest.param(_table_spec(bos=3), "bos must be a string", id="bos-number"),
         pytest.param(_table_spec(default={"a": True, "</s>": False}),
                      "default: probability for 'a' is not a number", id="boolean-probability"),
+        # A misspelt kind: the first decoded as a table model, the second
+        # was read as one and failed on its missing default.
+        pytest.param(_table_spec(kind="ngarm"), "unknown model kind 'ngarm'", id="table-kind-ngarm"),
+        pytest.param(_ngram_spec(kind="NGram"), "unknown model kind 'NGram'", id="ngram-kind-NGram"),
         # These were format errors already, through branches no other test runs.
         pytest.param(_table_spec(default={"a": "0.5", "</s>": 0.5}),
                      "default: probability for 'a' is not a number", id="string-probability"),
@@ -593,6 +656,45 @@ def test_verify_exactness_small(tmp_path, capsys):
     payload = json.loads(report.read_text())
     assert payload["passed"] == payload["checks"]
     assert payload["failures"] == []
+
+
+def _no_token_ids(decoder):
+    """``decoder`` with the best hypothesis of each record it returns
+    stripped of its token ids, a wrong answer for every check."""
+    def wrong(*args):
+        record = decoder(*args)
+        return dataclasses.replace(record, best=dataclasses.replace(record.best, token_ids=()))
+    return wrong
+
+
+@pytest.mark.parametrize(
+    "suite, name, wrong, keys",
+    [
+        ("exactness", "exact_search", _no_token_ids,
+         {"trial", "objective", "exact", "brute", "exact_score", "brute_score"}),
+        ("thm1", "greedy_search", _no_token_ids, {"trial", "exact", "greedy"}),
+        ("thm2", "brute_force_set", lambda f: lambda *args: f(*args)[1:],
+         {"trial", "k", "beam", "set"}),
+        ("bleu", "corpus_bleu",
+         lambda f: lambda *args: dataclasses.replace(f(*args), corpus_bleu=-1.0), {"check"}),
+    ],
+)
+def test_verify_failure_is_reported(tmp_path, capsys, monkeypatch, suite, name, wrong, keys):
+    """Each suite, given a wrong answer through the name it checks in
+    ``regdecode.cli``, exits 1 and reports what failed."""
+    from regdecode import cli
+
+    monkeypatch.setattr(cli, name, wrong(getattr(cli, name)))
+    report = tmp_path / "report.json"
+    assert run(["--seed", "0", "verify", "--suite", suite, "--trials", "2",
+                "--out", report]) == 1
+    payload = json.loads(report.read_text())
+    failures = payload["failures"]
+    assert failures and payload["passed"] == payload["checks"] - len(failures)
+    assert all(keys <= failure.keys() for failure in failures)
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == f"{suite}: {payload['passed']}/{payload['checks']} checks passed (seed=0)"
+    assert lines[1:] == [f"  FAIL {json.dumps(f, sort_keys=True)}" for f in failures[:10]]
 
 
 def test_verify_reports_are_bit_identical(tmp_path):

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from regdecode import (
     ContractError,
     MAP_OBJECTIVE,
-    SearchConfig,
     corpus_bleu,
     exact_search,
     pearson,
@@ -110,7 +109,7 @@ def test_added_identical_pair_does_not_decrease_bleu():
 
 
 def test_single_sentence_aggregation_identity(m1):
-    rec = exact_search(m1, None, MAP_OBJECTIVE, SearchConfig(n_max=5))
+    rec = exact_search(m1, None, MAP_OBJECTIVE, 5)
     row = summarize_run(0.0, 1, [rec], [list(rec.best.surface)])
     assert row.bleu == 100.0
     assert row.empty_rate == 0.0
@@ -122,14 +121,14 @@ def test_single_sentence_aggregation_identity(m1):
 
 def test_empty_rate_on_degenerate_fixture(m3):
     sources = ["s1", "s2", "s3"]
-    recs = [exact_search(m3, s, MAP_OBJECTIVE, SearchConfig(n_max=6)) for s in sources]
+    recs = [exact_search(m3, s, MAP_OBJECTIVE, 6) for s in sources]
     row = summarize_run(0.0, 1, recs, [["a", "b"]] * 3)
     assert row.empty_rate == 1.0
     assert row.mean_len == 0.0
 
 
 def test_summarize_run_alignment_check(m1):
-    rec = exact_search(m1, None, MAP_OBJECTIVE, SearchConfig(n_max=5))
+    rec = exact_search(m1, None, MAP_OBJECTIVE, 5)
     with pytest.raises(ContractError):
         summarize_run(0.0, 1, [rec], [["a"], ["b"]])
 

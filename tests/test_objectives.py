@@ -11,7 +11,6 @@ from regdecode import (
     MAP_OBJECTIVE,
     Objective,
     RegularizerKind,
-    SearchConfig,
     beam_search,
     brute_force,
     greedy_search,
@@ -56,7 +55,7 @@ def test_greedy_examples():
 
 
 def test_greedy_zero_on_greedy_output(m1):
-    rec = greedy_search(m1, None, SearchConfig(n_max=10))
+    rec = greedy_search(m1, None, 10)
     assert r_greedy(rec.best.trace, rec.best.minima) == 0.0
 
 
@@ -409,6 +408,13 @@ def test_parse_objective_round_trip():
         assert parse_objective(obj.describe()) == obj
     # Weights that read back from the short form keep it.
     assert parse_objective("greedy=5,square=2").describe() == "greedy=5,square=2"
+    # The length-normalizing form, alone and after a penalty, and an empty
+    # term, which is skipped.
+    for spec, described in (("len=norm", "len=norm"), ("local=1,len=norm", "local=1,len=norm"),
+                            ("greedy=1,,square=2", "greedy=1,square=2")):
+        obj = parse_objective(spec)
+        assert obj.describe() == described
+        assert parse_objective(obj.describe()) == obj
 
 
 def test_parse_objective_errors():
@@ -423,7 +429,7 @@ def test_parse_objective_errors():
 
 def test_r_beam_k1_equals_r_greedy_exactly(m1):
     for n_max in (3, 5):
-        rec = greedy_search(m1, None, SearchConfig(n_max=n_max))
+        rec = greedy_search(m1, None, n_max)
         hyp = rec.best
         value = r_beam([hyp.tokens], m1, None, 1, n_max)
         assert value == r_greedy(hyp.trace, hyp.minima)
@@ -438,8 +444,7 @@ def test_r_beam_k1_equals_r_greedy_exactly(m1):
 
 
 def test_r_beam_zero_on_surviving_beam_output(m2):
-    config = SearchConfig(beam_width=2, n_max=4)
-    rec = beam_search(m2, None, MAP_OBJECTIVE, config)
+    rec = beam_search(m2, None, MAP_OBJECTIVE, 2, 4)
     members = [h.tokens for h in rec.beam_set]
     assert len(members) == 2
     assert r_beam(members, m2, None, 2, 4) == pytest.approx(0.0, abs=1e-12)
@@ -449,7 +454,7 @@ def test_r_beam_matches_exhaustive_subset_minimization(m2):
     """Independent oracle: re-derive each step's best size-k selection by
     enumerating every subset of the one-token extensions directly."""
     k, n_max = 2, 3
-    rec = beam_search(m2, None, MAP_OBJECTIVE, SearchConfig(beam_width=k, n_max=n_max))
+    rec = beam_search(m2, None, MAP_OBJECTIVE, k, n_max)
     members = [h.token_ids for h in rec.beam_set]
     eos = m2.vocabulary.eos_id
 
@@ -483,7 +488,7 @@ def test_r_beam_matches_exhaustive_subset_minimization(m2):
 
 
 def test_r_beam_penalizes_duplicated_members(m1):
-    hyp = greedy_search(m1, None, SearchConfig(n_max=4)).best
+    hyp = greedy_search(m1, None, 4).best
     value = r_beam_ids([hyp.token_ids, hyp.token_ids], m1, "", 2, 4)
     assert math.isfinite(value)
     assert value > 0.0  # duplicates beat no distinct pair, so they carry a cost

@@ -13,7 +13,6 @@ from regdecode import (
     NoHypothesisError,
     Objective,
     RegularizerKind,
-    SearchConfig,
     SearchSpaceError,
     SequenceModel,
     TableModel,
@@ -57,14 +56,26 @@ def chain_model():
 
 
 def test_search_config_validation():
-    with pytest.raises(ContractError):
-        SearchConfig(beam_width=0)
-    with pytest.raises(ContractError):
-        SearchConfig(n_max=0)
+    model = chain_model()
+    for search in (
+        lambda k: beam_search(model, None, MAP_OBJECTIVE, k, 5),
+        lambda k: brute_force_set(model, None, k, 0.0, 3),
+    ):
+        with pytest.raises(ContractError, match="beam width must be >= 1"):
+            search(0)
+    for search in (
+        lambda n_max: greedy_search(model, None, n_max),
+        lambda n_max: beam_search(model, None, MAP_OBJECTIVE, 1, n_max),
+        lambda n_max: exact_search(model, None, MAP_OBJECTIVE, n_max),
+        lambda n_max: brute_force(model, None, MAP_OBJECTIVE, n_max),
+        lambda n_max: brute_force_set(model, None, 1, 0.0, n_max),
+    ):
+        with pytest.raises(ContractError, match="n_max must be >= 1"):
+            search(0)
 
 
 def test_greedy_emits_deterministic_chain():
-    rec = greedy_search(chain_model(), None, SearchConfig(n_max=5))
+    rec = greedy_search(chain_model(), None, 5)
     assert rec.best.tokens == ("<s>", "a", "</s>")
     assert rec.best.log_prob == 0.0
     assert rec.best.complete
@@ -74,7 +85,7 @@ def test_greedy_tie_break_lowest_index():
     v = Vocabulary(("a", "b"))
     m = TableModel(v, {"<s>": {"a": 0.4, "b": 0.4, "</s>": 0.2}},
                    {"a": 0.05, "b": 0.05, "</s>": 0.9})
-    rec = greedy_search(m, None, SearchConfig(n_max=4))
+    rec = greedy_search(m, None, 4)
     assert rec.best.tokens[1] == "a"
 
 
@@ -88,34 +99,32 @@ def test_greedy_breaks_a_sub_ulp_tie_on_the_running_log_prob():
     b = float(np.nextafter(0.45, 1))
     entries["<s>" + " a" * 8] = {"a": 0.45, "b": b, "c": 0.0, "</s>": 1 - 0.45 - b}
     m = TableModel(v, entries, {"</s>": 1.0})
-    config = SearchConfig(n_max=12)
-    rec = greedy_search(m, None, config)
+    rec = greedy_search(m, None, 12)
     assert rec.best.surface == ("a",) * 9
     assert rec.best.log_prob == -11.888862585176897
-    assert rec.best.token_ids == beam_search(m, None, MAP_OBJECTIVE, config).best.token_ids
+    assert rec.best.token_ids == beam_search(m, None, MAP_OBJECTIVE, 1, 12).best.token_ids
 
 
 def test_greedy_without_termination_raises():
     v = Vocabulary(("a",))
     m = TableModel(v, {}, {"a": 0.9, "</s>": 0.1})
     with pytest.raises(NoHypothesisError):
-        greedy_search(m, None, SearchConfig(n_max=3))
+        greedy_search(m, None, 3)
 
 
 def test_beam_k1_equals_greedy_on_random_models():
     rng = np.random.default_rng(42)
     for _ in range(100):
         model = random_table_model(rng, int(rng.integers(1, 6)))
-        config = SearchConfig(beam_width=1, n_max=6)
-        g = greedy_search(model, None, config)
-        b = beam_search(model, None, MAP_OBJECTIVE, config)
+        g = greedy_search(model, None, 6)
+        b = beam_search(model, None, MAP_OBJECTIVE, 1, 6)
         assert g.best.token_ids == b.best.token_ids
 
 
 def test_huge_beam_contains_map_optimum(m1):
     n_max = 3
     k = m1.vocabulary.dist_size**n_max
-    beam = beam_search(m1, None, MAP_OBJECTIVE, SearchConfig(beam_width=k, n_max=n_max))
+    beam = beam_search(m1, None, MAP_OBJECTIVE, k, n_max)
     oracle = brute_force(m1, None, MAP_OBJECTIVE, n_max)
     assert oracle.best.token_ids in {h.token_ids for h in beam.beam_set}
     assert beam.best.token_ids == oracle.best.token_ids
@@ -126,16 +135,16 @@ def test_wider_beam_recovers_longer_hypothesis(m2):
     immediately; the two-token continuation is the best hypothesis under a
     length reward but only a width-two beam ever sees it."""
     reward = parse_objective("len=reward:0.5")
-    k1 = beam_search(m2, None, reward, SearchConfig(beam_width=1, n_max=6))
+    k1 = beam_search(m2, None, reward, 1, 6)
     assert k1.best.tokens == ("<s>", "</s>")
-    k2 = beam_search(m2, None, reward, SearchConfig(beam_width=2, n_max=6))
+    k2 = beam_search(m2, None, reward, 2, 6)
     assert k2.best.tokens == ("<s>", "a", "b", "</s>")
     # Hand-enumerated: log p = ln(.35 * .9 * .95), reward 0.5 per step.
     expected_lp = math.log(0.35) + math.log(0.9) + math.log(0.95)
     assert k2.best.log_prob == pytest.approx(expected_lp, abs=1e-12)
     assert k2.best.score == pytest.approx(expected_lp + 0.5 * 3, abs=1e-12)
     # Under the plain objective the width-two beam still finds it, ranked second.
-    plain = beam_search(m2, None, MAP_OBJECTIVE, SearchConfig(beam_width=2, n_max=6))
+    plain = beam_search(m2, None, MAP_OBJECTIVE, 2, 6)
     assert plain.best.tokens == ("<s>", "</s>")
     assert [h.tokens for h in plain.beam_set] == [
         ("<s>", "</s>"), ("<s>", "a", "b", "</s>")
@@ -177,7 +186,7 @@ def test_beam_keeps_every_tie_on_the_kth_total():
     two with the smallest ids, as the full sort would."""
     v = Vocabulary(("a", "b", "c", "d"))
     m = TableModel(v, {"<s>": {"a": 0.1, "b": 0.3, "c": 0.3, "d": 0.3}}, {"</s>": 1.0})
-    rec = beam_search(m, None, MAP_OBJECTIVE, SearchConfig(beam_width=2, n_max=3))
+    rec = beam_search(m, None, MAP_OBJECTIVE, 2, 3)
     assert [h.tokens for h in rec.beam_set] == [("<s>", "b", "</s>"), ("<s>", "c", "</s>")]
 
 
@@ -197,13 +206,12 @@ def test_beam_matches_reference_under_heavy_ties():
         model = TableModel(Vocabulary(tokens), entries, {t: 0.25 for t in tokens + ("</s>",)})
         for objective in objectives:
             for k in (1, 2, 3, 5):
-                config = SearchConfig(beam_width=k, n_max=4)
                 expected = reference_beam(model, objective, k, 4)
                 if not expected:
                     with pytest.raises(NoHypothesisError):
-                        beam_search(model, None, objective, config)
+                        beam_search(model, None, objective, k, 4)
                     continue
-                rec = beam_search(model, None, objective, config)
+                rec = beam_search(model, None, objective, k, 4)
                 assert [(h.token_ids, h.score, h.log_prob) for h in rec.beam_set] == expected
 
 
@@ -259,12 +267,11 @@ def test_beam_matches_reference_on_long_traces():
         for objective in objectives:
             for k in (1, 2, 3, 4, 5):
                 expected = reference_beam(model, objective, k, n_max, mixed_steps)
-                config = SearchConfig(beam_width=k, n_max=n_max)
                 if not expected:
                     with pytest.raises(NoHypothesisError):
-                        beam_search(model, None, objective, config)
+                        beam_search(model, None, objective, k, n_max)
                     continue
-                rec = beam_search(model, None, objective, config)
+                rec = beam_search(model, None, objective, k, n_max)
                 assert [(h.token_ids, h.score, h.log_prob) for h in rec.beam_set] == expected
                 lengths += [len(ids) - 1 for ids, _, _ in expected]
     # What the draw covers: long returned traces, and steps where ended and
@@ -274,15 +281,14 @@ def test_beam_matches_reference_on_long_traces():
 
 
 def test_beam_set_ordered_by_final_score(m1):
-    rec = beam_search(m1, None, MAP_OBJECTIVE, SearchConfig(beam_width=3, n_max=5))
+    rec = beam_search(m1, None, MAP_OBJECTIVE, 3, 5)
     scores = [h.sort_key() for h in rec.beam_set]
     assert scores == sorted(scores)
     assert rec.best is rec.beam_set[0]
 
 
 def test_exact_matches_brute_on_m1(m1):
-    config = SearchConfig(n_max=5)
-    e = exact_search(m1, None, MAP_OBJECTIVE, config)
+    e = exact_search(m1, None, MAP_OBJECTIVE, 5)
     b = brute_force(m1, None, MAP_OBJECTIVE, 5)
     assert e.best.token_ids == b.best.token_ids == (3, 0, 1, 2)
     assert e.best.score == b.best.score
@@ -291,7 +297,7 @@ def test_exact_matches_brute_on_m1(m1):
 
 def test_exact_returns_empty_string_on_degenerate_optimum(m3):
     for source in ("s1", "s2", "s3"):
-        e = exact_search(m3, source, MAP_OBJECTIVE, SearchConfig(n_max=6))
+        e = exact_search(m3, source, MAP_OBJECTIVE, 6)
         b = brute_force(m3, source, MAP_OBJECTIVE, 6)
         assert e.best.surface == () and b.best.surface == ()
 
@@ -300,9 +306,8 @@ def test_exact_greedy_limit_equals_greedy():
     objective = Objective(((RegularizerKind.GREEDY, 1e6),))
     for seed in range(20):
         model, n_max = tie_free_instance(seed)
-        config = SearchConfig(n_max=n_max)
-        e = exact_search(model, None, objective, config)
-        g = greedy_search(model, None, config)
+        e = exact_search(model, None, objective, n_max)
+        g = greedy_search(model, None, n_max)
         assert e.best.token_ids == g.best.token_ids
 
 
@@ -310,10 +315,9 @@ def test_exact_agrees_with_brute_across_objectives():
     kinds = [None] + list(RegularizerKind)
     for seed in range(25):
         model, n_max = exactness_instance(seed)
-        config = SearchConfig(n_max=n_max)
         for kind in kinds:
             objective = MAP_OBJECTIVE if kind is None else Objective(((kind, 2.0),))
-            e = exact_search(model, None, objective, config)
+            e = exact_search(model, None, objective, n_max)
             b = brute_force(model, None, objective, n_max)
             assert e.best.score == b.best.score
             assert e.best.token_ids == b.best.token_ids
@@ -323,7 +327,7 @@ def test_exact_agrees_with_brute_under_length_modes(m1, m4):
     for model in (m1, m4):
         for spec in ("len=norm", "len=reward:0.3", "variance=2,len=norm"):
             objective = parse_objective(spec)
-            e = exact_search(model, None, objective, SearchConfig(n_max=5))
+            e = exact_search(model, None, objective, 5)
             b = brute_force(model, None, objective, 5)
             assert e.best.score == b.best.score
             assert e.best.token_ids == b.best.token_ids
@@ -381,13 +385,13 @@ def test_exact_matches_brute_when_every_step_attains_best_step():
         # and each prefix's bound is exactly their score, so the search
         # expands every prefix with a step left.
         reward = parse_objective("len=reward:3")
-        e = exact_search(model, None, reward, SearchConfig(n_max=5))
+        e = exact_search(model, None, reward, 5)
         assert e.nodes_expanded == sum(n_tokens**depth for depth in range(5))
         for spec in ("", "len=reward:3", "len=reward:0.5", "len=norm", "greedy=1,len=reward:2",
                      "local=1,len=reward:2", "square=0.1,len=norm", "variance=1"):
             objective = parse_objective(spec)
             for n_max in (1, 3, 5):
-                e = exact_search(model, None, objective, SearchConfig(n_max=n_max))
+                e = exact_search(model, None, objective, n_max)
                 b = brute_force(model, None, objective, n_max)
                 assert e.best.score == b.best.score
                 assert e.best.token_ids == b.best.token_ids
@@ -404,7 +408,7 @@ def test_exact_node_counts_on_small_ngram_model():
     full_tree = sum(6**depth for depth in range(n_max))  # every prefix with a step left
     for spec, most in (("local=1", 2), ("len=norm", 8), ("len=reward:1", 3)):
         objective = parse_objective(spec)
-        e = exact_search(model, None, objective, SearchConfig(n_max=n_max))
+        e = exact_search(model, None, objective, n_max)
         b = brute_force(model, None, objective, n_max)
         assert e.best.score == b.best.score
         assert e.best.token_ids == b.best.token_ids
@@ -413,17 +417,17 @@ def test_exact_node_counts_on_small_ngram_model():
 
 def test_exact_agenda_guard(m1, monkeypatch):
     objective = parse_objective("len=reward:3")
-    exact_search(m1, None, objective, SearchConfig(n_max=6))
+    exact_search(m1, None, objective, 6)
     monkeypatch.setattr(regdecode.search, "EXACT_AGENDA_GUARD", 5)
     with pytest.raises(SearchSpaceError, match="guard of 5 open prefixes"):
-        exact_search(m1, None, objective, SearchConfig(n_max=6))
+        exact_search(m1, None, objective, 6)
 
 
 def test_exact_no_hypothesis_error():
     v = Vocabulary(("a",))
     m = TableModel(v, {}, {"a": 1.0, "</s>": 0.0})
     with pytest.raises(NoHypothesisError):
-        exact_search(m, None, MAP_OBJECTIVE, SearchConfig(n_max=4))
+        exact_search(m, None, MAP_OBJECTIVE, 4)
     with pytest.raises(NoHypothesisError):
         brute_force(m, None, MAP_OBJECTIVE, 4)
 
@@ -598,7 +602,7 @@ def test_brute_force_set_top_k_at_lambda_zero(m1):
 
 def test_brute_force_set_limit_matches_beam(m1):
     for k, n_max in ((1, 4), (2, 4)):
-        beam = beam_search(m1, None, MAP_OBJECTIVE, SearchConfig(beam_width=k, n_max=n_max))
+        beam = beam_search(m1, None, MAP_OBJECTIVE, k, n_max)
         members = [h.token_ids for h in beam.beam_set]
         if len(members) != k or r_beam_ids(members, m1, "", k, n_max) > 1e-9:
             continue  # no surviving-beam witness at this width
@@ -611,7 +615,7 @@ def test_brute_force_set_infinite_weight_matches_beam():
     log-probability outranks the beam's zero-penalty set on this instance;
     the exact large-weight limit (lam=inf) ranks by penalty first."""
     model, k, n_max = set_limit_instance(607 * 1_000_003 + 0)
-    beam = beam_search(model, None, MAP_OBJECTIVE, SearchConfig(beam_width=k, n_max=n_max))
+    beam = beam_search(model, None, MAP_OBJECTIVE, k, n_max)
     beam_ids = sorted(h.token_ids for h in beam.beam_set)
     limit = brute_force_set(model, None, k, math.inf, n_max)
     assert sorted(h.token_ids for h in limit) == beam_ids
@@ -702,13 +706,13 @@ def test_verify_thm2_passes_where_the_finite_weight_failed(seed, capsys):
 def test_brute_force_set_k1_limit_equals_greedy(m1, m2):
     for model in (m1, m2):
         chosen = brute_force_set(model, None, 1, 1e6, 4)
-        g = greedy_search(model, None, SearchConfig(n_max=4))
+        g = greedy_search(model, None, 4)
         assert chosen[0].token_ids == g.best.token_ids
 
 
 def test_monotone_exact_is_dijkstra_cheap(m1):
     objective = Objective(((RegularizerKind.SQUARE, 2.0),))
-    e = exact_search(m1, None, objective, SearchConfig(n_max=5))
+    e = exact_search(m1, None, objective, 5)
     b = brute_force(m1, None, objective, 5)
     assert e.nodes_expanded <= b.nodes_expanded
 
@@ -731,7 +735,7 @@ def test_exact_matches_brute_under_exact_ties():
                   parse_objective("len=norm"), parse_objective("greedy=1,local=1")]
     for n_max in (2, 3, 4):
         for objective in objectives:
-            e = exact_search(model, None, objective, SearchConfig(n_max=n_max))
+            e = exact_search(model, None, objective, n_max)
             b = brute_force(model, None, objective, n_max)
             assert e.best.score == b.best.score
             assert e.best.token_ids == b.best.token_ids
@@ -742,8 +746,8 @@ def test_hypothesis_logprob_matches_trace():
     for _ in range(30):
         model = random_table_model(rng, int(rng.integers(1, 5)))
         for record in (
-            greedy_search(model, None, SearchConfig(n_max=6)),
-            exact_search(model, None, MAP_OBJECTIVE, SearchConfig(n_max=6)),
+            greedy_search(model, None, 6),
+            exact_search(model, None, MAP_OBJECTIVE, 6),
         ):
             hyp = record.best
             assert hyp.log_prob == pytest.approx(-sum(hyp.trace), abs=1e-9)
@@ -751,12 +755,12 @@ def test_hypothesis_logprob_matches_trace():
 
 
 def test_decode_records_are_deterministic(m1):
-    a = exact_search(m1, None, MAP_OBJECTIVE, SearchConfig(n_max=5))
-    b = exact_search(m1, None, MAP_OBJECTIVE, SearchConfig(n_max=5))
+    a = exact_search(m1, None, MAP_OBJECTIVE, 5)
+    b = exact_search(m1, None, MAP_OBJECTIVE, 5)
     assert a.best == b.best
     assert a.nodes_expanded == b.nodes_expanded
-    g1 = beam_search(m1, None, MAP_OBJECTIVE, SearchConfig(beam_width=3, n_max=5))
-    g2 = beam_search(m1, None, MAP_OBJECTIVE, SearchConfig(beam_width=3, n_max=5))
+    g1 = beam_search(m1, None, MAP_OBJECTIVE, 3, 5)
+    g2 = beam_search(m1, None, MAP_OBJECTIVE, 3, 5)
     assert [h.token_ids for h in g1.beam_set] == [h.token_ids for h in g2.beam_set]
 
 
@@ -778,7 +782,7 @@ def test_exact_equals_brute_on_random_objective_mixes(seed, n_tokens, n_max, wei
     model = random_table_model(np.random.default_rng(seed), n_tokens)
     terms = [f"{kind.value}={w}" for kind, w in zip(RegularizerKind, weights) if w]
     objective = parse_objective(",".join(terms + ([length] if length else [])))
-    e = exact_search(model, None, objective, SearchConfig(n_max=n_max))
+    e = exact_search(model, None, objective, n_max)
     b = brute_force(model, None, objective, n_max)
     assert e.best.score == b.best.score
     assert e.best.token_ids == b.best.token_ids
@@ -813,7 +817,7 @@ def test_exact_equals_brute_on_random_ngram_models(seed, order, n_tokens, n_max)
     model = sparse_ngram_model(np.random.default_rng(seed), order, n_tokens)
     for spec in BOUND_OBJECTIVES:
         objective = parse_objective(spec)
-        e = exact_search(model, None, objective, SearchConfig(n_max=n_max))
+        e = exact_search(model, None, objective, n_max)
         b = brute_force(model, None, objective, n_max)
         assert e.best.score == b.best.score
         assert e.best.token_ids == b.best.token_ids
