@@ -7,8 +7,8 @@ natural-log probabilities over the ordinary tokens plus the end marker.
 
 Distributions are fixed at construction: every row that
 ``next_log_probs_ids`` returns is one array the model keeps for its
-lifetime. ``NGramModel`` stores its counts flat, however they arrive
-(``train_ngram``, a model file, or its constructor): a map from each
+lifetime. ``NGramModel`` stores its counts flat, whether they come from
+``train_ngram`` or from a model file's count columns: a map from each
 context, spelled as in a model file (its tokens joined by single spaces),
 to the slice that holds its events in two numpy columns, the event token
 ids and their int64 counts. A model file holds the same layout, with the
@@ -17,9 +17,9 @@ time that context is looked up (an unseen context gets the smoothed
 uniform row), and is then kept in a private cache, one row per distinct
 context visited. ``train_ngram`` counts a corpus into these columns in
 bulk numpy passes, contexts in first-seen corpus order and each context's
-events in first-seen order. ``load_model`` checks and stores a file's
-columns in bulk passes, so a valid file costs no per-event Python; a file
-that fails a check is walked event by event, and the walk names the first
+events in first-seen order. ``NGramModel`` checks and stores a file's
+columns in bulk passes, so a valid file costs no per-event Python; columns
+that fail a check are walked event by event, and the walk names the first
 fault. The columns are the only n-gram file layout: a file that holds the
 older ``counts`` mapping instead is missing them, a format error.
 Every model also carries ``row_terms``, the decoders' memo of each
@@ -38,7 +38,7 @@ import json
 import logging
 import math
 from pathlib import Path
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple, NoReturn, Sequence
 
 import numpy as np
 
@@ -167,6 +167,9 @@ class TableModel(SequenceModel):
                 ids = vocab.prefix_ids(ctx.split())
             except ContractError as exc:
                 raise ModelFormatError(f"{where}[{ctx!r}]: {exc}") from exc
+            if ids in table:  # the later distribution would silently win
+                earlier = next(c for c in ctxs if c.split() == ctx.split())
+                raise ModelFormatError(f"{where}: {earlier!r} and {ctx!r} spell the same prefix")
             table[ids] = _dist_to_log_array(dist, vocab, f"{where}[{ctx!r}]")
         return table
 
@@ -238,12 +241,15 @@ class NGramModel(SequenceModel):
     NaN. The source is ignored: conditioning fidelity is not needed for the
     decoding math, and the model is treated as a black box.
 
-    ``counts`` maps each context, a tuple of ``order - 1`` token ids, to its
-    events, token id -> count. Every event id lies in ``[0, D)``, so the
-    begin marker is never an event, and every count is an integer in
-    ``[0, 2**63)``. No token or marker is empty or holds whitespace, since a
-    context is stored, and written to a model file, as its tokens joined by
-    single spaces.
+    ``counts`` holds the four count columns of a model file, under their
+    file names (``contexts``, ``events_per_context``, ``event_tokens``,
+    ``event_counts``; other keys are ignored, so ``to_spec()`` serves), and
+    they are checked as ``load_model`` checks a file's: a fault raises
+    ``ContractError``, or ``VocabularyError`` for an unknown token, naming
+    the first fault in file order. ``train_ngram`` passes the
+    ``_CountColumns`` it has built instead. No token or marker is empty or
+    holds whitespace, since a context is stored, and written to a model
+    file, as its tokens joined by single spaces.
     """
 
     def __init__(
@@ -251,22 +257,26 @@ class NGramModel(SequenceModel):
         vocabulary: Vocabulary,
         order: int,
         add_k: float,
-        counts: Mapping[tuple[int, ...], Mapping[int, int]] | _CountColumns,
+        counts: Mapping[str, list] | _CountColumns,
     ) -> None:
+        if order < 1:
+            raise ContractError("order must be >= 1")
+        if not isinstance(counts, _CountColumns):  # train_ngram's are built checked
+            columns = _column_lists(counts)
+            counts = _checked_columns(*columns, vocabulary, order)
+            if counts is None:  # a bulk check failed: the walk names the first fault
+                _name_fault(*columns, vocabulary, order)
         names = vocabulary._names
         if len(" ".join(names).split()) != len(names):
             raise ContractError(
                 "n-gram tokens and markers must be non-empty and hold no whitespace"
             )
-        if order < 1:
-            raise ContractError("order must be >= 1")
-        # train_ngram and load_model pass the columns they have built in bulk.
-        if not isinstance(counts, _CountColumns):
-            counts = _columns_of(counts, vocabulary, order)
-        if not (math.isfinite(add_k) and add_k > 0):
+        try:
+            usable = math.isfinite(add_k) and add_k > 0
+        except OverflowError as exc:  # an int beyond every float
+            raise ContractError(str(exc)) from None
+        if not usable:
             raise ContractError(f"add_k must be finite and > 0, got {add_k!r}")
-        if counts.has_negative_count():
-            raise ContractError("counts must be non-negative")
         super().__init__(vocabulary)
         self.order = order
         self.add_k = float(add_k)
@@ -356,41 +366,6 @@ class _CountColumns(NamedTuple):
     offsets: list[int]
     event_ids: np.ndarray  # intp
     event_counts: np.ndarray  # int64
-
-    def has_negative_count(self) -> bool:
-        return bool(len(self.event_counts)) and self.event_counts.min() < 0
-
-
-def _integers(values: list) -> bool:
-    return all(t is not bool and issubclass(t, (int, np.integer)) for t in set(map(type, values)))
-
-
-def _columns_of(
-    counts: Mapping[tuple[int, ...], Mapping[int, int]], vocab: Vocabulary, order: int
-) -> _CountColumns:
-    """Columns from id-keyed counts."""
-    context_ids = list(itertools.chain.from_iterable(counts))
-    events = list(counts.values())
-    ids = list(itertools.chain.from_iterable(events))
-    values = list(itertools.chain.from_iterable(e.values() for e in events))
-    if not (_integers(context_ids) and _integers(ids) and _integers(values)):
-        raise ContractError("token ids and counts must be integers")
-    if context_ids and not (0 <= min(context_ids) and max(context_ids) <= vocab.bos_id):
-        raise ContractError(f"context token ids must lie in [0, {vocab.bos_id}]")
-    if not set(map(len, counts)) <= {order - 1}:
-        raise ContractError(f"every context must hold order - 1 = {order - 1} token ids")
-    if ids and not (0 <= min(ids) and max(ids) < vocab.dist_size):
-        raise ContractError(f"event token ids must lie in [0, {vocab.dist_size})")
-    name = vocab._names.__getitem__
-    try:
-        return _CountColumns(
-            {" ".join(map(name, ctx)): k for k, ctx in enumerate(counts)},
-            list(itertools.accumulate(map(len, events), initial=0)),
-            np.fromiter(ids, dtype=np.intp, count=len(ids)),
-            np.fromiter(values, dtype=np.int64, count=len(values)),
-        )
-    except OverflowError:
-        raise ContractError("counts must be below 2**63") from None
 
 
 def train_ngram(corpus: Iterable[TokenSeq], order: int, add_k: float) -> NGramModel:
@@ -496,43 +471,51 @@ def _ngram_model_from_spec(raw: dict, path: str | Path) -> NGramModel:
     if isinstance(add_k, bool) or not isinstance(add_k, (int, float)):
         raise ModelFormatError(f"n-gram model {path}: add_k must be a number, got {add_k!r}")
     try:
-        vocab = _vocabulary_of(raw)
-        columns = _column_lists(raw)
-        counts = _checked_columns(*columns, vocab, order)
-        if counts is None:  # a check failed: the walk names the first fault
-            counts = _walk_counts(*columns, vocab, order)
-        return NGramModel(vocab, order, float(add_k), counts)
-    except (VocabularyError, ContractError, TypeError, ValueError, OverflowError) as exc:
+        return NGramModel(_vocabulary_of(raw), order, add_k, raw)
+    except (VocabularyError, ContractError) as exc:
         raise ModelFormatError(f"bad n-gram model {path}: {exc}") from exc
 
 
-def _column_lists(raw: dict) -> tuple[list, list, list, list]:
-    """A file's four count columns, once they are lists whose lengths agree
-    and whose numbers of events split the events among the contexts."""
+def _integers(values: list) -> bool:
+    return all(t is not bool and issubclass(t, int) for t in set(map(type, values)))
+
+
+def _column_lists(counts: Mapping[str, list]) -> tuple[list, list, list, list]:
+    """The four count columns, once they are lists whose lengths agree and
+    whose numbers of events split the events among the contexts."""
+    if not isinstance(counts, Mapping):
+        raise ContractError(
+            f"counts must be a mapping of the count columns, got {type(counts).__name__}"
+        )
+    missing = [name for name in _COLUMNS if name not in counts]
+    if missing:
+        raise ContractError(f"counts is missing {', '.join(missing)}")
     for name in _COLUMNS:
-        if not isinstance(raw[name], list):
-            raise ValueError(f"{name} must be a list, got {type(raw[name]).__name__}")
-    contexts, sizes, tokens, counts = (raw[name] for name in _COLUMNS)
+        if not isinstance(counts[name], list):
+            raise ContractError(f"{name} must be a list, got {type(counts[name]).__name__}")
+    contexts, sizes, tokens, values = (counts[name] for name in _COLUMNS)
     if len(sizes) != len(contexts):
-        raise ValueError(
+        raise ContractError(
             f"events_per_context has {len(sizes)} entries for {len(contexts)} contexts"
         )
-    if len(counts) != len(tokens):
-        raise ValueError(f"event_counts has {len(counts)} entries for {len(tokens)} event_tokens")
+    if len(values) != len(tokens):
+        raise ContractError(
+            f"event_counts has {len(values)} entries for {len(tokens)} event_tokens"
+        )
     if not (_integers(sizes) and min(sizes, default=0) >= 0 and sum(sizes) == len(tokens)):
-        raise ValueError(
+        raise ContractError(
             f"events_per_context must be non-negative integers summing to the {len(tokens)} events"
         )
-    return contexts, sizes, tokens, counts
+    return contexts, sizes, tokens, values
 
 
 def _checked_columns(
     contexts: list, sizes: list, tokens: list, counts: list, vocab: Vocabulary, order: int
 ) -> _CountColumns | None:
-    """The columns of a file, checked and built in bulk passes, or None when
-    a check fails: a context listed twice, not spelled as ``order - 1``
-    known tokens joined by single spaces, an unknown or begin-marker event,
-    an event listed twice in one context, or a count that is not an int (a
+    """The columns, checked and built in bulk passes, or None when a check
+    fails: a context listed twice, not spelled as ``order - 1`` known
+    tokens joined by single spaces, an unknown or begin-marker event, an
+    event listed twice in one context, or a count that is not an int (a
     bool is not), negative or 2**63 or more."""
     if not _integers(counts):
         return None
@@ -564,55 +547,46 @@ def _checked_columns(
     return _CountColumns(context_index, list(itertools.accumulate(sizes, initial=0)), ids, values)
 
 
-def _walk_counts(
+def _name_fault(
     contexts: list, sizes: list, tokens: list, counts: list, vocab: Vocabulary, order: int
-) -> dict[tuple[int, ...], dict[int, int]]:
-    """A file's columns read one event at a time in file order, as id-keyed
-    counts; raises on the first fault. A context spelled twice keeps its
-    later events."""
+) -> NoReturn:
+    """Raises on the first fault of columns that ``_checked_columns``
+    rejects, reading them one context and one event at a time in order."""
     events = zip(tokens, counts)
-    walked: dict[tuple[int, ...], dict[int, int]] = {}
-    for ctx_str, size in zip(contexts, sizes):
-        ctx = _context_ids(vocab, ctx_str, order)
-        row: dict[int, int] = {}
+    seen: set[str] = set()
+    for ctx, size in zip(contexts, sizes):
+        if not isinstance(ctx, str):
+            raise ContractError(f"context {ctx!r} is not a string")
+        spelled = ctx.split()
+        if " ".join(spelled) != ctx:
+            raise ContractError(f"context {ctx!r} is not its tokens joined by single spaces")
+        if len(spelled) != order - 1:
+            raise ContractError(
+                f"context {ctx!r} holds {len(spelled)} tokens, but an order-{order} context "
+                f"holds {order - 1}"
+            )
+        vocab.encode(spelled)
+        if ctx in seen:
+            raise ContractError(f"context {ctx!r} is listed twice")
+        seen.add(ctx)
+        row: set[int] = set()
         for token, value in itertools.islice(events, size):
-            tid = _event_id(vocab, token, ctx_str)
+            where = f"{token!r} after {ctx!r}"
+            if not isinstance(token, str):
+                raise ContractError(f"event {where} is not a string")
+            tid = vocab.id_of(token)
+            if tid == vocab.bos_id:
+                raise ContractError(f"event {where} is the begin marker, never predicted")
             if tid in row:
-                raise ValueError(f"event {token!r} after {ctx_str!r} is listed twice")
-            row[tid] = _event_count(value, ctx_str, token)
-        walked[ctx] = row
-    return walked
-
-
-def _context_ids(vocab: Vocabulary, ctx: str, order: int) -> tuple[int, ...]:
-    if not isinstance(ctx, str):
-        raise ValueError(f"context {ctx!r} is not a string")
-    ids = tuple(vocab.id_of(t) for t in ctx.split())
-    if len(ids) != order - 1:
-        raise ValueError(
-            f"context {ctx!r} holds {len(ids)} tokens, but an order-{order} context holds "
-            f"{order - 1}"
-        )
-    return ids
-
-
-def _event_id(vocab: Vocabulary, token: str, ctx: str) -> int:
-    if not isinstance(token, str):
-        raise ValueError(f"event {token!r} after {ctx!r} is not a string")
-    tid = vocab.id_of(token)
-    if tid == vocab.bos_id:
-        raise ValueError(f"event {token!r} after {ctx!r} is the begin marker, never predicted")
-    return tid
-
-
-def _event_count(value, ctx: str, token: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
-        raise ValueError(
-            f"count of {token!r} after {ctx!r} must be a non-negative integer, got {value!r}"
-        )
-    if value >= 2**63:
-        raise ValueError(f"count of {token!r} after {ctx!r} must be below 2**63, got {value!r}")
-    return value
+                raise ContractError(f"event {where} is listed twice")
+            row.add(tid)
+            if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+                raise ContractError(
+                    f"count of {where} must be a non-negative integer, got {value!r}"
+                )
+            if value >= 2**63:
+                raise ContractError(f"count of {where} must be below 2**63, got {value!r}")
+    raise AssertionError("the bulk check rejected count columns that hold no fault")
 
 
 def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
@@ -635,17 +609,19 @@ def load_model(path: str | Path) -> SequenceModel:
     model file that is a ``vocab`` that is not a list of strings, or a
     ``bos`` or ``eos`` that is not a string. For a table file it is also a
     spec that is not a JSON object, a missing ``vocab`` or ``default``, an
-    ``entries``, source table or distribution that is not a JSON object, or
-    a ``source_keyed`` that is not a boolean. For an n-gram file it is a
+    ``entries``, source table or distribution that is not a JSON object, a
+    prefix spelled twice in one table (``"<s>"`` and ``"<s>  "``), or a
+    ``source_keyed`` that is not a boolean. For an n-gram file it is a
     missing field (a file with only the older ``counts`` mapping is missing
     the four count columns), count columns that are not lists, disagree in
     length or do not split the events among the contexts, a context that
-    is not ``order - 1`` known tokens, an unknown token, a begin-marker
-    event, an event listed twice in one context, a count that is not a
-    non-negative integer below 2**63, an order that is not an integer of at
-    least 1 (a JSON number with a fraction or exponent, or a boolean, is
-    not), or an ``add_k`` that is not a finite number above 0 (a boolean or
-    a string is not); all of them are raised here, before any decode.
+    is not ``order - 1`` known tokens joined by single spaces, a context
+    listed twice, an unknown token, a begin-marker event, an event listed
+    twice in one context, a count that is not a non-negative integer below
+    2**63, an order that is not an integer of at least 1 (a JSON number
+    with a fraction or exponent, or a boolean, is not), or an ``add_k``
+    that is not a finite number above 0 (a boolean or a string is not); all
+    of them are raised here, before any decode.
     """
     try:
         raw = json.loads(Path(path).read_text(encoding="utf-8"), object_pairs_hook=_unique_keys)

@@ -55,10 +55,8 @@ def random_distribution(
 
 
 def _top_gap(p: np.ndarray) -> float:
-    top = np.sort(p)[-2:]
-    if top[0] <= 0.0:
-        return math.inf
-    return math.log(top[1] / top[0])
+    second, first = np.sort(p)[-2:]
+    return math.log(first / second)
 
 
 def eos_heavy_distribution(
@@ -106,13 +104,13 @@ def exactness_instance(seed: int) -> tuple[TableModel, int]:
     return model, n_max
 
 
-def tie_free_instance(seed: int, min_gap: float = 0.05) -> tuple[TableModel, int]:
+def tie_free_instance(seed: int) -> tuple[TableModel, int]:
     """Model whose every conditional has a clear argmax, so a finite weight
     (1e6) on the greedy penalty already dominates any log-probability gap."""
     rng = np.random.default_rng(seed)
     n_tokens = int(rng.integers(2, 6))
     model = random_table_model(
-        rng, n_tokens, depth=2, eos_floor=0.02, min_gap=min_gap, default_eos_mass=0.7
+        rng, n_tokens, depth=2, eos_floor=0.02, min_gap=0.05, default_eos_mass=0.7
     )
     return model, 8
 

@@ -300,6 +300,26 @@ def _ngram_spec(**changes):
                      id="older-counts-layout"),
         pytest.param(_ngram_spec(order=10**21), ["'<s>' holds 1 tokens"],
                      id="columns-huge-order-with-counts"),
+        # Each of these loaded, keeping the later events of a context or
+        # reading another whitespace as the single space between tokens.
+        pytest.param(_ngram_spec(contexts=["<s>", "<s>"]), ["context '<s>' is listed twice"],
+                     id="columns-context-listed-twice"),
+        pytest.param(_ngram_spec(order=3, contexts=["<s> <s>", "<s>\ta"]),
+                     ["context '<s>\\ta' is not its tokens joined by single spaces"],
+                     id="columns-context-spelled-with-a-tab"),
+        pytest.param(_ngram_spec(contexts=["<s>", " a"]),
+                     ["context ' a' is not its tokens joined by single spaces"],
+                     id="columns-context-spelled-with-a-leading-space"),
+        pytest.param(_ngram_spec(order=3, contexts=["<s> <s>", "<s>  a"]),
+                     ["context '<s>  a' is not its tokens joined by single spaces"],
+                     id="columns-context-spelled-with-two-spaces"),
+        # Two faults: the message names the first in file order.
+        pytest.param(_ngram_spec(contexts=["<s>", "a\t"], event_counts=[2, -1, 1]),
+                     ["count of '</s>' after '<s>' must be a non-negative integer, got -1"],
+                     id="two-faults-count-first"),
+        pytest.param(_ngram_spec(contexts=["<s>\t", "a"], event_counts=[2, 1, -1]),
+                     ["context '<s>\\t' is not its tokens joined by single spaces"],
+                     id="two-faults-context-first"),
     ],
 )
 def test_decode_malformed_ngram_model_is_format_error(tmp_path, capsys, spec, named):
@@ -357,6 +377,14 @@ def _table_spec(**changes):
         pytest.param(_table_spec(vocab=None), "missing vocab", id="missing-vocab"),
         pytest.param(_table_spec(default=None), "missing default", id="missing-default"),
         pytest.param([_table_spec()], "table model spec must be a JSON object", id="not-an-object"),
+        # The later distribution decoded in place of the earlier one.
+        pytest.param(_table_spec(entries={"<s>": {"a": 0.9, "</s>": 0.1},
+                                          "<s>  ": {"a": 1.0}}),
+                     "entries: '<s>' and '<s>  ' spell the same prefix", id="prefix-spelled-twice"),
+        pytest.param(_table_spec(source_keyed=True,
+                                 entries={"x": {"<s> a": {"</s>": 1.0}, "<s>\ta": {"a": 1.0}}}),
+                     "entries['x']: '<s> a' and '<s>\\ta' spell the same prefix",
+                     id="source-table-prefix-spelled-twice"),
     ],
 )
 def test_decode_wrong_shaped_model_field_is_format_error(tmp_path, capsys, spec, named):

@@ -789,17 +789,21 @@ def test_exact_equals_brute_on_random_objective_mixes(seed, n_tokens, n_max, wei
 
 
 def sparse_ngram_model(rng: np.random.Generator, order: int, n_tokens: int) -> NGramModel:
-    """A random n-gram model from id-keyed counts: each possible context is
-    stored with probability one half, and each of its events with
+    """A random n-gram model from its count columns: each possible context
+    is stored with probability one half, and each of its events with
     probability one half and a count in [0, 4], so zero counts, contexts
     without events and unseen contexts all occur."""
     vocab = Vocabulary(tuple("abcd"[:n_tokens]))
-    counts = {}
-    for ctx in itertools.product(range(vocab.bos_id + 1), repeat=order - 1):
+    columns = {"contexts": [], "events_per_context": [], "event_tokens": [], "event_counts": []}
+    for ctx in itertools.product(vocab._names, repeat=order - 1):
         if rng.random() < 0.5:
-            counts[ctx] = {tid: int(rng.integers(0, 5))
-                           for tid in range(vocab.dist_size) if rng.random() < 0.5}
-    return NGramModel(vocab, order, float(rng.choice([0.1, 0.5, 1.0])), counts)
+            events = {token: int(rng.integers(0, 5))
+                      for token in vocab._names[:vocab.dist_size] if rng.random() < 0.5}
+            columns["contexts"].append(" ".join(ctx))
+            columns["events_per_context"].append(len(events))
+            columns["event_tokens"] += events
+            columns["event_counts"] += events.values()
+    return NGramModel(vocab, order, float(rng.choice([0.1, 0.5, 1.0])), columns)
 
 
 @settings(max_examples=100, deadline=None)

@@ -25,8 +25,16 @@ def reference_counts(corpus, order):
 
 
 def reference_model(corpus, order, add_k):
+    """The reference counts as a model file's four columns, each context
+    spelled as its tokens joined by single spaces."""
     vocab, counts = reference_counts(corpus, order)
-    return NGramModel(vocab, order, add_k, counts)
+    columns = {
+        "contexts": [" ".join(vocab.decode(ctx)) for ctx in counts],
+        "events_per_context": [len(events) for events in counts.values()],
+        "event_tokens": [token for events in counts.values() for token in vocab.decode(events)],
+        "event_counts": [count for events in counts.values() for count in events.values()],
+    }
+    return NGramModel(vocab, order, add_k, columns)
 
 
 def assert_same_spec(trained, reference):

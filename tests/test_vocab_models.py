@@ -2,6 +2,7 @@ import itertools
 import json
 import logging
 import math
+import re
 
 import numpy as np
 import pytest
@@ -20,7 +21,9 @@ from regdecode import (
     train_ngram,
 )
 import regdecode.models
-from regdecode.randmodels import random_table_model
+from regdecode.randmodels import _top_gap, random_distribution, random_table_model
+
+COLUMNS = ("contexts", "events_per_context", "event_tokens", "event_counts")
 
 
 def test_vocabulary_layout():
@@ -158,9 +161,12 @@ def test_best_step_bounds_every_ngram_row():
     # A stored context without events, as a model file may hold, no counts at
     # all, and counts whose sum does not fit in an int64.
     vocab = Vocabulary(("a", "b"))
-    models.append(NGramModel(vocab, 2, 0.5, {(vocab.bos_id,): {}, (0,): {0: 3, 2: 1}}))
-    models.append(NGramModel(vocab, 2, 0.5, {}))
-    models.append(NGramModel(vocab, 2, 0.5, {(vocab.bos_id,): {0: 2**62, 1: 2**62, 2: 1}}))
+    for contexts, sizes, tokens, counts in [
+        (["<s>", "a"], [0, 2], ["a", "</s>"], [3, 1]),
+        ([], [], [], []),
+        (["<s>"], [3], ["a", "b", "</s>"], [2**62, 2**62, 1]),
+    ]:
+        models.append(NGramModel(vocab, 2, 0.5, _columns(contexts, sizes, tokens, counts)))
     unseen = 0
     for model in models:
         vocab = model.vocabulary
@@ -192,6 +198,16 @@ def test_extension_monotone_log_prob_property():
             prefix.append(vocab.tokens[tid])
 
 
+@pytest.mark.parametrize("eos_floor", [0.0, 0.3])
+def test_random_distribution_falls_back_to_widening_the_lead(eos_floor):
+    """No draw reaches a gap of 50 nats, so the fallback widens the lead of
+    the argmax."""
+    p = random_distribution(np.random.default_rng(0), 5, 4, eos_floor, min_gap=50.0)
+    assert p.sum() == pytest.approx(1.0, abs=1e-12)
+    assert (p > 0).all()
+    assert _top_gap(p) >= 50.0
+
+
 def test_ngram_normalization_property():
     model = train_ngram([["a", "b", "a"], ["b"]], order=3, add_k=0.1)
     for prefix in (["<s>"], ["<s>", "a"], ["<s>", "b", "a"]):
@@ -212,12 +228,17 @@ def test_ngram_rejects_bad_parameters():
         with pytest.raises(ContractError):
             train_ngram([["a"]], order=1, add_k=add_k)
     vocab = Vocabulary(("a",))
-    for context in ((), (vocab.bos_id,), (vocab.bos_id,) * 3):
-        with pytest.raises(ContractError, match="order - 1"):
-            NGramModel(vocab, 3, 0.5, {context: {0: 1}})
-    for context in ((-1,), (vocab.bos_id + 1,)):
-        with pytest.raises(ContractError, match=r"context token ids must lie in \[0, 2\]"):
-            NGramModel(vocab, 2, 0.5, {context: {0: 1}})
+    for context in ("", "<s>", "<s> <s> <s>"):
+        with pytest.raises(ContractError, match="an order-3 context holds 2"):
+            NGramModel(vocab, 3, 0.5, _columns([context], [1], ["a"], [1]))
+    with pytest.raises(VocabularyError, match="unknown token 'zz'"):
+        NGramModel(vocab, 2, 0.5, _columns(["zz"], [1], ["a"], [1]))
+
+
+def _columns(contexts: list, sizes: list, tokens: list, counts: list) -> dict[str, list]:
+    """The four count columns of an n-gram model file."""
+    return {"contexts": contexts, "events_per_context": sizes, "event_tokens": tokens,
+            "event_counts": counts}
 
 
 def _count_map(spec: dict) -> dict[str, dict[str, int]]:
@@ -237,11 +258,23 @@ def _seeded_corpus(seed: int) -> list[list[str]]:
 
 @pytest.mark.parametrize("order", [1, 2, 3])
 def test_loaded_ngram_equals_trained(tmp_path, order):
+    """A model loaded from a file, and one built from the four columns of
+    ``to_spec()``, equal the trained model row for row and save the same
+    bytes."""
     trained = train_ngram(_seeded_corpus(order), order, 0.3)
     path, again = tmp_path / "lm.json", tmp_path / "again.json"
     save_model(trained, path)
-    loaded = load_model(path)
     vocab = trained.vocabulary
+    spec = trained.to_spec()
+    built = NGramModel(vocab, order, 0.3, {name: spec[name] for name in COLUMNS})
+    for loaded in (load_model(path), built):
+        _assert_same_model(loaded, trained)
+        save_model(loaded, again)
+        assert again.read_bytes() == path.read_bytes()
+
+
+def _assert_same_model(loaded: NGramModel, trained: NGramModel) -> None:
+    order, vocab = trained.order, trained.vocabulary
     contexts = [tuple(vocab.encode(ctx.split())) for ctx in _count_map(trained.to_spec())]
     if order > 1:  # no line goes on after its end marker, so this context is unseen
         unseen = (vocab.eos_id,) * (order - 1)
@@ -255,26 +288,79 @@ def test_loaded_ngram_equals_trained(tmp_path, order):
             loaded._step_log_probs("", prefix), trained._step_log_probs("", prefix)
         )
     assert loaded.best_step == trained.best_step
-    save_model(loaded, again)
-    assert again.read_bytes() == path.read_bytes()
+
+
+@pytest.mark.parametrize("counts, fault", [
+    pytest.param({(4,): {0: 1}}, "counts is missing " + ", ".join(COLUMNS), id="id-keyed-mapping"),
+    pytest.param([["<s>"], [1], ["a"], [1]], "counts must be a mapping of the count columns, got list",
+                 id="not-a-mapping"),
+    pytest.param(_columns(["<s>"], [1], ["a"], None), "counts is missing event_counts",
+                 id="a-column-missing"),
+])
+def test_ngram_counts_are_the_count_columns(counts, fault):
+    """The constructor takes a model file's four count columns; the older
+    id-keyed mapping {context ids: {event id: count}} is missing them."""
+    if isinstance(counts, dict):
+        counts = {k: v for k, v in counts.items() if v is not None}
+    with pytest.raises(ContractError, match=f"^{re.escape(fault)}$"):
+        NGramModel(Vocabulary(("a", "b")), 2, 0.5, counts)
+
+
+def _mutants(rng: np.random.Generator, spec: dict, column: str, i: int) -> list:
+    """Values to put at ``spec[column][i]``: some keep the file valid, most
+    break it, each in one way the checks must name."""
+    old = spec[column][i]
+    names = [*spec["vocab"], spec["eos"], spec["bos"]]
+    if column == "contexts":
+        other = " ".join(rng.choice(names, spec["order"] - 1).tolist())
+        return [other, spec["contexts"][int(rng.integers(len(spec["contexts"])))],
+                " " + old, old + " ", old.replace(" ", "  ") or "  ", old.replace(" ", "\t"),
+                old + " a", "zz", 7, None, ["a"]]
+    if column == "events_per_context":
+        return [old + 1, old - 1, -1, float(old), True, str(old), None]
+    if column == "event_tokens":
+        return [*names, "zz", "a ", "", 3, None]
+    return [int(rng.integers(0, 5)), 2**63 - 1, 2**63, -1, 1.5, float(old), True, str(old), None]
+
+
+def test_bulk_check_and_walk_agree_on_one_mutated_entry(tmp_path):
+    """A valid file with one entry of one column replaced either loads as
+    the file says or is a format error: the bulk check rejects exactly the
+    files whose fault the walk names."""
+    rng = np.random.default_rng(11)
+    path = tmp_path / "lm.json"
+    outcomes = set()
+    for order in (1, 2, 3):
+        spec = train_ngram(_seeded_corpus(order), order, 0.5).to_spec()
+        for column in COLUMNS:
+            n = len(spec[column])
+            for i in rng.choice(n, min(n, 4), replace=False).tolist():
+                for value in _mutants(rng, spec, column, i):
+                    mutated = dict(spec, **{column: list(spec[column])})
+                    mutated[column][i] = value
+                    path.write_text(json.dumps(mutated))
+                    try:
+                        columns = load_model(path).to_spec()
+                    except ModelFormatError:
+                        outcomes.add("rejected")
+                        continue
+                    assert {name: columns[name] for name in COLUMNS} == {
+                        name: mutated[name] for name in COLUMNS}, (column, i, value)
+                    outcomes.add("loaded")
+    assert outcomes == {"loaded", "rejected"}
 
 
 def test_ngram_rejects_event_ids_outside_the_distribution():
     vocab = Vocabulary(("a",))
-    for tid in (vocab.bos_id, -1, 7):
-        with pytest.raises(ContractError):
-            NGramModel(vocab, 2, 0.5, {(vocab.bos_id,): {tid: 1}})
-    with pytest.raises(ContractError):
-        NGramModel(vocab, 2, 0.5, {(vocab.bos_id,): {0: -1}})
-    with pytest.raises(ContractError):
-        NGramModel(vocab, 2, 0.5, {(vocab.bos_id,): {0: 1.5}})
+    with pytest.raises(ContractError, match="begin marker"):
+        NGramModel(vocab, 2, 0.5, _columns(["<s>"], [1], ["<s>"], [1]))
+    for count in (-1, 1.5):
+        with pytest.raises(ContractError, match="non-negative integer"):
+            NGramModel(vocab, 2, 0.5, _columns(["<s>"], [1], ["a"], [count]))
 
 
 @pytest.mark.parametrize("spelling, fault", [
     pytest.param(["<s> <s>", "<s> a", "a b"], None, id="spelling0"),  # as save_model writes them
-    # Any whitespace separates tokens.
-    pytest.param(["<s>  <s>", "<s> a", "a\tb"], None, id="spelling1"),
-    pytest.param([" <s> <s>", "<s> a ", "a b"], None, id="spelling2"),
     # A context of another order is a format error.
     pytest.param(["<s> <s>", "a", "a b"], "context 'a' holds 1 tokens", id="spelling3"),
 ])
@@ -303,32 +389,50 @@ def test_ngram_tokens_and_markers_hold_no_whitespace(tmp_path, tokens, bos):
     """A context is written as its tokens joined by spaces, so a token that
     is empty or holds whitespace could not be read back."""
     path = tmp_path / "lm.json"
+    columns = _columns(["a"], [1], ["a"], [1])
     path.write_text(json.dumps({"kind": "ngram", "vocab": tokens, "bos": bos, "order": 2,
-                                "add_k": 1.0, "contexts": ["a"], "events_per_context": [1],
-                                "event_tokens": ["a"], "event_counts": [1]}))
+                                "add_k": 1.0, **columns}))
     with pytest.raises(ModelFormatError, match="whitespace"):
         load_model(path)
     vocab = Vocabulary(tuple(tokens), bos=bos)
     with pytest.raises(ContractError, match="whitespace"):
-        NGramModel(vocab, 2, 1.0, {(vocab.bos_id,): {0: 1}})
+        NGramModel(vocab, 2, 1.0, columns)
     if bos == "<s>":
         with pytest.raises(ContractError, match="whitespace"):
             train_ngram([tokens], 2, 1.0)
 
 
-def test_ngram_context_spelled_twice_keeps_the_later_events(tmp_path):
+@pytest.mark.parametrize("again, fault", [
+    pytest.param("a", "context 'a' is listed twice", id="as-written"),
+    pytest.param(" a", "context ' a' is not its tokens joined by single spaces",
+                 id="leading-space"),
+])
+def test_ngram_context_listed_twice_is_format_error(tmp_path, again, fault):
+    """Keeping either listing would drop the other's events silently."""
     path = tmp_path / "lm.json"
-    vocab = Vocabulary(("a", "b"))
-    kept = NGramModel(vocab, 2, 0.5, {(vocab.bos_id,): {0: 1}, (0,): {0: 1}})
-    # Listed twice as written, and spelled again with a leading space.
-    for again in ("a", " a"):
-        path.write_text(json.dumps({"kind": "ngram", "vocab": ["a", "b"], "order": 2,
-                                    "add_k": 0.5, "contexts": ["a", "<s>", again],
-                                    "events_per_context": [1, 1, 1],
-                                    "event_tokens": ["b", "a", "a"], "event_counts": [9, 1, 1]}))
-        model = load_model(path)
-        assert _count_map(model.to_spec()) == {"<s>": {"a": 1}, "a": {"a": 1}}
-        assert model.best_step == kept.best_step
+    path.write_text(json.dumps({"kind": "ngram", "vocab": ["a", "b"], "order": 2,
+                                "add_k": 0.5, **_columns(["a", "<s>", again], [1, 1, 1],
+                                                         ["b", "a", "a"], [9, 1, 1])}))
+    with pytest.raises(ModelFormatError, match=fault):
+        load_model(path)
+
+
+@pytest.mark.parametrize("context", [
+    pytest.param("<s>\ta", id="tab"),
+    pytest.param(" <s> a", id="leading-space"),
+    pytest.param("<s> a ", id="trailing-space"),
+    pytest.param("<s>  a", id="two-spaces"),
+    pytest.param("<s>\u00a0a", id="no-break-space"),
+])
+def test_ngram_context_spelled_otherwise_than_written_is_format_error(tmp_path, context):
+    """A context is its tokens joined by single spaces, as ``save_model``
+    writes it; any other whitespace would be a second spelling of it."""
+    path = tmp_path / "lm.json"
+    path.write_text(json.dumps({"kind": "ngram", "vocab": ["a"], "order": 3, "add_k": 0.5,
+                                **_columns(["<s> <s>", context], [1, 1], ["a", "</s>"], [1, 1])}))
+    fault = f"context {context!r} is not its tokens joined by single spaces"
+    with pytest.raises(ModelFormatError, match=re.escape(fault)):
+        load_model(path)
 
 
 def test_ngram_count_beyond_int64_is_format_error(tmp_path):
@@ -338,9 +442,8 @@ def test_ngram_count_beyond_int64_is_format_error(tmp_path):
                                 "event_tokens": ["a", "</s>"], "event_counts": [2**63, 1]}))
     with pytest.raises(ModelFormatError, match="'a' after ''"):
         load_model(path)
-    vocab = Vocabulary(("a",))
-    with pytest.raises(ContractError):
-        NGramModel(vocab, 1, 1.0, {(): {0: 2**63}})
+    with pytest.raises(ContractError, match="below 2"):
+        NGramModel(Vocabulary(("a",)), 1, 1.0, _columns([""], [1], ["a"], [2**63]))
 
 
 # --- table model files
