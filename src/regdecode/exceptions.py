@@ -10,7 +10,12 @@ class ContractError(RegdecodeError, ValueError):
 
 
 class VocabularyError(RegdecodeError, KeyError):
-    """A token or id is not part of the vocabulary."""
+    """A token or id is not part of the vocabulary.
+
+    A ``KeyError`` for callers that catch one, but printed as its message:
+    ``KeyError.__str__`` would quote it."""
+
+    __str__ = Exception.__str__
 
 
 class ModelFormatError(RegdecodeError, ValueError):

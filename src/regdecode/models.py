@@ -237,9 +237,10 @@ class NGramModel(SequenceModel):
     A context is the last ``order - 1`` tokens of the bos-padded prefix.
     Conditional mass is (count(ctx, y) + add_k) / (count(ctx) + add_k * D)
     with D the distribution size, so every vector sums to one exactly.
-    ``add_k`` must be finite and above 0: an infinite one makes every row
-    NaN. The source is ignored: conditioning fidelity is not needed for the
-    decoding math, and the model is treated as a black box.
+    ``order`` must be an ``int`` of at least 1 and ``add_k`` an ``int`` or
+    ``float`` (neither a bool), finite and above 0: an infinite one makes
+    every row NaN. The source is ignored: conditioning fidelity is not
+    needed for the decoding math, and the model is treated as a black box.
 
     ``counts`` holds the four count columns of a model file, under their
     file names (``contexts``, ``events_per_context``, ``event_tokens``,
@@ -259,6 +260,10 @@ class NGramModel(SequenceModel):
         add_k: float,
         counts: Mapping[str, list] | _CountColumns,
     ) -> None:
+        if isinstance(order, bool) or not isinstance(order, int):
+            raise ContractError(f"order must be an integer, got {order!r}")
+        if isinstance(add_k, bool) or not isinstance(add_k, (int, float)):
+            raise ContractError(f"add_k must be a number, got {add_k!r}")
         if order < 1:
             raise ContractError("order must be >= 1")
         if not isinstance(counts, _CountColumns):  # train_ngram's are built checked

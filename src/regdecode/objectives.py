@@ -10,6 +10,7 @@ each of them from above, which is what exact search prunes with.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 import operator
 from dataclasses import dataclass, field
@@ -431,6 +432,16 @@ def child_scores(objective: Objective, steps: int, sums: list, log_prob, childre
     return _total(objective, log_probs, steps + 1, weighted), log_probs
 
 
+@functools.cache
+def _lengths(n_max: int) -> np.ndarray:
+    """The completion lengths 0..n_max as a read-only float column. Each
+    is exactly its integer, so numpy divides and multiplies by it as by
+    the integer length of a score."""
+    column = np.arange(n_max + 1.0)[:, None]
+    column.flags.writeable = False
+    return column
+
+
 def completion_bounds(
     objective: Objective, steps: int, sums: list, log_prob: float, children: Children,
     n_max: int, best_step: float,
@@ -445,9 +456,18 @@ def completion_bounds(
     ``best_step`` to the child's log-probability, in the order the real sum
     accumulates, and each penalty subtracts its lower-bound form. Rounding
     to nearest is monotone, so the bound holds in floats with no tolerance.
-    The result is the highest bound over n. With no length transform and
-    no lower form divided by n, a further step can only lower the bound, so
-    the shortest completion gives it.
+    The result is the highest bound over n.
+
+    One expression serves every length: a (lengths x children) array whose
+    rows are the running sums (``best_step`` rows, the children's
+    log-probabilities added into the first, then ``np.add.accumulate``
+    down the rows, which adds in the real sum's order), put through
+    ``_total`` and the lower forms with the lengths as a column, and
+    reduced by ``np.maximum`` over the rows. When one length decides the
+    bound, the same expression runs on the children's vector with no
+    array set up: a child one step from ``n_max``, or an objective with no
+    length transform and no lower form divided by n, where a further
+    step can only lower the bound, so the shortest completion gives it.
     """
     lowers = []
     shortest = objective.length_mode == "none"
@@ -455,20 +475,21 @@ def completion_bounds(
         if penalty.lower is not None:
             lowers.append((lam, penalty.lower(partial, steps, children), penalty.per_length))
             shortest = shortest and not penalty.per_length
-    log_probs = run = log_prob + children.log_prob
-    if shortest:
-        total = log_probs + best_step
-        for lam, values, _ in lowers:
-            total = total - lam * values
-        return total, log_probs
-    bounds = None
-    for n in range(steps + 2, n_max + 1):
-        run = run + best_step
-        total = _total(objective, run, n, ())
-        for lam, values, per_length in lowers:
-            total = total - lam * (values / n if per_length else values)
-        bounds = total if bounds is None else np.maximum(bounds, total)
-    return bounds, log_probs
+    log_probs = log_prob + children.log_prob
+    n = steps + 2
+    one_length = shortest or n == n_max
+    if one_length:
+        run = log_probs + best_step
+    else:
+        n = _lengths(n_max)[n:]
+        run = np.empty((len(n), len(log_probs)))
+        run.fill(best_step)  # np.full costs twice as much on these few rows
+        run[0] += log_probs
+        np.add.accumulate(run, out=run)
+    bounds = _total(objective, run, n, ())
+    for lam, values, per_length in lowers:
+        bounds = bounds - lam * (values / n if per_length else values)
+    return (bounds if one_length else np.maximum.reduce(bounds)), log_probs
 
 
 def _walk(model: SequenceModel, source, tokens: Sequence[str]) -> tuple[tuple, list, float]:

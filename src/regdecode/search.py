@@ -25,10 +25,11 @@ only those by the shared tie-break. Exact search is a single best-first
 loop: it scores each end-marker child on the spot, orders the open
 children by ``objectives.completion_bounds`` (the child's log-probability
 plus the model's ``best_step`` for every step still to come, through the
-length transform, minus a lower bound on each penalty), and stops once
-the best complete hypothesis found so far beats every bound left in the
-queue. The brute-force oracles keep their own enumeration and score with
-the spec, so they stay independent of the search code. Each enumerates an
+length transform, minus a lower bound on each penalty, the highest over
+every completion length, all taken in one array expression), and stops
+once the best complete hypothesis found so far beats every bound left in
+the queue. The brute-force oracles keep their own enumeration and score
+with the spec, so they stay independent of the search code. Each enumerates an
 instance once. ``brute_force`` streams one walk into ``_oracle_argmax``,
 which takes any number of objectives and reads the walk in bounded chunks:
 per chunk it evaluates the spec of each penalty kind once per hypothesis

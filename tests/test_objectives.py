@@ -374,6 +374,71 @@ def test_completion_bounds_admissible(row, steps, best_step, rest, spare, order,
         assert bounds[j] >= spec.total
 
 
+def _bounds_length_by_length(objective, steps, sums, log_prob, children, n_max, best_step):
+    """``completion_bounds`` as one bound array per completion length, the
+    highest kept: each length's running sum, total and lower forms built on
+    their own, with no shortcut for a single deciding length."""
+    lowers = [(lam, penalty.lower(partial, steps, children), penalty.per_length)
+              for lam, penalty, partial in sums if penalty.lower is not None]
+    log_probs = run = log_prob + children.log_prob
+    bounds = None
+    for n in range(steps + 2, n_max + 1):
+        run = run + best_step
+        if objective.length_mode == "normalize":
+            total = run / n
+        elif objective.length_mode == "reward":
+            total = run + objective.length_lambda * n
+        else:
+            total = run
+        for lam, values, per_length in lowers:
+            total = total - lam * (values / n if per_length else values)
+        bounds = total if bounds is None else np.maximum(bounds, total)
+    return bounds, log_probs
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    row=st.lists(
+        st.one_of(st.just(-math.inf), st.floats(min_value=-30.0, max_value=0.0)),
+        min_size=1,
+        max_size=8,
+    ).filter(lambda r: max(r) > -math.inf),
+    steps=st.lists(
+        st.tuples(st.floats(min_value=0.0, max_value=30.0), st.floats(min_value=0.0, max_value=30.0)),
+        max_size=6,
+    ),
+    log_prob=st.floats(min_value=-200.0, max_value=0.0),
+    best_step=st.floats(min_value=-30.0, max_value=0.0),
+    lengths=st.one_of(st.integers(1, 4), st.integers(1, 320)),
+    order=st.permutations(list(RegularizerKind)),
+    weights=st.lists(
+        st.sampled_from([None, 0.0, 0.25, 1.0, 3.0, 1e-300, 1e300]),
+        min_size=len(RegularizerKind),
+        max_size=len(RegularizerKind),
+    ),
+    length=st.sampled_from(["none", "normalize", "reward:0.2", "reward:1.5", "reward:40"]),
+)
+@example(row=[0.0], steps=[], log_prob=0.0, best_step=-0.0, lengths=3,
+         order=list(RegularizerKind), weights=[1.0] * len(RegularizerKind), length="none")
+def test_completion_bounds_equal_the_bounds_taken_length_by_length(
+        row, steps, log_prob, best_step, lengths, order, weights, length):
+    """The one array expression over every completion length gives the
+    bytes of the bounds built one length at a time, and the same
+    log-probabilities, whether one length or hundreds remain."""
+    regs = tuple((kind, w) for kind, w in zip(order, weights) if w is not None)
+    mode, _, lam = length.partition(":")
+    objective = Objective(regs, mode, float(lam or 0.0))
+    trace = tuple(max(a, b) for a, b in steps)
+    minima = tuple(min(a, b) for a, b in steps)
+    children = StepTerms(np.array(row)).children
+    sums = prefix_sums(objective, trace, minima)
+    args = (objective, len(trace), sums, log_prob, children, len(trace) + 1 + lengths, best_step)
+    bounds, log_probs = completion_bounds(*args)
+    want_bounds, want_log_probs = _bounds_length_by_length(*args)
+    assert bounds.tobytes() == want_bounds.tobytes()
+    assert log_probs.tobytes() == want_log_probs.tobytes()
+
+
 def test_objective_validation():
     with pytest.raises(ContractError):
         Objective(((RegularizerKind.GREEDY, -1.0),))
