@@ -25,7 +25,9 @@ older ``counts`` mapping instead is missing them, a format error.
 Every model also carries ``row_terms``, the decoders' memo of each
 distinct row's scoring terms (``objectives.step_terms``), keyed by the
 row's identity. It holds one entry per distinct row visited and lives as
-long as the model. ``best_step``, the bound exact search puts on every step
+long as the model; the rows a beam step finds missing get their terms in
+one block, each entry a slice of it, so a block lives while any of its
+rows' entries does. ``best_step``, the bound exact search puts on every step
 it has not taken yet, is computed on first use and then kept. Because of
 these memos, instances are not meant to be shared between threads.
 """
@@ -260,12 +262,7 @@ class NGramModel(SequenceModel):
         add_k: float,
         counts: Mapping[str, list] | _CountColumns,
     ) -> None:
-        if isinstance(order, bool) or not isinstance(order, int):
-            raise ContractError(f"order must be an integer, got {order!r}")
-        if isinstance(add_k, bool) or not isinstance(add_k, (int, float)):
-            raise ContractError(f"add_k must be a number, got {add_k!r}")
-        if order < 1:
-            raise ContractError("order must be >= 1")
+        _check_parameters(order, add_k)
         if not isinstance(counts, _CountColumns):  # train_ngram's are built checked
             columns = _column_lists(counts)
             counts = _checked_columns(*columns, vocabulary, order)
@@ -310,11 +307,9 @@ class NGramModel(SequenceModel):
         k = columns.context_index.get(" ".join(map(self._token_name, ctx)))
         if k is not None:
             start, end = columns.offsets[k], columns.offsets[k + 1]
-            # One item at a time: a row holds a handful of events, too few
-            # to repay numpy's per-call cost.
-            for tid, c in zip(columns.event_ids[start:end].tolist(),
-                              columns.event_counts[start:end].tolist()):
-                counts[tid] = c
+            # A context's event ids are distinct, and the int64 -> float64
+            # cast rounds each count as float() of the int would.
+            counts[columns.event_ids[start:end]] = columns.event_counts[start:end]
         probs = (counts + self.add_k) / (counts.sum() + self.add_k * size)
         arr = np.log(probs)
         arr.setflags(write=False)
@@ -356,6 +351,18 @@ class NGramModel(SequenceModel):
         }
 
 
+def _check_parameters(order, add_k) -> None:
+    """``NGramModel``'s rule for its order, an ``int`` of at least 1, and
+    for the type of its ``add_k``, an ``int`` or ``float``; a bool is
+    neither. The order is named first."""
+    if isinstance(order, bool) or not isinstance(order, int):
+        raise ContractError(f"order must be an integer, got {order!r}")
+    if isinstance(add_k, bool) or not isinstance(add_k, (int, float)):
+        raise ContractError(f"add_k must be a number, got {add_k!r}")
+    if order < 1:
+        raise ContractError("order must be >= 1")
+
+
 # The count columns of an n-gram model file.
 _COLUMNS = ("contexts", "events_per_context", "event_tokens", "event_counts")
 
@@ -389,12 +396,13 @@ def train_ngram(corpus: Iterable[TokenSeq], order: int, add_k: float) -> NGramMo
     codes. No code passes int64, whatever the order and vocabulary: the
     codes are renumbered densely whenever the next position could overflow.
     """
+    _check_parameters(order, add_k)  # before the padding does arithmetic on the order
     tokens: list = []
     ends = [tokens.extend(line) or len(tokens) for line in corpus]  # each line read once
     if not ends:
         raise ContractError("corpus must be nonempty")
     vocab = Vocabulary(tuple(sorted(set(tokens))))
-    need = max(order - 1, 0)  # never negative, so any order reaches NGramModel's check
+    need = order - 1
     lengths = np.diff(ends, prepend=0)
     # Beyond the longest line every context token is the begin marker, so
     # only the nearest ``depth`` positions tell contexts apart.

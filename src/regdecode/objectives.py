@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import enum
 import functools
+import itertools
 import math
 import operator
 from dataclasses import dataclass, field
@@ -72,24 +73,19 @@ def r_variance(trace: Trace) -> float:
     return total / n
 
 
-def _local_sum(trace: Trace) -> tuple[float, float]:
-    """(sum of squared adjacent differences, last surprisal), anchored at zero."""
-    prev = 0.0
-    total = 0.0
-    for u in trace:
-        d = u - prev
-        total += d * d
-        prev = u
-    return total, prev
-
-
 def r_local(trace: Trace) -> float:
     """Mean squared difference of adjacent surprisals, anchored at zero
     before the first step."""
     n = len(trace)
     if n == 0:
         raise ContractError("trace must be nonempty")
-    return _local_sum(trace)[0] / n
+    prev = 0.0
+    total = 0.0
+    for u in trace:
+        d = u - prev
+        total += d * d
+        prev = u
+    return total / n
 
 
 def r_max(trace: Trace) -> float:
@@ -107,170 +103,194 @@ def r_square(trace: Trace) -> float:
     return total
 
 
-class Children(NamedTuple):
-    """What the expansion kernel reads of some children: numpy arrays
-    aligned with ``StepTerms.ids`` for every allowed child of one row (or
-    with the candidates of a beam step, one row after another), or floats
-    for the end-marker child alone. The same arithmetic serves all three."""
-
-    log_prob: np.ndarray | float
-    surprisal: np.ndarray | float
-    gap_sq: np.ndarray | float  # the greedy term (surprisal - step minimum)**2
-    surprisal_sq: np.ndarray | float  # the square term
+# The terms the expansion kernel reads of some children, as the rows of a
+# children table: each child's surprisal, its greedy term (surprisal - step
+# minimum)**2 and its square term. Each row is an array whose columns are
+# aligned with ``StepTerms.ids`` for the allowed children of one row (or
+# with the candidates of a beam step, one row after another), or a float
+# for the end-marker child alone; the same arithmetic serves both. A
+# child's log-probability step is minus its surprisal: the kernel subtracts
+# the surprisal, which IEEE arithmetic defines as adding its negation, the
+# row entry itself.
+_SURPRISAL, _GAP_SQ, _SURPRISAL_SQ = range(3)
 
 
 class StepTerms:
     """One next-token row in the form the expansion kernel reads.
 
     ``ids`` are the allowed token ids (finite log-probability) in ascending
-    order and ``children`` their terms; forbidden tokens never enter the
-    arrays, so no ``0 * inf`` can arise. ``step_min`` is the step's minimum
-    surprisal. The end marker has the largest id of the row, so when it is
-    allowed it is the last child, and ``end`` holds its terms as floats
-    (``None`` otherwise).
+    order (a ``range`` when every token is allowed) and ``table`` their
+    children table as one (3 x children) array, a slice of the block
+    ``_terms_block`` built, so that a beam step joins its members' children
+    in one concatenation; ``children`` is the tuple of its rows, which a
+    single prefix's expansion reads without indexing the array. Forbidden
+    tokens never enter the table, so no ``0 * inf`` can arise.
+    ``step_min`` is the step's minimum surprisal. The end marker has the
+    largest id of the row, so when it is allowed it is the last child, and
+    ``end`` holds its terms as floats (``None`` otherwise), in the table's
+    arithmetic.
     """
 
-    __slots__ = ("row", "ids", "step_min", "children", "surprisal_list", "end", "_table")
+    __slots__ = ("row", "ids", "step_min", "table", "children", "end")
 
-    def __init__(self, row: np.ndarray) -> None:
+    def __init__(self, row: np.ndarray, ids: Sequence[int], step_min: float,
+                 table: np.ndarray) -> None:
         self.row = row
-        self.ids = np.nonzero(row > -math.inf)[0].tolist()
-        self.step_min = -float(row.max())
-        log_prob = row if len(self.ids) == len(row) else row[self.ids]
-        u = -log_prob
-        gap = u - self.step_min
-        self.children = Children(log_prob, u, gap * gap, u * u)
-        self._table = None
-        self.surprisal_list = u.tolist()
+        self.ids = ids
+        self.step_min = step_min
+        self.table = table
+        self.children = (table[_SURPRISAL], table[_GAP_SQ], table[_SURPRISAL_SQ])
         self.end = None
-        if self.ids[-1] == len(row) - 1:
-            end_lp = float(row[-1])
-            u, gap = -end_lp, -end_lp - self.step_min
-            self.end = Children(end_lp, u, gap * gap, u * u)
-
-    @property
-    def table(self) -> np.ndarray:
-        """The children's terms as the rows of one array, so that a beam
-        step joins its members' children in one concatenation. Built on
-        first use, which exact search never makes; ``children`` are then
-        views of its rows, equal to the arrays they replace."""
-        if self._table is None:
-            table = self._table = np.array(self.children)
-            self.children = Children(table[0], table[1], table[2], table[3])
-        return self._table
+        if ids[-1] == len(row) - 1:
+            u = -float(row[-1])
+            gap = u - step_min
+            self.end = (u, gap * gap, u * u)
 
 
-def step_terms(model: SequenceModel, source_key: str, prefix_ids: tuple[int, ...]) -> StepTerms:
-    """The next-token row of a prefix as ``StepTerms``: one model call, the
-    terms built once per distinct row and memoized on the model."""
-    row = model.next_log_probs_ids(source_key, prefix_ids)
-    terms = model.row_terms.get(id(row))
-    if terms is None or terms.row is not row:
-        terms = model.row_terms[id(row)] = StepTerms(row)
+def _terms_block(rows: Sequence[np.ndarray]) -> list[StepTerms]:
+    """``StepTerms`` of distinct rows of one size. Their terms are computed
+    together: one set of numpy calls on the stacked rows builds the
+    children table of all of them, the forbidden entries are dropped, and
+    each row's table is its slice of the result. A single row, as exact
+    search and a beam of width 1 expand, takes the same arithmetic on the
+    row itself, which costs less than stacking and splitting one row."""
+    if len(rows) == 1:
+        row = rows[0]
+        allowed = np.nonzero(row > -math.inf)[0]
+        step_min = -float(np.maximum.reduce(row))
+        table = np.empty((3, len(allowed)))
+        if len(allowed) == len(row):
+            u, ids = np.negative(row, out=table[_SURPRISAL]), range(len(row))
+        else:
+            u, ids = np.negative(row[allowed], out=table[_SURPRISAL]), allowed.tolist()
+        gap_sq = np.subtract(u, step_min, out=table[_GAP_SQ])
+        gap_sq *= gap_sq
+        np.multiply(u, u, out=table[_SURPRISAL_SQ])
+        return [StepTerms(row, ids, step_min, table)]
+    block = np.array(rows)
+    size = block.shape[1]
+    step_min = -np.maximum.reduce(block, axis=1)
+    u = -block
+    gap = u - step_min[:, None]
+    table = np.array((u, gap * gap, u * u)).reshape(3, -1)
+    allowed = block > -math.inf
+    if np.count_nonzero(allowed) == block.size:
+        ids, stops = None, range(size, block.size + 1, size)
+    else:
+        allowed = allowed.ravel().nonzero()[0]  # row after row
+        table = table[:, allowed]
+        ids = (allowed % size).tolist()
+        stops = np.searchsorted(allowed, np.arange(size, block.size + 1, size)).tolist()
+    terms, start = [], 0
+    for row, stop, row_min in zip(rows, stops, step_min.tolist()):
+        row_ids = range(size) if ids is None else ids[start:stop]
+        terms.append(StepTerms(row, row_ids, row_min, table[:, start:stop]))
+        start = stop
     return terms
 
 
-# Prefix forms: each penalty's partial sum over a prefix's (possibly empty)
-# trace, which ``prefix_sums`` computes once per expanded prefix. Children
-# forms: the penalty of each child, from the partial sum, the prefix's step
-# count and the children's terms. A partial sum is either one prefix's,
-# shared by all of its children, or one per child (``_batch_sums``; the
-# last axis runs over the children). Each form repeats its spec's last loop
-# step on the children, so it equals the spec on the child's trace bit for
-# bit.
+def step_terms(model: SequenceModel, source_key: str,
+               prefixes: Sequence[tuple[int, ...]]) -> list[StepTerms]:
+    """The next-token rows of some prefixes as ``StepTerms``, one model call
+    per prefix. Each distinct row's terms are memoized on the model; the
+    rows it lacks get theirs in one block."""
+    memo = model.row_terms  # it holds each row, so no other array shares the row's id
+    rows, terms = [], []
+    for ids in prefixes:
+        row = model.next_log_probs_ids(source_key, ids)
+        rows.append(row)
+        terms.append(memo.get(id(row)))
+    if None in terms:
+        fresh = {id(row): row for row, known in zip(rows, terms) if known is None}
+        memo.update(zip(fresh, _terms_block(list(fresh.values()))))
+        terms = [memo[id(row)] for row in rows]
+    return terms
 
 
-def _greedy_children(partial, steps, children):
-    return partial + children.gap_sq
+# Partial sums: the floats a prefix carries per penalty, from which its
+# children's values follow. Greedy, max and square carry their value on
+# the prefix; local its sum of squared adjacent differences before the
+# division, and its last surprisal; variance the running sum of its trace,
+# whose steps it reads again. ``carry`` takes a prefix's partial sums (or,
+# in a beam step, each child's prefix's, as arrays over the children) to
+# its children's by repeating the spec's last loop step on the children, so
+# they, and the values taken from them, equal the spec on the child's trace
+# bit for bit. The kernel hands them back, and each child that is kept
+# carries its own.
+#
+# Lower-bound forms: a completion of a child to n steps has a penalty of at
+# least the child's first partial sum, over n when the penalty is
+# per_length. Each is a partial sum of the spec, which only ever adds
+# non-negative terms to it (or takes a running max), so in floats too the
+# final penalty never falls below it. Variance has no such form: its bound
+# is 0.
 
 
-def _variance_children(trace, steps, children):
+def _greedy_carry(partial, children):
+    return (partial[0] + children[_GAP_SQ],)
+
+
+def _local_carry(partial, children):
+    total, prev = partial
+    u = children[_SURPRISAL]
+    d = u - prev
+    return (total + d * d, u)
+
+
+def _max_carry(partial, children):
+    u, top = children[_SURPRISAL], partial[0]
+    return (np.where(u > top, u, top),)  # max() keeps the first of equal values
+
+
+def _square_carry(partial, children):
+    return (partial[0] + children[_SURPRISAL_SQ],)
+
+
+def _variance_carry(partial, children):
+    return (partial[0] + children[_SURPRISAL],)
+
+
+def _variance_value(sums, trace, owner, n, children):
     # The mean moves with the child's step, so the squared deviations are
-    # summed again over the prefix: variance's partial sum is the prefix's
-    # trace itself, or in a batch the (steps x children) matrix of the
-    # children's prefix traces. Both sums run over the steps in order, one
-    # row added at a time as the spec adds them; an array sum is updated in
-    # place once the first row has made it, a float one rebound. Not
-    # ``np.sum`` or ``np.add.reduce`` along the step axis: on a single
-    # column numpy sums pairwise from 8 rows up, which can differ from the
-    # spec in the last bit.
-    n = steps + 1
-    u = children.surprisal
-    run = 0.0
-    for row in trace:
-        run += row
-    mu = (run + u) / n
+    # summed again over the prefix's trace: in a beam step (``owner`` set)
+    # the members' traces, each step's values taken to the children. The
+    # sum runs over the steps in order, one row added at a time as the spec
+    # adds them; an array sum is updated in place once the first row has
+    # made it, a float one rebound. Not ``np.sum`` or ``np.add.reduce``
+    # along the step axis: on a single column numpy sums pairwise from 8
+    # rows up, which can differ from the spec in the last bit.
+    mu = sums[0] / n
+    rows = trace if owner is None else [step[owner] for step in np.array(trace).T]
     total = 0.0
-    for row in (*trace, u):
+    for row in (*rows, children[_SURPRISAL]):
         d = row - mu
         d *= d
         total += d
     return total / n
 
 
-def _local_sums(partial, steps, children):
-    """Each child's sum of squared adjacent differences, before the spec's
-    division by the length."""
-    total, prev = partial
-    d = children.surprisal - prev
-    return total + d * d
-
-
-def _local_children(partial, steps, children):
-    return _local_sums(partial, steps, children) / (steps + 1)
-
-
-def _max_prefix(trace, minima):
-    return r_max(trace) if trace else -math.inf  # below every surprisal
-
-
-def _max_children(partial, steps, children):
-    u = children.surprisal
-    return np.where(u > partial, u, partial)  # max() keeps the first of equal values
-
-
-def _square_prefix(trace, minima):
-    return r_square(trace) if trace else 0.0
-
-
-def _square_children(partial, steps, children):
-    return partial + children.surprisal_sq
-
-
-# Lower-bound forms: values for the children of a prefix such that a
-# completion of a child to n steps has a penalty of at least ``values / n``
-# when the penalty is per_length, else at least ``values``. Each value is a
-# partial sum of the spec, which only ever adds non-negative terms to it (or
-# takes a running max), so in floats too the final penalty never falls
-# below it. Greedy, max and square take the child's own value; local its
-# sum of squared differences. Variance has no such form: its bound is 0.
-
-
 class _Penalty(NamedTuple):
     spec: Callable  # (nonempty trace, minima) -> value
-    prefix: Callable  # (trace, minima) -> partial sum
-    children: Callable  # (partial sum, prefix steps, Children) -> child values
-    lower: Callable | None  # (partial sum, prefix steps, Children) -> lower-bound values
+    empty: tuple  # the partial sums of the empty trace
+    carry: Callable  # (partial sums, children table) -> the children's partial sums
+    # (children's partial sums, prefix trace(s), owner, n, children table) ->
+    # values; None: the first partial sum (over n when per_length), which
+    # is then also the lower-bound form.
+    value: Callable | None = None
     per_length: bool = False
 
 
 _PENALTIES = {
-    # r_greedy and _local_sum are 0.0 and (0.0, 0.0) on an empty trace, so
-    # they serve as prefix forms unchanged.
-    RegularizerKind.GREEDY: _Penalty(r_greedy, r_greedy, _greedy_children, _greedy_children),
+    RegularizerKind.GREEDY: _Penalty(r_greedy, (0.0,), _greedy_carry),
     RegularizerKind.VARIANCE: _Penalty(
-        lambda trace, _: r_variance(trace), lambda trace, _: trace, _variance_children, None
+        lambda trace, _: r_variance(trace), (0.0,), _variance_carry, _variance_value
     ),
     RegularizerKind.LOCAL: _Penalty(
-        lambda trace, _: r_local(trace), lambda trace, _: _local_sum(trace), _local_children,
-        _local_sums, per_length=True,
+        lambda trace, _: r_local(trace), (0.0, 0.0), _local_carry, per_length=True
     ),
-    RegularizerKind.MAX: _Penalty(
-        lambda trace, _: r_max(trace), _max_prefix, _max_children, _max_children
-    ),
-    RegularizerKind.SQUARE: _Penalty(
-        lambda trace, _: r_square(trace), _square_prefix, _square_children, _square_children
-    ),
+    # -inf: below every surprisal
+    RegularizerKind.MAX: _Penalty(lambda trace, _: r_max(trace), (-math.inf,), _max_carry),
+    RegularizerKind.SQUARE: _Penalty(lambda trace, _: r_square(trace), (0.0,), _square_carry),
 }
 
 LengthMode = str  # "none" | "reward" | "normalize"
@@ -308,6 +328,23 @@ class Objective:
             math.isfinite(self.length_lambda) and self.length_lambda >= 0
         ):
             raise ContractError("length reward weight must be finite and >= 0")
+
+    @functools.cached_property
+    def _layout(self) -> tuple:
+        """Each regularizer's (weight, penalty, the slice of a node's flat
+        partial sums that holds its own), in order: what the expansion
+        kernel reads of the objective, worked out once."""
+        layout, start = [], 0
+        for kind, lam in self.regularizers:
+            penalty = _PENALTIES[kind]
+            layout.append((lam, penalty, slice(start, start + len(penalty.empty))))
+            start += len(penalty.empty)
+        return tuple(layout)
+
+    @functools.cached_property
+    def _empty_sums(self) -> tuple:
+        """The flat partial sums of the empty prefix."""
+        return tuple(itertools.chain.from_iterable(p.empty for _, p, _ in self._layout))
 
     def describe(self) -> str:
         """The ``parse_objective`` spec of this objective; it parses back to
@@ -387,49 +424,41 @@ def _total(objective: Objective, log_probs, n, weighted):
     return total
 
 
-def prefix_sums(objective: Objective, trace: Trace, minima: Trace) -> list:
-    """(weight, penalty, partial sum over the trace) for each regularizer of
-    the objective, in order: what the expansion kernel reads of a prefix,
-    computed once per expanded prefix for every use in ``child_scores`` and
-    ``completion_bounds``."""
-    sums = []  # a loop: in Python 3.11 a comprehension costs a frame per call
-    for kind, lam in objective.regularizers:
-        penalty = _PENALTIES[kind]
-        sums.append((lam, penalty, penalty.prefix(trace, minima)))
-    return sums
-
-
-def _batch_sums(objective: Objective, prefixes: Sequence[tuple], owner: np.ndarray) -> list:
-    """``prefix_sums`` of several (trace, minima) prefixes of one length as
-    one batch for ``child_scores``: each partial sum stacked over the
-    prefixes on the last axis, then taken for every child from its prefix,
-    ``owner[c]`` being child c's prefix. Variance's stacked traces are a
-    (steps x children) matrix, local's (sum, last surprisal) pairs a
-    2 x children one."""
-    batch = []
-    for kind, lam in objective.regularizers:
-        penalty = _PENALTIES[kind]
-        stacked = np.array([penalty.prefix(trace, minima) for trace, minima in prefixes])
-        batch.append((lam, penalty, stacked.T[..., owner]))
-    return batch
-
-
-def child_scores(objective: Objective, steps: int, sums: list, log_prob, children: Children):
-    """(totals, log-probabilities) of children of prefixes of ``steps``
-    steps, in one vector expression: the children of one prefix, with its
-    ``prefix_sums`` and log-probability (or one float expression for
-    ``StepTerms.end``), or the children of a whole beam, with per-child
-    partial sums (``_batch_sums``) and prefix log-probabilities.
+def child_scores(objective: Objective, trace, sums, log_prob, children,
+                 owner: np.ndarray | None = None):
+    """(totals, log-probabilities, partial sums) of children, in one vector
+    expression: the children of one prefix, given its trace, flat partial
+    sums and log-probability (or one float expression for
+    ``StepTerms.end``), or the children of a beam step's members, given the
+    members' traces (all of one length), partial sums and log-probabilities
+    as sequences and ``owner``, each child's member. The children's partial
+    sums come back flat, one array over the children each.
 
     This is the expansion kernel of beam and exact search. Each total
     equals ``score_parts(objective, child trace, child minima, child
     log-probability).total`` bit for bit: both build it with ``_total``.
     """
-    log_probs = log_prob + children.log_prob
-    weighted = []
-    for lam, penalty, partial in sums:
-        weighted.append((lam, penalty.children(partial, steps, children)))
-    return _total(objective, log_probs, steps + 1, weighted), log_probs
+    if owner is None:
+        steps = len(trace)
+    else:  # each member's inputs taken to its children, one column at a time
+        steps = len(trace[0])
+        log_prob = np.array(log_prob)[owner]
+        if objective.regularizers:
+            sums = [column[owner] for column in np.array(sums).T]
+    log_probs = log_prob - children[_SURPRISAL]
+    n = steps + 1
+    weighted, flat = [], []
+    for lam, penalty, part in objective._layout:
+        child_sums = penalty.carry(sums[part], children)
+        flat += child_sums
+        if penalty.value is not None:
+            value = penalty.value(child_sums, trace, owner, n, children)
+        elif penalty.per_length:
+            value = child_sums[0] / n
+        else:
+            value = child_sums[0]
+        weighted.append((lam, value))
+    return _total(objective, log_probs, n, weighted), log_probs, flat
 
 
 @functools.cache
@@ -443,10 +472,11 @@ def _lengths(n_max: int) -> np.ndarray:
 
 
 def completion_bounds(
-    objective: Objective, steps: int, sums: list, log_prob: float, children: Children,
+    objective: Objective, steps: int, sums: tuple, log_prob: float, children,
     n_max: int, best_step: float,
 ):
-    """(bounds, log-probabilities) of the children of a prefix: each bound
+    """(bounds, log-probabilities, partial sums) of the children of a prefix,
+    given its flat partial sums, as ``child_scores`` returns them: each bound
     is at least the score, as computed in floats, of every completion of
     that child that has at most ``n_max`` steps and takes a step after it.
 
@@ -469,13 +499,15 @@ def completion_bounds(
     length transform and no lower form divided by n, where a further
     step can only lower the bound, so the shortest completion gives it.
     """
-    lowers = []
+    lowers, flat = [], []
     shortest = objective.length_mode == "none"
-    for lam, penalty, partial in sums:
-        if penalty.lower is not None:
-            lowers.append((lam, penalty.lower(partial, steps, children), penalty.per_length))
+    for lam, penalty, part in objective._layout:
+        child_sums = penalty.carry(sums[part], children)
+        flat += child_sums
+        if penalty.value is None:
+            lowers.append((lam, child_sums[0], penalty.per_length))
             shortest = shortest and not penalty.per_length
-    log_probs = log_prob + children.log_prob
+    log_probs = log_prob - children[_SURPRISAL]
     n = steps + 2
     one_length = shortest or n == n_max
     if one_length:
@@ -489,7 +521,7 @@ def completion_bounds(
     bounds = _total(objective, run, n, ())
     for lam, values, per_length in lowers:
         bounds = bounds - lam * (values / n if per_length else values)
-    return (bounds if one_length else np.maximum.reduce(bounds)), log_probs
+    return (bounds if one_length else np.maximum.reduce(bounds)), log_probs, flat
 
 
 def _walk(model: SequenceModel, source, tokens: Sequence[str]) -> tuple[tuple, list, float]:

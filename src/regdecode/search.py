@@ -8,16 +8,18 @@ Greedy search is beam search at width 1 under the plain objective
 (``MAP_OBJECTIVE``), the paper's first result, and runs through beam's
 loop. So all three decoders score through one kernel,
 ``objectives.child_scores``. One model call per expanded prefix fetches
-its next-token row (``objectives.step_terms``, with per-row terms memoized
-on the model), and the kernel scores children in one numpy expression
-from their prefixes' penalty partial sums (``objectives.prefix_sums``,
-computed once per expanded prefix). Beam search makes one kernel call per
-step for the children of all of its open members; exact search makes one
-per expanded prefix, whose partial sums serve both the end-marker child
-and the bounds. Traces, minima and ``ScoreBreakdown``s (through the spec,
-``score_parts``) are built only for the hypotheses a decoder returns;
-survivors and queued prefixes carry their trace and minima tuples so the
-partial sums can be recomputed.
+its next-token row (``objectives.step_terms``: each distinct row's terms
+are memoized on the model, and the rows a step lacks get theirs in one
+block), and the kernel scores children in one numpy expression from their
+prefixes' penalty partial sums. Every node carries its own partial sums,
+which the kernel returned when it scored the node as a child; the root's
+are constants. Beam search makes one kernel call per step for the
+children of all of its open members; exact search makes one per expanded
+prefix for the end-marker child, and ``objectives.completion_bounds``
+returns the open children's partial sums with their bounds. Survivors and
+queued prefixes also carry their trace and minima tuples, from which
+``ScoreBreakdown``s (through the spec, ``score_parts``) are built for the
+hypotheses a decoder returns, and variance reads the trace.
 
 Beam search keeps, per step, the candidates at or above the k-th best
 total (one ``np.partition`` threshold, so every tie survives) and orders
@@ -42,6 +44,7 @@ scoring a set once its running penalty passes the incumbent's.
 
 from __future__ import annotations
 
+import bisect
 import heapq
 import itertools
 import math
@@ -53,24 +56,24 @@ import numpy as np
 from .exceptions import ContractError, NoHypothesisError, SearchSpaceError
 from .models import SequenceModel, _source_key
 from .objectives import (
-    Children,
     MAP_OBJECTIVE,
     Objective,
     ScoreBreakdown,
     _PENALTIES,
+    _SURPRISAL,
     _SetDeviationTable,
-    _batch_sums,
     _total,
     child_scores,
     completion_bounds,
-    prefix_sums,
     score_parts,
     step_terms,
 )
 
 BRUTE_FORCE_PREFIX_GUARD = 10**7
-# Open prefixes exact search may hold at once; each holds its trace and
-# minima, so 10**6 of them take about 300 MB.
+# Open prefixes exact search may hold at once; each holds its trace, minima
+# and partial sums. tracemalloc puts them at about 390 bytes each (420 with
+# two partial sums) at 200,000 queued prefixes of a 200-token trigram model
+# at n_max 12, so 10**6 of them take about 400 MB.
 EXACT_AGENDA_GUARD = 10**6
 # Complete hypotheses the oracle argmax scores at once: one chunk's spec
 # values and totals are all it holds per hypothesis.
@@ -132,6 +135,14 @@ def _make_hypothesis(model: SequenceModel, objective: Objective, ids, trace, min
     )
 
 
+def _per_child(columns: list):
+    """Each child's partial sums as a tuple, from the kernel's flat arrays of
+    them (one array over the children per partial sum)."""
+    if not columns:
+        return itertools.repeat(())
+    return zip(*map(np.ndarray.tolist, columns))
+
+
 def greedy_search(model: SequenceModel, source, n_max: int) -> DecodeRecord:
     """Beam search at width 1 under the plain objective: each step keeps the
     child with the highest log-probability so far, ties going to the smaller
@@ -160,12 +171,14 @@ def _beam(model: SequenceModel, source, objective: Objective, k: int,
     once.
 
     One ``child_scores`` call per step scores the children of every open
-    member: their rows' terms are concatenated, and an owner index (each
-    candidate's member) takes each member's log-probability and partial
-    sums to its children. Each ended member is its own only candidate, with
-    its stored total. One ``np.partition`` over all candidates keeps those
-    at or above the k-th best total (so every tie on it survives), and the
-    owner index maps each kept candidate back to its member and column.
+    member: their rows' children tables are concatenated, and an owner
+    index (each candidate's member) takes each member's log-probability,
+    partial sums and trace to its children. Each ended member is its own
+    only candidate, with its stored total. One ``np.partition`` over all
+    candidates keeps those at or above the k-th best total (so every tie
+    on it survives); each kept child takes its surprisal and partial sums
+    from the kernel's arrays, and its member and column from the members'
+    first columns.
     """
     _check_budget(k, n_max)
     vocab = model.vocabulary
@@ -173,8 +186,8 @@ def _beam(model: SequenceModel, source, objective: Objective, k: int,
     eos = vocab.eos_id
     expanded = 0
 
-    Node = tuple  # (ids, trace, minima, log_prob, total); the root is never ranked
-    beams: list[Node] = [((vocab.bos_id,), (), (), 0.0, None)]
+    Node = tuple  # (ids, trace, minima, log_prob, total, partial sums); the root is never ranked
+    beams: list[Node] = [((vocab.bos_id,), (), (), 0.0, None, objective._empty_sums)]
 
     for steps in range(n_max):  # every open member has ``steps`` steps
         parents = [node for node in beams if node[0][-1] != eos]
@@ -182,18 +195,17 @@ def _beam(model: SequenceModel, source, objective: Objective, k: int,
             break
         ended = [node for node in beams if node[0][-1] == eos]
         expanded += len(parents)
-        terms = [step_terms(model, source_key, node[0]) for node in parents]
+        ids, traces, _, log_probs, _, sums = zip(*parents)
+        terms = step_terms(model, source_key, ids)
         counts, first, n_children = [], [], 0  # per member: its children, its first one
         for t in terms:
             first.append(n_children)
             counts.append(len(t.ids))
             n_children += len(t.ids)
         owner = np.arange(len(parents)).repeat(counts)
-        sums = _batch_sums(objective, [node[1:3] for node in parents], owner)
-        log_probs = np.array([node[3] for node in parents])[owner]
-        table = np.concatenate([t.table for t in terms], axis=1)
-        children = Children(table[0], table[1], table[2], table[3])
-        totals, log_probs = child_scores(objective, steps, sums, log_probs, children)
+        tables = [t.table for t in terms]
+        children = tables[0] if len(tables) == 1 else np.concatenate(tables, axis=1)
+        totals, log_probs, sums = child_scores(objective, traces, sums, log_probs, children, owner)
         if ended:  # each its own only candidate, after every child
             totals = np.concatenate((totals, [node[4] for node in ended]))
             log_probs = np.concatenate((log_probs, [node[3] for node in ended]))
@@ -204,26 +216,32 @@ def _beam(model: SequenceModel, source, objective: Objective, k: int,
             kept = (totals >= threshold[cut]).nonzero()[0]
         else:
             kept = np.arange(len(totals))
-        ranked = []  # (-total, -log_prob, ids, member, column); an ended member's column is -1
+        # The kept children's surprisals and partial sums, in order; the
+        # ended members come last.
+        kept_children = kept[:kept.searchsorted(n_children)] if ended else kept
+        carried = zip(children[_SURPRISAL][kept_children].tolist(),
+                      _per_child([column[kept_children] for column in sums]))
+        # (-total, -log_prob, ids, member, surprisal, partial sums); an ended
+        # member's surprisal and partial sums are None
+        ranked = []
         for i, c_total, c_lp in zip(kept.tolist(), totals[kept].tolist(), log_probs[kept].tolist()):
             if i < n_children:
-                b = int(owner[i])
-                j = i - first[b]
-                c_ids = (*parents[b][0], terms[b].ids[j])
+                b = bisect.bisect_right(first, i) - 1
+                u, c_sums = next(carried)
+                ranked.append((-c_total, -c_lp, (*parents[b][0], terms[b].ids[i - first[b]]), b,
+                               u, c_sums))
             else:
-                b, j = i - n_children, -1
-                c_ids = ended[b][0]
-            ranked.append((-c_total, -c_lp, c_ids, b, j))
+                b = i - n_children
+                ranked.append((-c_total, -c_lp, ended[b][0], b, None, None))
         ranked.sort()
         beams = []
-        for neg_total, neg_lp, c_ids, b, j in ranked[:k]:
-            if j < 0:
+        for neg_total, neg_lp, c_ids, b, u, c_sums in ranked[:k]:
+            if u is None:
                 beams.append(ended[b])
                 continue
-            _, trace, minima, _, _ = parents[b]
-            t = terms[b]
-            beams.append((c_ids, trace + (t.surprisal_list[j],), minima + (t.step_min,),
-                          -neg_lp, -neg_total))
+            _, trace, minima, _, _, _ = parents[b]
+            beams.append((c_ids, trace + (u,), minima + (terms[b].step_min,), -neg_lp, -neg_total,
+                          c_sums))
 
     finished = [node for node in beams if node[0][-1] == eos]
     if not finished:
@@ -264,39 +282,41 @@ def exact_search(
 
     best_key = best = None  # the incumbent's sort key and its (ids, trace, minima, log_prob)
     floor = -math.inf  # the incumbent's score
-    heap = [(-math.inf, -0.0, (vocab.bos_id,), (), ())]
+    heap = [(-math.inf, -0.0, (vocab.bos_id,), (), (), objective._empty_sums)]
     expanded = 0
     while heap:
-        neg_bound, neg_lp, ids, trace, minima = heapq.heappop(heap)
+        neg_bound, neg_lp, ids, trace, minima, sums = heapq.heappop(heap)
         if -neg_bound < floor:
             break
         expanded += 1
         log_prob = -neg_lp
-        terms = step_terms(model, source_key, ids)
-        sums = prefix_sums(objective, trace, minima)  # shared by the end child and the bounds
+        (terms,) = step_terms(model, source_key, (ids,))
         n_open = len(terms.ids)
         if terms.end is not None:
             n_open -= 1
-            end_total, end_lp = child_scores(objective, len(trace), sums, log_prob, terms.end)
+            end_total, end_lp, _ = child_scores(objective, trace, sums, log_prob, terms.end)
             end_total = float(end_total)
             key = (-end_total, -end_lp, (*ids, eos))
             if best_key is None or key < best_key:
                 best_key = key
-                best = (key[2], trace + (terms.surprisal_list[-1],),
-                        minima + (terms.step_min,), end_lp)
+                best = (key[2], trace + terms.end[:1], minima + (terms.step_min,), end_lp)
                 floor = end_total
         if n_open and len(ids) < n_max:  # an open child still has a step left
             args = (objective, len(trace), sums, log_prob, terms.children, n_max)
-            bounds, log_probs = completion_bounds(*args, 0.0 if best_step is None else best_step)
-            bounds, log_probs = bounds.tolist(), log_probs.tolist()
+            bounds, log_probs, sums = completion_bounds(
+                *args, 0.0 if best_step is None else best_step)
+            bounds = bounds.tolist()
             if best_step is None and max(bounds[:n_open]) >= floor:
                 best_step = model.best_step
                 bounds = completion_bounds(*args, best_step)[0].tolist()
-            c_minima = minima + (terms.step_min,)
-            for j in range(n_open):
-                if bounds[j] >= floor:
-                    heapq.heappush(heap, (-bounds[j], -log_probs[j], (*ids, terms.ids[j]),
-                                          trace + (terms.surprisal_list[j],), c_minima))
+            if max(bounds[:n_open]) >= floor:  # some open child is queued
+                c_minima = minima + (terms.step_min,)
+                for j, lp, u, c_sums in zip(range(n_open), log_probs.tolist(),
+                                            terms.children[_SURPRISAL].tolist(),
+                                            _per_child(sums)):
+                    if bounds[j] >= floor:
+                        heapq.heappush(heap, (-bounds[j], -lp, (*ids, terms.ids[j]),
+                                              trace + (u,), c_minima, c_sums))
             if len(heap) > EXACT_AGENDA_GUARD:
                 raise SearchSpaceError(
                     f"exact search agenda exceeds its guard of {EXACT_AGENDA_GUARD} open prefixes"

@@ -26,17 +26,16 @@ from regdecode import (
     trace,
 )
 from regdecode.objectives import (
-    Children,
-    StepTerms,
     _SetDeviationTable,
-    _batch_sums,
+    _terms_block,
     child_scores,
     completion_bounds,
-    prefix_sums,
     r_beam_ids,
 )
 from regdecode.randmodels import random_table_model, set_limit_instance
 from regdecode.search import enumerate_complete
+
+from .reference_sums import spec_sums
 
 traces = st.lists(
     st.floats(min_value=0.0, max_value=20.0, allow_nan=False), min_size=1, max_size=10
@@ -224,40 +223,46 @@ def test_kernel_totals_equal_spec(row, steps, order, weights, length):
     trace = tuple(max(a, b) for a, b in steps)
     minima = tuple(min(a, b) for a, b in steps)
     log_prob = -sum(trace)
-    terms = StepTerms(np.array(row))
-    sums = prefix_sums(objective, trace, minima)
-    totals, log_probs = child_scores(objective, len(trace), sums, log_prob, terms.children)
+    (terms,) = _terms_block([np.array(row)])
+    sums = spec_sums(objective, trace, minima)
+    totals, log_probs, carried = child_scores(objective, trace, sums, log_prob, terms.children)
     step_min = -max(row)
     allowed = [tid for tid, logv in enumerate(row) if logv != -math.inf]
-    assert terms.ids == allowed
+    assert list(terms.ids) == allowed
     for j, tid in enumerate(allowed):
         logv = row[tid]
-        spec = score_parts(objective, trace + (-logv,), minima + (step_min,), log_prob + logv)
+        c_trace, c_minima = trace + (-logv,), minima + (step_min,)
+        spec = score_parts(objective, c_trace, c_minima, log_prob + logv)
         assert totals[j] == spec.total
         assert log_probs[j] == log_prob + logv
+        assert same_bits([c[j] for c in carried], spec_sums(objective, c_trace, c_minima))
     if row[-1] == -math.inf:
         assert terms.end is None
     else:  # the float path for the end-marker child alone
-        end_total, end_log_prob = child_scores(objective, len(trace), sums, log_prob, terms.end)
+        end_total, end_log_prob, _ = child_scores(objective, trace, sums, log_prob, terms.end)
         assert end_total == totals[-1] and end_log_prob == log_probs[-1]
 
 
-def _one_allowed_row(size_position_logv):
-    size, position, logv = size_position_logv
-    row = [-math.inf] * size
-    row[position % size] = logv
-    return row
+def same_bits(got, want) -> bool:
+    """Whether two sequences of floats hold the same bits, signed zeros and
+    infinities included."""
+    return np.array(got, dtype=float).tobytes() == np.array(want, dtype=float).tobytes()
 
 
-KERNEL_ROWS = st.one_of(
-    st.lists(
+def _row_of_size(size):
+    """A row of ``size`` entries with at least one allowed: some forbidden
+    (-inf), or a single allowed token."""
+    mixed = st.lists(
         st.one_of(st.just(-math.inf), st.floats(min_value=-30.0, max_value=0.0)),
-        min_size=1,
-        max_size=8,
-    ).filter(lambda r: max(r) > -math.inf),
-    st.tuples(st.integers(1, 8), st.integers(0, 7), st.floats(min_value=-30.0, max_value=0.0))
-    .map(_one_allowed_row),
-)
+        min_size=size,
+        max_size=size,
+    ).filter(lambda r: max(r) > -math.inf)
+    single = st.tuples(st.integers(0, size - 1), st.floats(min_value=-30.0, max_value=0.0)).map(
+        lambda position_logv: [position_logv[1] if i == position_logv[0] else -math.inf
+                               for i in range(size)])
+    return st.one_of(mixed, single)
+
+
 KERNEL_STEP = st.tuples(st.floats(min_value=0.0, max_value=30.0),
                         st.floats(min_value=0.0, max_value=30.0))
 # A trace whose 16 steps and child numpy's pairwise summation would add in a
@@ -272,11 +277,13 @@ PAIRWISE_TRAP = [
 
 @settings(max_examples=300, deadline=None)
 @given(
-    prefixes=st.integers(min_value=0, max_value=16).flatmap(lambda n: st.lists(
-        st.tuples(KERNEL_ROWS, st.lists(KERNEL_STEP, min_size=n, max_size=n)),
-        min_size=1,
-        max_size=4,
-    )),
+    prefixes=st.tuples(st.integers(min_value=0, max_value=16), st.integers(1, 8)).flatmap(
+        lambda n_size: st.lists(
+            st.tuples(_row_of_size(n_size[1]),
+                      st.lists(KERNEL_STEP, min_size=n_size[0], max_size=n_size[0])),
+            min_size=1,
+            max_size=4,
+        )),
     order=st.permutations(list(RegularizerKind)),
     weights=st.lists(
         st.sampled_from([None, 0.0, 0.25, 1.0, 3.0]),
@@ -289,35 +296,96 @@ PAIRWISE_TRAP = [
          weights=[None, 1.0, None, None, None], length="none")
 def test_batched_kernel_totals_equal_spec(prefixes, order, weights, length):
     """One kernel call scores the children of 1-4 prefixes of one length,
-    each with its own row, trace and log-probability, as a beam step does:
-    every candidate's total and log-probability equal ``score_parts`` of
-    its child with ``==``. Traces run up to 16 steps and some rows allow one
+    each with its own row, trace, partial sums and log-probability, as a
+    beam step does: every candidate's total, log-probability and partial
+    sums equal the spec's for its child with ``==``. The rows' terms are
+    built in one block. Traces run up to 16 steps and some rows allow one
     token, so a batch can have a single candidate, the case where numpy's
     pairwise summation along the step axis differs from the spec."""
     regs = tuple((kind, w) for kind, w in zip(order, weights) if w is not None)
     mode, _, lam = length.partition(":")
     objective = Objective(regs, mode, float(lam or 0.0))
-    members = []
-    for row, steps in prefixes:
-        trace = tuple(max(a, b) for a, b in steps)
-        minima = tuple(min(a, b) for a, b in steps)
-        members.append((StepTerms(np.array(row)), trace, minima, -sum(trace)))
-    counts = [len(terms.ids) for terms, *_ in members]
-    owner = np.arange(len(members)).repeat(counts)
-    sums = _batch_sums(objective, [(trace, minima) for _, trace, minima, _ in members], owner)
-    table = np.concatenate([terms.table for terms, *_ in members], axis=1)
-    log_probs = np.array([log_prob for *_, log_prob in members])[owner]
-    totals, log_probs = child_scores(objective, len(members[0][1]), sums, log_probs,
-                                     Children(*table))
+    rows = [row for row, _ in prefixes]
+    traces = [tuple(max(a, b) for a, b in steps) for _, steps in prefixes]
+    minima = [tuple(min(a, b) for a, b in steps) for _, steps in prefixes]
+    block = _terms_block([np.array(row) for row in rows])
+    counts = [len(terms.ids) for terms in block]
+    owner = np.arange(len(prefixes)).repeat(counts)
+    sums = [spec_sums(objective, trace, mins) for trace, mins in zip(traces, minima)]
+    totals, log_probs, carried = child_scores(
+        objective, traces, sums, [-sum(trace) for trace in traces],
+        np.concatenate([terms.table for terms in block], axis=1), owner)
     assert len(totals) == len(log_probs) == sum(counts)
     c = 0
-    for (terms, trace, minima, log_prob), row in zip(members, (row for row, _ in prefixes)):
+    for terms, row, trace, mins in zip(block, rows, traces, minima):
+        assert terms.step_min == -max(row)
         for tid in terms.ids:
             logv = row[tid]
-            spec = score_parts(objective, trace + (-logv,), minima + (-max(row),), log_prob + logv)
+            c_trace, c_minima = trace + (-logv,), mins + (-max(row),)
+            spec = score_parts(objective, c_trace, c_minima, -sum(trace) + logv)
             assert totals[c] == spec.total
-            assert log_probs[c] == log_prob + logv
+            assert log_probs[c] == -sum(trace) + logv
+            assert same_bits([column[c] for column in carried],
+                             spec_sums(objective, c_trace, c_minima))
             c += 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    size=st.integers(1, 8),
+    data=st.data(),
+)
+def test_a_row_has_the_same_terms_alone_and_in_a_block(size, data):
+    """A row's ids, step minimum, children table and end-marker terms are
+    the same bits whether its terms are built alone, as exact search and a
+    width-1 beam build them, or in a block with other rows."""
+    rows = [np.array(data.draw(_row_of_size(size))) for _ in range(data.draw(st.integers(2, 4)))]
+    for row, in_block in zip(rows, _terms_block(rows)):
+        (alone,) = _terms_block([row])
+        assert list(alone.ids) == list(in_block.ids)
+        assert alone.table.tobytes() == np.ascontiguousarray(in_block.table).tobytes()
+        assert all(same_bits(row, table_row)
+                   for row, table_row in zip(alone.children, alone.table))
+        assert same_bits([alone.step_min], [in_block.step_min])
+        assert (alone.end is None) == (in_block.end is None)
+        if alone.end is not None:
+            assert same_bits(alone.end, in_block.end)
+            assert same_bits(alone.end, alone.table[:, -1])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    rows=st.integers(1, 6).flatmap(lambda size: st.lists(_row_of_size(size), min_size=1,
+                                                         max_size=10)),
+    picks=st.lists(st.integers(min_value=0), min_size=10, max_size=10),
+    order=st.permutations(list(RegularizerKind)),
+    weights=st.lists(
+        st.sampled_from([None, 0.0, 0.25, 1.0, 3.0]),
+        min_size=len(RegularizerKind),
+        max_size=len(RegularizerKind),
+    ),
+)
+def test_carried_partial_sums_equal_the_spec(rows, picks, order, weights):
+    """Partial sums carried from the empty prefix through any sequence of
+    rows, one allowed child of each taken at a time through the kernel and
+    through ``completion_bounds``, equal the spec's partial sums of the
+    trace they end on, bit for bit, for every kind and for mixes."""
+    objective = Objective(tuple((kind, w) for kind, w in zip(order, weights) if w is not None))
+    trace, minima, log_prob = (), (), 0.0
+    sums = objective._empty_sums
+    assert same_bits(sums, spec_sums(objective, (), ()))
+    for row, pick in zip(rows, picks):
+        (terms,) = _terms_block([np.array(row)])
+        j = pick % len(terms.ids)
+        _, log_probs, carried = child_scores(objective, trace, sums, log_prob, terms.children)
+        _, _, bounded = completion_bounds(objective, len(trace), sums, log_prob, terms.children,
+                                          len(trace) + 3, 0.0)
+        assert all(same_bits(a, b) for a, b in zip(carried, bounded))
+        trace += (-row[terms.ids[j]],)
+        minima += (-max(row),)
+        log_prob = float(log_probs[j])
+        sums = tuple(float(column[j]) for column in carried)
+        assert same_bits(sums, spec_sums(objective, trace, minima))
 
 
 @settings(max_examples=300, deadline=None)
@@ -358,10 +426,10 @@ def test_completion_bounds_admissible(row, steps, best_step, rest, spare, order,
     minima = tuple(min(a, b) for a, b in steps)
     log_prob = -sum(trace)
     n_max = len(trace) + 1 + len(rest) + spare
-    terms = StepTerms(np.array(row))
-    sums = prefix_sums(objective, trace, minima)
-    bounds, _ = completion_bounds(objective, len(trace), sums, log_prob, terms.children, n_max,
-                                  best_step)
+    (terms,) = _terms_block([np.array(row)])
+    sums = spec_sums(objective, trace, minima)
+    bounds, _, _ = completion_bounds(objective, len(trace), sums, log_prob, terms.children, n_max,
+                                     best_step)
     step_min = -max(row)
     for j, tid in enumerate(terms.ids):
         c_trace, c_minima, c_log_prob = [-row[tid]], [step_min], log_prob + row[tid]
@@ -378,9 +446,9 @@ def _bounds_length_by_length(objective, steps, sums, log_prob, children, n_max, 
     """``completion_bounds`` as one bound array per completion length, the
     highest kept: each length's running sum, total and lower forms built on
     their own, with no shortcut for a single deciding length."""
-    lowers = [(lam, penalty.lower(partial, steps, children), penalty.per_length)
-              for lam, penalty, partial in sums if penalty.lower is not None]
-    log_probs = run = log_prob + children.log_prob
+    lowers = [(lam, penalty.carry(sums[part], children)[0], penalty.per_length)
+              for lam, penalty, part in objective._layout if penalty.value is None]
+    log_probs = run = log_prob - children[0]  # the surprisals' row
     bounds = None
     for n in range(steps + 2, n_max + 1):
         run = run + best_step
@@ -430,10 +498,10 @@ def test_completion_bounds_equal_the_bounds_taken_length_by_length(
     objective = Objective(regs, mode, float(lam or 0.0))
     trace = tuple(max(a, b) for a, b in steps)
     minima = tuple(min(a, b) for a, b in steps)
-    children = StepTerms(np.array(row)).children
-    sums = prefix_sums(objective, trace, minima)
+    children = _terms_block([np.array(row)])[0].children
+    sums = spec_sums(objective, trace, minima)
     args = (objective, len(trace), sums, log_prob, children, len(trace) + 1 + lengths, best_step)
-    bounds, log_probs = completion_bounds(*args)
+    bounds, log_probs, _ = completion_bounds(*args)
     want_bounds, want_log_probs = _bounds_length_by_length(*args)
     assert bounds.tobytes() == want_bounds.tobytes()
     assert log_probs.tobytes() == want_log_probs.tobytes()

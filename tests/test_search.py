@@ -29,10 +29,9 @@ import regdecode.search
 from regdecode.cli import EXACTNESS_LAMBDAS, main
 from regdecode.objectives import (
     _PENALTIES,
-    StepTerms,
     _SetDeviationTable,
+    _terms_block,
     completion_bounds,
-    prefix_sums,
     r_beam_ids,
     score_parts,
 )
@@ -43,6 +42,8 @@ from regdecode.randmodels import (
     tie_free_instance,
 )
 from regdecode.search import enumerate_complete
+
+from .reference_sums import spec_sums
 
 
 def chain_model():
@@ -356,12 +357,12 @@ def test_bound_admissible_on_small_models():
             run, steps, mins = 0.0, [], []
             for t in range(1, len(ids) - 1):
                 dist = model.next_log_probs_ids("", ids[:t])
-                terms = StepTerms(dist)
+                (terms,) = _terms_block([dist])
                 j = terms.ids.index(ids[t])
                 for objective, total in zip(objectives, totals):
-                    sums = prefix_sums(objective, steps, mins)
-                    bounds, _ = completion_bounds(objective, len(steps), sums, run,
-                                                  terms.children, n_max, model.best_step)
+                    sums = spec_sums(objective, steps, mins)
+                    bounds, _, _ = completion_bounds(objective, len(steps), sums, run,
+                                                     terms.children, n_max, model.best_step)
                     assert bounds[j] >= total
                 run += float(dist[ids[t]])
                 steps.append(-float(dist[ids[t]]))
@@ -825,3 +826,58 @@ def test_exact_equals_brute_on_random_ngram_models(seed, order, n_tokens, n_max)
         b = brute_force(model, None, objective, n_max)
         assert e.best.score == b.best.score
         assert e.best.token_ids == b.best.token_ids
+
+
+def zero_entry_model() -> TableModel:
+    """A table model whose rows forbid tokens: zero-probability entries, the
+    end marker among them in some contexts, and a row with one token
+    allowed."""
+    vocab = Vocabulary(("a", "b", "c"))
+    entries = {
+        "<s>": {"a": 0.5, "b": 0.3, "c": 0.2},
+        "<s> a": {"b": 0.6, "</s>": 0.4},
+        "<s> b": {"a": 0.1, "c": 0.2, "</s>": 0.7},
+        "<s> a b": {"c": 1.0},
+        "<s> c": {"a": 0.25, "b": 0.25, "c": 0.25, "</s>": 0.25},
+        "<s> b c": {"a": 0.5, "b": 0.5},
+    }
+    return TableModel(vocab, entries, {"a": 0.2, "c": 0.1, "</s>": 0.7})
+
+
+COLD_WARM_DECODES = [
+    *((k, spec) for k in (1, 2, 5, 10) for spec in ("", "greedy=1", "variance=1,square=0.1",
+                                                    "local=1,max=0.5,len=norm")),
+    *((None, spec) for spec in ("", "greedy=1", "variance=1,square=0.1", "local=1,len=reward:1")),
+]
+
+
+@pytest.mark.parametrize("make_model", [
+    lambda: sparse_ngram_model(np.random.default_rng(3), 3, 4),
+    lambda: train_ngram([line.split() for line in ("a b c", "b c", "c a b d", "", "d d a")], 3,
+                        0.5),
+    zero_entry_model,
+], ids=["sparse-ngram", "trained-ngram", "zero-entries"])
+def test_cold_and_warm_models_give_identical_records(make_model):
+    """Every decode gives the same record, bit for bit, on a fresh model,
+    whose rows all get their terms in new blocks, as on one model reused by
+    every decode before it, whose blocks hold other mixes of rows and whose
+    memo serves the rest: beam search at k in {1, 2, 5, 10} and exact
+    search. Every memoized row's table holds finite terms of its allowed
+    tokens only, so a forbidden token never entered a block."""
+    def outcome(model, k, objective):
+        try:
+            if k is None:
+                return repr(exact_search(model, None, objective, 5))
+            return repr(beam_search(model, None, objective, k, 6))
+        except NoHypothesisError as exc:  # a width that keeps no ended member
+            return repr(exc)
+
+    warm = make_model()
+    for k, spec in COLD_WARM_DECODES:
+        objective = parse_objective(spec)
+        assert outcome(make_model(), k, objective) == outcome(warm, k, objective), (k, spec)
+    for terms in warm.row_terms.values():
+        allowed = np.flatnonzero(terms.row > -math.inf).tolist()
+        assert list(terms.ids) == allowed
+        assert terms.table.shape == (3, len(allowed))
+        assert np.isfinite(terms.table).all()

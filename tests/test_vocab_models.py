@@ -235,23 +235,35 @@ def test_ngram_rejects_bad_parameters():
         NGramModel(vocab, 2, 0.5, _columns(["zz"], [1], ["a"], [1]))
 
 
-@pytest.mark.parametrize("order, add_k, fault", [
+WRONG_TYPE_PARAMETERS = [
     # A float order built and failed on the first lookup (slice indices), a
     # boolean one named "an order-True context", and a non-number add_k
     # ended in a bare TypeError from math.isfinite.
     pytest.param(2.0, 0.5, "order must be an integer, got 2.0", id="float-order"),
     pytest.param(True, 0.5, "order must be an integer, got True", id="boolean-order"),
+    pytest.param("2", 0.5, "order must be an integer, got '2'", id="string-order"),
     pytest.param(2, "0.5", "add_k must be a number, got '0.5'", id="string-add-k"),
     pytest.param(2, None, "add_k must be a number, got None", id="none-add-k"),
     pytest.param(2, True, "add_k must be a number, got True", id="boolean-add-k"),
     pytest.param(2.0, None, "order must be an integer, got 2.0", id="order-named-first"),
     pytest.param(2, [1], "add_k must be a number, got [1]", id="list-add-k"),
-])
+]
+
+
+@pytest.mark.parametrize("order, add_k, fault", WRONG_TYPE_PARAMETERS)
 def test_ngram_rejects_parameters_of_the_wrong_type(order, add_k, fault):
     # The type checks run first: these columns would fail their own check.
     columns = _columns(["zz"], [1], ["a"], [-1])
     with pytest.raises(ContractError, match=re.escape(fault)):
         NGramModel(Vocabulary(("a",)), order, add_k, columns)
+
+
+@pytest.mark.parametrize("order, add_k, fault", WRONG_TYPE_PARAMETERS)
+def test_train_ngram_rejects_parameters_of_the_wrong_type(order, add_k, fault):
+    # Checked before the corpus is counted: a float or string order ended in
+    # a bare TypeError from the padding, which does arithmetic on it.
+    with pytest.raises(ContractError, match=re.escape(fault)):
+        train_ngram([["a", "b"], []], order, add_k)
 
 
 def _columns(contexts: list, sizes: list, tokens: list, counts: list) -> dict[str, list]:
