@@ -54,23 +54,18 @@ def r_greedy(trace: Trace, stepwise_minima: Trace | None) -> float:
     return total
 
 
-def _running_sum(trace: Trace) -> float:
-    total = 0.0
-    for u in trace:
-        total += u
-    return total
-
-
 def r_variance(trace: Trace) -> float:
+    """Population variance of the surprisals by Welford's update, the loop
+    the expansion kernel carries one step at a time."""
     n = len(trace)
     if n == 0:
         raise ContractError("trace must be nonempty")
-    mu = _running_sum(trace) / n
-    total = 0.0
-    for u in trace:
-        d = u - mu
-        total += d * d
-    return total / n
+    m2 = mean = 0.0
+    for i, u in enumerate(trace, 1):
+        d = u - mean
+        mean += d / i
+        m2 += d * (u - mean)
+    return m2 / n
 
 
 def r_local(trace: Trace) -> float:
@@ -210,80 +205,72 @@ def step_terms(model: SequenceModel, source_key: str,
 # Partial sums: the floats a prefix carries per penalty, from which its
 # children's values follow. Greedy, max and square carry their value on
 # the prefix; local its sum of squared adjacent differences before the
-# division, and its last surprisal; variance the running sum of its trace,
-# whose steps it reads again. ``carry`` takes a prefix's partial sums (or,
-# in a beam step, each child's prefix's, as arrays over the children) to
-# its children's by repeating the spec's last loop step on the children, so
-# they, and the values taken from them, equal the spec on the child's trace
-# bit for bit. The kernel hands them back, and each child that is kept
-# carries its own.
+# division, and its last surprisal; variance Welford's sum of squared
+# deviations before the division, and its mean. ``carry`` takes a prefix's
+# partial sums (or, in a beam step, each child's prefix's, as arrays over
+# the children) to its children's, which have n steps, by repeating the
+# spec's last loop step on the children, so they, and the values taken
+# from them, equal the spec on the child's trace bit for bit. The kernel
+# hands them back, and each child that is kept carries its own.
 #
 # Lower-bound forms: a completion of a child to n steps has a penalty of at
 # least the child's first partial sum, over n when the penalty is
 # per_length. Each is a partial sum of the spec, which only ever adds
 # non-negative terms to it (or takes a running max), so in floats too the
-# final penalty never falls below it. Variance has no such form: its bound
-# is 0.
+# final penalty never falls below it (for variance, see ``_variance_carry``).
 
 
-def _greedy_carry(partial, children):
+def _greedy_carry(partial, children, n):
     return (partial[0] + children[_GAP_SQ],)
 
 
-def _local_carry(partial, children):
+def _local_carry(partial, children, n):
     total, prev = partial
     u = children[_SURPRISAL]
     d = u - prev
     return (total + d * d, u)
 
 
-def _max_carry(partial, children):
+def _max_carry(partial, children, n):
     u, top = children[_SURPRISAL], partial[0]
     return (np.where(u > top, u, top),)  # max() keeps the first of equal values
 
 
-def _square_carry(partial, children):
+def _square_carry(partial, children, n):
     return (partial[0] + children[_SURPRISAL_SQ],)
 
 
-def _variance_carry(partial, children):
-    return (partial[0] + children[_SURPRISAL],)
+def _variance_carry(partial, children, n):
+    """Step n of ``r_variance``'s loop on the children.
 
-
-def _variance_value(sums, trace, owner, n, children):
-    # The mean moves with the child's step, so the squared deviations are
-    # summed again over the prefix's trace: in a beam step (``owner`` set)
-    # the members' traces, each step's values taken to the children. The
-    # sum runs over the steps in order, one row added at a time as the spec
-    # adds them; an array sum is updated in place once the first row has
-    # made it, a float one rebound. Not ``np.sum`` or ``np.add.reduce``
-    # along the step axis: on a single column numpy sums pairwise from 8
-    # rows up, which can differ from the spec in the last bit.
-    mu = sums[0] / n
-    rows = trace if owner is None else [step[owner] for step in np.array(trace).T]
-    total = 0.0
-    for row in (*rows, children[_SURPRISAL]):
-        d = row - mu
-        d *= d
-        total += d
-    return total / n
+    The added term ``d * (u - mean)`` is never negative in floats, so
+    ``m2`` never decreases and is a lower-bound form. At n = 1 the new mean
+    is ``0.0 + u / 1``, u exactly, so the term is 0. For n >= 2,
+    ``|fl(d / n)| <= |d| / 2`` (rounding to nearest is monotone; below the
+    normal range, where it can round past ``|d| / 2``, the subtraction
+    giving ``d`` is exact). So the new mean lies between the old mean and
+    u, and ``d`` and ``u - mean`` share a sign.
+    """
+    m2, mean = partial
+    u = children[_SURPRISAL]
+    d = u - mean
+    mean = mean + d / n
+    return (m2 + d * (u - mean), mean)
 
 
 class _Penalty(NamedTuple):
     spec: Callable  # (nonempty trace, minima) -> value
     empty: tuple  # the partial sums of the empty trace
-    carry: Callable  # (partial sums, children table) -> the children's partial sums
-    # (children's partial sums, prefix trace(s), owner, n, children table) ->
-    # values; None: the first partial sum (over n when per_length), which
-    # is then also the lower-bound form.
-    value: Callable | None = None
+    carry: Callable  # (partial sums, children table, children's steps) -> theirs
+    # The value is the first partial sum, over the steps when per_length;
+    # it is also the lower-bound form.
     per_length: bool = False
 
 
 _PENALTIES = {
     RegularizerKind.GREEDY: _Penalty(r_greedy, (0.0,), _greedy_carry),
     RegularizerKind.VARIANCE: _Penalty(
-        lambda trace, _: r_variance(trace), (0.0,), _variance_carry, _variance_value
+        lambda trace, _: r_variance(trace), (0.0, 0.0), _variance_carry, per_length=True
     ),
     RegularizerKind.LOCAL: _Penalty(
         lambda trace, _: r_local(trace), (0.0, 0.0), _local_carry, per_length=True
@@ -424,13 +411,13 @@ def _total(objective: Objective, log_probs, n, weighted):
     return total
 
 
-def child_scores(objective: Objective, trace, sums, log_prob, children,
+def child_scores(objective: Objective, steps: int, sums, log_prob, children,
                  owner: np.ndarray | None = None):
     """(totals, log-probabilities, partial sums) of children, in one vector
-    expression: the children of one prefix, given its trace, flat partial
-    sums and log-probability (or one float expression for
-    ``StepTerms.end``), or the children of a beam step's members, given the
-    members' traces (all of one length), partial sums and log-probabilities
+    expression: the children of one prefix of ``steps`` steps, given its
+    flat partial sums and log-probability (or one float expression for
+    ``StepTerms.end``), or the children of a beam step's members, all of
+    ``steps`` steps, given the members' partial sums and log-probabilities
     as sequences and ``owner``, each child's member. The children's partial
     sums come back flat, one array over the children each.
 
@@ -438,10 +425,7 @@ def child_scores(objective: Objective, trace, sums, log_prob, children,
     equals ``score_parts(objective, child trace, child minima, child
     log-probability).total`` bit for bit: both build it with ``_total``.
     """
-    if owner is None:
-        steps = len(trace)
-    else:  # each member's inputs taken to its children, one column at a time
-        steps = len(trace[0])
+    if owner is not None:  # each member's inputs taken to its children, one column at a time
         log_prob = np.array(log_prob)[owner]
         if objective.regularizers:
             sums = [column[owner] for column in np.array(sums).T]
@@ -449,15 +433,9 @@ def child_scores(objective: Objective, trace, sums, log_prob, children,
     n = steps + 1
     weighted, flat = [], []
     for lam, penalty, part in objective._layout:
-        child_sums = penalty.carry(sums[part], children)
+        child_sums = penalty.carry(sums[part], children, n)
         flat += child_sums
-        if penalty.value is not None:
-            value = penalty.value(child_sums, trace, owner, n, children)
-        elif penalty.per_length:
-            value = child_sums[0] / n
-        else:
-            value = child_sums[0]
-        weighted.append((lam, value))
+        weighted.append((lam, child_sums[0] / n if penalty.per_length else child_sums[0]))
     return _total(objective, log_probs, n, weighted), log_probs, flat
 
 
@@ -502,11 +480,10 @@ def completion_bounds(
     lowers, flat = [], []
     shortest = objective.length_mode == "none"
     for lam, penalty, part in objective._layout:
-        child_sums = penalty.carry(sums[part], children)
+        child_sums = penalty.carry(sums[part], children, steps + 1)
         flat += child_sums
-        if penalty.value is None:
-            lowers.append((lam, child_sums[0], penalty.per_length))
-            shortest = shortest and not penalty.per_length
+        lowers.append((lam, child_sums[0], penalty.per_length))
+        shortest = shortest and not penalty.per_length
     log_probs = log_prob - children[_SURPRISAL]
     n = steps + 2
     one_length = shortest or n == n_max

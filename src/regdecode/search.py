@@ -19,7 +19,7 @@ prefix for the end-marker child, and ``objectives.completion_bounds``
 returns the open children's partial sums with their bounds. Survivors and
 queued prefixes also carry their trace and minima tuples, from which
 ``ScoreBreakdown``s (through the spec, ``score_parts``) are built for the
-hypotheses a decoder returns, and variance reads the trace.
+hypotheses a decoder returns; scoring reads no trace.
 
 Beam search keeps, per step, the candidates at or above the k-th best
 total (one ``np.partition`` threshold, so every tie survives) and orders
@@ -71,9 +71,10 @@ from .objectives import (
 
 BRUTE_FORCE_PREFIX_GUARD = 10**7
 # Open prefixes exact search may hold at once; each holds its trace, minima
-# and partial sums. tracemalloc puts them at about 390 bytes each (420 with
-# two partial sums) at 200,000 queued prefixes of a 200-token trigram model
-# at n_max 12, so 10**6 of them take about 400 MB.
+# and partial sums. tracemalloc puts them at about 380 bytes each with one
+# partial sum, 410 with two (local, or variance alone) and 445 with three
+# (variance and square), at 200,000 queued prefixes of a 200-token trigram
+# model at n_max 12, so 10**6 of them take 380-445 MB.
 EXACT_AGENDA_GUARD = 10**6
 # Complete hypotheses the oracle argmax scores at once: one chunk's spec
 # values and totals are all it holds per hypothesis.
@@ -171,14 +172,14 @@ def _beam(model: SequenceModel, source, objective: Objective, k: int,
     once.
 
     One ``child_scores`` call per step scores the children of every open
-    member: their rows' children tables are concatenated, and an owner
-    index (each candidate's member) takes each member's log-probability,
-    partial sums and trace to its children. Each ended member is its own
-    only candidate, with its stored total. One ``np.partition`` over all
-    candidates keeps those at or above the k-th best total (so every tie
-    on it survives); each kept child takes its surprisal and partial sums
-    from the kernel's arrays, and its member and column from the members'
-    first columns.
+    member: their rows' children tables are concatenated, and an owner index
+    (each candidate's member) takes each member's log-probability and
+    partial sums to its children. Each ended member is its own only
+    candidate, with its stored total. One ``np.partition`` over all
+    candidates keeps those at or above the k-th best total (so every tie on
+    it survives); each kept child takes its surprisal and partial sums from
+    the kernel's arrays, and its member and column from the members' first
+    columns.
     """
     _check_budget(k, n_max)
     vocab = model.vocabulary
@@ -195,7 +196,7 @@ def _beam(model: SequenceModel, source, objective: Objective, k: int,
             break
         ended = [node for node in beams if node[0][-1] == eos]
         expanded += len(parents)
-        ids, traces, _, log_probs, _, sums = zip(*parents)
+        ids, _, _, log_probs, _, sums = zip(*parents)
         terms = step_terms(model, source_key, ids)
         counts, first, n_children = [], [], 0  # per member: its children, its first one
         for t in terms:
@@ -205,7 +206,7 @@ def _beam(model: SequenceModel, source, objective: Objective, k: int,
         owner = np.arange(len(parents)).repeat(counts)
         tables = [t.table for t in terms]
         children = tables[0] if len(tables) == 1 else np.concatenate(tables, axis=1)
-        totals, log_probs, sums = child_scores(objective, traces, sums, log_probs, children, owner)
+        totals, log_probs, sums = child_scores(objective, steps, sums, log_probs, children, owner)
         if ended:  # each its own only candidate, after every child
             totals = np.concatenate((totals, [node[4] for node in ended]))
             log_probs = np.concatenate((log_probs, [node[3] for node in ended]))
@@ -294,7 +295,7 @@ def exact_search(
         n_open = len(terms.ids)
         if terms.end is not None:
             n_open -= 1
-            end_total, end_lp, _ = child_scores(objective, trace, sums, log_prob, terms.end)
+            end_total, end_lp, _ = child_scores(objective, len(trace), sums, log_prob, terms.end)
             end_total = float(end_total)
             key = (-end_total, -end_lp, (*ids, eos))
             if best_key is None or key < best_key:

@@ -5,7 +5,8 @@ are held to, bit for bit.
 Per regularizer of the objective, in its order: greedy, square and max
 their value on the trace (0.0, 0.0 and -inf on the empty one); local its
 sum of squared adjacent differences, anchored at zero, and its last
-surprisal (0.0 on the empty trace); variance the running sum of the trace.
+surprisal (0.0 on the empty trace); variance Welford's sum of squared
+deviations and its mean (0.0 and 0.0 on the empty trace).
 """
 
 import math
@@ -23,10 +24,12 @@ def spec_sums(objective, trace, minima) -> tuple:
         elif kind is RegularizerKind.MAX:
             sums.append(r_max(trace) if trace else -math.inf)
         elif kind is RegularizerKind.VARIANCE:
-            run = 0.0
-            for u in trace:
-                run += u
-            sums.append(run)
+            m2 = mean = 0.0
+            for i, u in enumerate(trace, 1):
+                d = u - mean
+                mean += d / i
+                m2 += d * (u - mean)
+            sums += [m2, mean]
         else:
             total = prev = 0.0
             for u in trace:

@@ -1,5 +1,6 @@
 import itertools
 import math
+import statistics
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from regdecode import (
     trace,
 )
 from regdecode.objectives import (
+    _PENALTIES,
     _SetDeviationTable,
     _terms_block,
     child_scores,
@@ -79,6 +81,15 @@ def test_variance_examples():
     tr = rng.random(10).tolist()
     mean = sum(tr) / 10
     assert r_variance(tr) == pytest.approx(sum((u - mean) ** 2 for u in tr) / 10)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.floats(min_value=0.0, max_value=30.0), min_size=1, max_size=16))
+def test_variance_equals_the_population_variance(tr):
+    """Welford's update gives the population variance of the same floats
+    (``statistics.pvariance``, computed exactly) within 1e-12 relative; the
+    1e-15 floor covers near-constant traces, whose variance is rounding."""
+    assert r_variance(tr) == pytest.approx(statistics.pvariance(tr), rel=1e-12, abs=1e-15)
 
 
 def test_local_examples():
@@ -225,7 +236,8 @@ def test_kernel_totals_equal_spec(row, steps, order, weights, length):
     log_prob = -sum(trace)
     (terms,) = _terms_block([np.array(row)])
     sums = spec_sums(objective, trace, minima)
-    totals, log_probs, carried = child_scores(objective, trace, sums, log_prob, terms.children)
+    totals, log_probs, carried = child_scores(objective, len(trace), sums, log_prob,
+                                              terms.children)
     step_min = -max(row)
     allowed = [tid for tid, logv in enumerate(row) if logv != -math.inf]
     assert list(terms.ids) == allowed
@@ -239,7 +251,8 @@ def test_kernel_totals_equal_spec(row, steps, order, weights, length):
     if row[-1] == -math.inf:
         assert terms.end is None
     else:  # the float path for the end-marker child alone
-        end_total, end_log_prob, _ = child_scores(objective, trace, sums, log_prob, terms.end)
+        end_total, end_log_prob, _ = child_scores(objective, len(trace), sums, log_prob,
+                                                  terms.end)
         assert end_total == totals[-1] and end_log_prob == log_probs[-1]
 
 
@@ -273,6 +286,24 @@ PAIRWISE_TRAP = [
     (22.243, 7.065), (20.232, 9.594), (23.996, 20.526), (15.212, 13.915), (15.192, 6.657),
     (19.228, 7.086),
 ]
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.one_of(st.floats(min_value=0.0, max_value=1e300),
+                          st.floats(min_value=0.0, max_value=30.0)), min_size=1, max_size=16))
+@example([max(a, b) for a, b in PAIRWISE_TRAP])
+def test_variance_carry_never_lowers_m2(tr):
+    """Along a trace of finite surprisals >= 0, the ``m2`` that variance
+    carries is exactly 0 after the first step and never decreases after it,
+    in floats: so ``m2`` over the completion length is a lower-bound form.
+    Over the steps so far it is the spec's value, bit for bit."""
+    carry = _PENALTIES[RegularizerKind.VARIANCE].carry
+    sums = (0.0, 0.0)
+    for n, u in enumerate(tr, 1):
+        m2 = sums[0]
+        sums = carry(sums, (u,), n)  # variance reads the surprisal row only
+        assert sums[0] == 0.0 if n == 1 else sums[0] >= m2
+        assert same_bits([sums[0] / n], [r_variance(tr[:n])])
 
 
 @settings(max_examples=300, deadline=None)
@@ -313,7 +344,7 @@ def test_batched_kernel_totals_equal_spec(prefixes, order, weights, length):
     owner = np.arange(len(prefixes)).repeat(counts)
     sums = [spec_sums(objective, trace, mins) for trace, mins in zip(traces, minima)]
     totals, log_probs, carried = child_scores(
-        objective, traces, sums, [-sum(trace) for trace in traces],
+        objective, len(traces[0]), sums, [-sum(trace) for trace in traces],
         np.concatenate([terms.table for terms in block], axis=1), owner)
     assert len(totals) == len(log_probs) == sum(counts)
     c = 0
@@ -377,7 +408,8 @@ def test_carried_partial_sums_equal_the_spec(rows, picks, order, weights):
     for row, pick in zip(rows, picks):
         (terms,) = _terms_block([np.array(row)])
         j = pick % len(terms.ids)
-        _, log_probs, carried = child_scores(objective, trace, sums, log_prob, terms.children)
+        _, log_probs, carried = child_scores(objective, len(trace), sums, log_prob,
+                                             terms.children)
         _, _, bounded = completion_bounds(objective, len(trace), sums, log_prob, terms.children,
                                           len(trace) + 3, 0.0)
         assert all(same_bits(a, b) for a, b in zip(carried, bounded))
@@ -446,8 +478,8 @@ def _bounds_length_by_length(objective, steps, sums, log_prob, children, n_max, 
     """``completion_bounds`` as one bound array per completion length, the
     highest kept: each length's running sum, total and lower forms built on
     their own, with no shortcut for a single deciding length."""
-    lowers = [(lam, penalty.carry(sums[part], children)[0], penalty.per_length)
-              for lam, penalty, part in objective._layout if penalty.value is None]
+    lowers = [(lam, penalty.carry(sums[part], children, steps + 1)[0], penalty.per_length)
+              for lam, penalty, part in objective._layout]
     log_probs = run = log_prob - children[0]  # the surprisals' row
     bounds = None
     for n in range(steps + 2, n_max + 1):

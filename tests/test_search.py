@@ -1,5 +1,7 @@
 import itertools
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -332,6 +334,23 @@ def test_exact_agrees_with_brute_under_length_modes(m1, m4):
             b = brute_force(model, None, objective, 5)
             assert e.best.score == b.best.score
             assert e.best.token_ids == b.best.token_ids
+
+
+def test_variance_decodes_keep_their_token_ids(request):
+    """Beam (k = 1, 5, 10) and exact decodes at n_max 8 under four variance
+    objectives on the three source-keyed fixtures return the token ids they
+    returned when variance was summed in two passes, mean first; since
+    Welford's update their totals move in the last bits only."""
+    records = json.loads((Path(__file__).parent / "variance_decodes.json").read_text())
+    for name, source, spec, k, want in records:
+        model, objective = request.getfixturevalue(name), parse_objective(spec)
+        if k is None:
+            hyps = [exact_search(model, source, objective, 8).best]
+        else:
+            hyps = beam_search(model, source, objective, k, 8).beam_set
+        assert [list(h.token_ids) for h in hyps] == [ids for ids, _ in want]
+        assert [h.score for h in hyps] == pytest.approx([total for _, total in want],
+                                                        rel=1e-12, abs=0.0)
 
 
 BOUND_OBJECTIVES = (
