@@ -27,14 +27,15 @@ distinct row's scoring terms (``objectives.step_terms``), keyed by the
 row's identity. It holds one entry per distinct row visited and lives as
 long as the model; the rows a beam step finds missing get their terms in
 one block, each entry a slice of it, so a block lives while any of its
-rows' entries does. ``best_step``, the bound exact search puts on every step
-it has not taken yet, is computed on first use and then kept. Because of
-these memos, instances are not meant to be shared between threads.
+rows' entries does. Because of these memos, instances are not meant to be
+shared between threads. Every model sets ``best_step``, the bound exact
+search puts on every step it has not taken yet, when it is constructed, so
+a model decoded only by beam search pays for it too: about 0.4 ms of the
+7-10 ms load of a 200-token trigram model file with 3,621 contexts.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import json
 import logging
@@ -50,6 +51,12 @@ from .vocab import DEFAULT_BOS, DEFAULT_EOS, Vocabulary
 log = logging.getLogger(__name__)
 
 NORMALIZATION_TOL = 1e-6
+# Begin markers train_ngram may add, over all the contexts it spells, to
+# pad them beyond the longest corpus line, where a huge order would
+# exhaust memory. Each takes about 4 bytes of the stored contexts and as
+# many of the model file: at the guard, training and saving a 5-line
+# corpus peaks at 120 MB (tracemalloc) and writes a 40 MB file.
+NGRAM_PADDING_GUARD = 10**7
 
 TokenSeq = Sequence[str]
 
@@ -69,9 +76,16 @@ class SequenceModel:
     ended yet; the base class enforces prefix validity and the convention
     that an ended hypothesis only ever re-emits its end marker with
     probability one.
+
+    Each subclass also sets ``best_step`` when it is constructed: at least
+    every entry of every row ``_step_log_probs`` can return, so no step of
+    any hypothesis has a higher log-probability, and at most 0, since every
+    row is a distribution. Exact search reads it; a custom model used with
+    ``exact_search`` sets it too.
     """
 
     vocabulary: Vocabulary
+    best_step: float
 
     def __init__(self, vocabulary: Vocabulary) -> None:
         self.vocabulary = vocabulary
@@ -96,16 +110,6 @@ class SequenceModel:
         return self._step_log_probs(source_key, prefix_ids)
 
     def _step_log_probs(self, source_key: str, prefix_ids: tuple[int, ...]) -> np.ndarray:
-        raise NotImplementedError
-
-    @functools.cached_property
-    def best_step(self) -> float:
-        """At least every entry of every row ``_step_log_probs`` can return,
-        so no step of any hypothesis has a higher log-probability; at most
-        0, since every row is a distribution."""
-        return min(self._best_step(), 0.0)
-
-    def _best_step(self) -> float:
         raise NotImplementedError
 
 
@@ -160,6 +164,10 @@ class TableModel(SequenceModel):
             self._tables[""] = self._build_table(entries, "entries")
         self._raw_entries = {k: dict(v) for k, v in entries.items()}
         self._raw_default = dict(default)
+        # No entry exceeds 0: each is the log of a probability at most its
+        # row's float sum, divided by that sum unless the sum is 1.
+        tables = (table.values() for table in self._tables.values())
+        self.best_step = float(np.concatenate([self._default, *itertools.chain(*tables)]).max())
 
     def _build_table(self, ctxs: Mapping[str, Mapping[str, float]], where: str) -> dict:
         table = {}
@@ -182,10 +190,6 @@ class TableModel(SequenceModel):
             if hit is not None:
                 return hit
         return self._default
-
-    def _best_step(self) -> float:
-        tables = (table.values() for table in self._tables.values())
-        return float(np.concatenate([self._default, *itertools.chain(*tables)]).max())
 
     def to_spec(self) -> dict:
         spec = {
@@ -273,12 +277,6 @@ class NGramModel(SequenceModel):
             raise ContractError(
                 "n-gram tokens and markers must be non-empty and hold no whitespace"
             )
-        try:
-            usable = math.isfinite(add_k) and add_k > 0
-        except OverflowError as exc:  # an int beyond every float
-            raise ContractError(str(exc)) from None
-        if not usable:
-            raise ContractError(f"add_k must be finite and > 0, got {add_k!r}")
         super().__init__(vocabulary)
         self.order = order
         self.add_k = float(add_k)
@@ -288,6 +286,7 @@ class NGramModel(SequenceModel):
         self._need = order - 1 if counts.context_index else 0
         self._token_name = names.__getitem__
         self._cache: dict[tuple[int, ...], np.ndarray] = {}
+        self.best_step = self._best_step()
 
     def _context_of(self, prefix_ids: tuple[int, ...]) -> tuple[int, ...]:
         need = self._need
@@ -322,7 +321,7 @@ class NGramModel(SequenceModel):
         # _step_log_probs, without building the rows. The leading zeros are
         # the unseen-context row (and any context stored without events).
         # np.log is the function the rows use, but its result here is not
-        # taken from a row, so it is raised by one ulp.
+        # taken from a row, so it is raised by one ulp, and then capped at 0.
         offsets = np.array(self._columns.offsets)
         starts = offsets[:-1][offsets[:-1] < offsets[1:]]  # of the contexts with events
         counts = self._columns.event_counts
@@ -331,7 +330,7 @@ class NGramModel(SequenceModel):
             top[1:] = np.maximum.reduceat(counts, starts)
             total[1:] = np.add.reduceat(counts, starts, dtype=float)  # no int64 overflow
         probs = (top + self.add_k) / (total + self.add_k * self.vocabulary.dist_size)
-        return math.nextafter(float(np.log(probs).max()), math.inf)
+        return min(math.nextafter(float(np.log(probs).max()), math.inf), 0.0)
 
     def to_spec(self) -> dict:
         """The model file's fields, the counts in its four columns."""
@@ -353,14 +352,19 @@ class NGramModel(SequenceModel):
 
 def _check_parameters(order, add_k) -> None:
     """``NGramModel``'s rule for its order, an ``int`` of at least 1, and
-    for the type of its ``add_k``, an ``int`` or ``float``; a bool is
-    neither. The order is named first."""
-    if isinstance(order, bool) or not isinstance(order, int):
-        raise ContractError(f"order must be an integer, got {order!r}")
-    if isinstance(add_k, bool) or not isinstance(add_k, (int, float)):
-        raise ContractError(f"add_k must be a number, got {add_k!r}")
-    if order < 1:
-        raise ContractError("order must be >= 1")
+    for its ``add_k``, an ``int`` or ``float`` that is finite and above 0
+    (an infinite one makes every row NaN); a bool is neither. The order is
+    named first."""
+    if isinstance(order, bool) or not isinstance(order, int) or order < 1:
+        raise ContractError(f"order must be an integer >= 1, got {order!r}")
+    fault = "add_k must be a finite number > 0, got "
+    try:
+        usable = (isinstance(add_k, (int, float)) and not isinstance(add_k, bool)
+                  and math.isfinite(add_k) and add_k > 0)
+    except OverflowError:  # an int beyond every float, maybe too long to print
+        raise ContractError(fault + "an int too large for a float") from None
+    if not usable:
+        raise ContractError(fault + repr(add_k))
 
 
 # The count columns of an n-gram model file.
@@ -407,10 +411,6 @@ def train_ngram(corpus: Iterable[TokenSeq], order: int, add_k: float) -> NGramMo
     # Beyond the longest line every context token is the begin marker, so
     # only the nearest ``depth`` positions tell contexts apart.
     depth = min(need, int(lengths.max()))
-    try:
-        pad = [vocab.bos] * (need - depth)
-    except OverflowError:
-        raise ContractError(f"order {order} is too large to pad a context to") from None
     # Every line laid out as ``depth`` begin markers, its ids, then the end
     # marker; each event reads its context off the ``depth`` ids before it.
     stops = np.cumsum(lengths + depth + 1)  # one past each line's end marker
@@ -436,6 +436,14 @@ def train_ngram(corpus: Iterable[TokenSeq], order: int, add_k: float) -> NGramMo
     # The pairs come sorted by key, so each context's pairs are adjacent.
     context = present // size
     bounds = np.flatnonzero(np.diff(context, prepend=-1))
+    # Counting read only ``depth`` positions; spelling the contexts is the
+    # first step that grows with the order.
+    if (need - depth) * len(bounds) > NGRAM_PADDING_GUARD:
+        raise ContractError(
+            f"order {order} would pad each of the {len(bounds)} contexts with {need - depth} "
+            f"begin markers, beyond the guard of {NGRAM_PADDING_GUARD} in all"
+        )
+    pad = [vocab.bos] * (need - depth)
     context_first = np.minimum.reduceat(first, bounds)
     sizes = np.diff(bounds, append=len(present))
     # Contexts by their first event, and within each its events by theirs.
@@ -477,14 +485,8 @@ def _ngram_model_from_spec(raw: dict, path: str | Path) -> NGramModel:
     missing = [name for name in ("vocab", "order", "add_k", *_COLUMNS) if name not in raw]
     if missing:
         raise ModelFormatError(f"n-gram model {path} is missing {', '.join(missing)}")
-    order = raw["order"]
-    if isinstance(order, bool) or not isinstance(order, int) or order < 1:
-        raise ModelFormatError(f"n-gram model {path}: order must be an integer >= 1, got {order!r}")
-    add_k = raw["add_k"]
-    if isinstance(add_k, bool) or not isinstance(add_k, (int, float)):
-        raise ModelFormatError(f"n-gram model {path}: add_k must be a number, got {add_k!r}")
     try:
-        return NGramModel(_vocabulary_of(raw), order, add_k, raw)
+        return NGramModel(_vocabulary_of(raw), raw["order"], raw["add_k"], raw)
     except (VocabularyError, ContractError) as exc:
         raise ModelFormatError(f"bad n-gram model {path}: {exc}") from exc
 

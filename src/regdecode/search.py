@@ -274,12 +274,7 @@ def exact_search(
     vocab = model.vocabulary
     source_key = _source_key(source)
     eos = vocab.eos_id
-    # Every row is a distribution, so 0.0 bounds every step. The model's
-    # best_step is tighter, but its first use costs a pass over the model's
-    # parameters: until some decode has paid for it (the cached property
-    # then sits in the instance dict), a decode fetches it only once bounds
-    # with 0.0 leave a child to queue.
-    best_step = vars(model).get("best_step")
+    best_step = model.best_step
 
     best_key = best = None  # the incumbent's sort key and its (ids, trace, minima, log_prob)
     floor = -math.inf  # the incumbent's score
@@ -303,13 +298,9 @@ def exact_search(
                 best = (key[2], trace + terms.end[:1], minima + (terms.step_min,), end_lp)
                 floor = end_total
         if n_open and len(ids) < n_max:  # an open child still has a step left
-            args = (objective, len(trace), sums, log_prob, terms.children, n_max)
-            bounds, log_probs, sums = completion_bounds(
-                *args, 0.0 if best_step is None else best_step)
+            bounds, log_probs, sums = completion_bounds(objective, len(trace), sums, log_prob,
+                                                        terms.children, n_max, best_step)
             bounds = bounds.tolist()
-            if best_step is None and max(bounds[:n_open]) >= floor:
-                best_step = model.best_step
-                bounds = completion_bounds(*args, best_step)[0].tolist()
             if max(bounds[:n_open]) >= floor:  # some open child is queued
                 c_minima = minima + (terms.step_min,)
                 for j, lp, u, c_sums in zip(range(n_open), log_probs.tolist(),

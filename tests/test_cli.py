@@ -13,6 +13,7 @@ from regdecode import (
     load_model,
     train_ngram,
 )
+import regdecode.models
 import regdecode.search
 from regdecode.cli import main
 
@@ -216,6 +217,10 @@ def test_benchmark_bindings_resolve():
         assert getattr(cli, name, None) is getattr(regdecode.search, name), name
 
 
+# How a bad add_k is named, in a model file or a train-ngram flag.
+ADD_K_RULE = "add_k must be a finite number > 0, got "
+
+
 def _ngram_spec(**changes):
     """A bigram model file over ``a`` and ``b``; a change of None drops the field."""
     spec = {"kind": "ngram", "vocab": ["a", "b"], "order": 2, "add_k": 0.5,
@@ -238,13 +243,14 @@ def _ngram_spec(**changes):
         # An infinite add_k (JSON 1e400 parses to inf) made every row NaN:
         # beam and exact then ended in an IndexError traceback. A boolean or
         # a string was read through float().
-        pytest.param(_ngram_spec(add_k=math.inf), ["add_k", "inf"], id="infinite-add-k"),
-        pytest.param(_ngram_spec(add_k=math.nan), ["add_k", "nan"], id="nan-add-k"),
-        pytest.param(_ngram_spec(add_k=-0.5), ["add_k", "-0.5"], id="negative-add-k"),
-        pytest.param(_ngram_spec(add_k=True), ["add_k", "True"], id="boolean-add-k"),
-        pytest.param(_ngram_spec(add_k="0.5"), ["add_k", "'0.5'"], id="string-add-k"),
-        pytest.param(_ngram_spec(add_k=[1]), ["add_k", "[1]"], id="list-add-k"),
-        pytest.param(_ngram_spec(add_k=10**400), ["too large"], id="add-k-too-large-for-a-float"),
+        pytest.param(_ngram_spec(add_k=math.inf), [f"{ADD_K_RULE}inf"], id="infinite-add-k"),
+        pytest.param(_ngram_spec(add_k=math.nan), [f"{ADD_K_RULE}nan"], id="nan-add-k"),
+        pytest.param(_ngram_spec(add_k=-0.5), [f"{ADD_K_RULE}-0.5"], id="negative-add-k"),
+        pytest.param(_ngram_spec(add_k=True), [f"{ADD_K_RULE}True"], id="boolean-add-k"),
+        pytest.param(_ngram_spec(add_k="0.5"), [f"{ADD_K_RULE}'0.5'"], id="string-add-k"),
+        pytest.param(_ngram_spec(add_k=[1]), [f"{ADD_K_RULE}[1]"], id="list-add-k"),
+        pytest.param(_ngram_spec(add_k=10**400), [f"{ADD_K_RULE}an int too large for a float"],
+                     id="add-k-too-large-for-a-float"),
         # A context that is not order - 1 tokens was kept, and best_step read it.
         pytest.param(_ngram_spec(contexts=["<s>", ""]), ["'' holds 0 tokens"],
                      id="empty-context"),
@@ -458,14 +464,39 @@ def test_train_ngram_token_that_only_contains_a_marker_is_ordinary(tmp_path):
     assert load_model(out).vocabulary.tokens == ("</s>b", "a<s>")
 
 
+# Five lines, the longest of 4 tokens; 10 distinct contexts at any order of 5 or more.
+FIVE_LINES = "a b\nb c a\n\nc\na a b c\n"
+
+
 def test_train_ngram_huge_order_is_usage_error(tmp_path, capsys):
+    """10**12 ended in a MemoryError traceback (exit 1) from the begin
+    markers padding each context, and 10**8 started allocating gigabytes.
+    The guard raises after counting, which reads only the longest line's
+    depth, and before the padding is built."""
     corpus = tmp_path / "corpus.txt"
-    corpus.write_text("a b\n")
+    corpus.write_text(FIVE_LINES)
     out = tmp_path / "model.json"
-    assert run(["train-ngram", corpus, "--order", str(10**21), "--out", out]) == 2
-    err = capsys.readouterr().err
-    assert "order" in err and "Traceback" not in err
-    assert not out.exists()
+    for order in (10**8, 10**12, 10**21):
+        assert run(["train-ngram", corpus, "--order", order, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert (f"order {order} would pad each of the 10 contexts with {order - 5} begin "
+                f"markers, beyond the guard of {regdecode.models.NGRAM_PADDING_GUARD} in all"
+                ) in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+
+def test_train_ngram_padding_guard_is_inclusive(tmp_path, capsys, monkeypatch):
+    """An order whose padding comes to the guard exactly trains; one more
+    begin marker per context does not."""
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text(FIVE_LINES)
+    out = tmp_path / "model.json"
+    monkeypatch.setattr(regdecode.models, "NGRAM_PADDING_GUARD", 10 * 3)
+    assert run(["train-ngram", corpus, "--order", 5 + 3, "--out", out]) == 0
+    assert load_model(out).to_spec()["contexts"][0] == " ".join(["<s>"] * 7)
+    assert run(["train-ngram", corpus, "--order", 5 + 4, "--out", tmp_path / "m9.json"]) == 2
+    assert "beyond the guard of 30 in all" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -502,7 +533,7 @@ def test_train_ngram_non_finite_add_k_is_usage_error(tmp_path, capsys, add_k):
     out = tmp_path / "model.json"
     assert run(["train-ngram", corpus, "--add-k", add_k, "--out", out]) == 2
     err = capsys.readouterr().err
-    assert "add_k" in err and "Traceback" not in err
+    assert f"{ADD_K_RULE}{add_k}" in err and "Traceback" not in err
     assert not out.exists()
 
 

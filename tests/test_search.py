@@ -353,6 +353,21 @@ def test_variance_decodes_keep_their_token_ids(request):
                                                         rel=1e-12, abs=0.0)
 
 
+def test_exact_decodes_keep_their_token_ids_and_node_counts(request):
+    """Exact decodes at n_max 8 on the five fixtures, each under its own
+    sources (m1 and m2 have none), return the token ids and expand the
+    nodes they did when exact search bounded an expansion with 0.0 first
+    and again with the model's ``best_step`` once some child survived. The
+    objectives are the exactness suite's 16, ``len=reward:1`` and
+    ``local=1,len=norm``."""
+    records = json.loads((Path(__file__).parent / "exact_decodes.json").read_text())
+    assert len(records) == 10 * 18
+    for name, source, spec, ids, nodes in records:
+        record = exact_search(request.getfixturevalue(name), source, parse_objective(spec), 8)
+        assert (list(record.best.token_ids), record.nodes_expanded) == (ids, nodes), (
+            name, source, spec)
+
+
 BOUND_OBJECTIVES = (
     "", "greedy=1", "variance=3", "local=2", "max=0.5", "square=0.5",
     "greedy=1,local=0.5,variance=2", "max=1,square=0.25,local=3",
@@ -845,6 +860,39 @@ def test_exact_equals_brute_on_random_ngram_models(seed, order, n_tokens, n_max)
         b = brute_force(model, None, objective, n_max)
         assert e.best.score == b.best.score
         assert e.best.token_ids == b.best.token_ids
+
+
+def test_exact_search_bounds_each_expansion_once(request, monkeypatch):
+    """Exact search makes at most one ``completion_bounds`` call per expanded
+    prefix (one ``step_terms`` call each), on the fixtures and on sparse
+    n-gram models, under every penalty kind, mixes and both length modes."""
+    calls = []  # per expansion, its completion_bounds calls
+    step_terms = regdecode.search.step_terms
+    completion_bounds = regdecode.search.completion_bounds
+
+    def counted_step_terms(*args):
+        calls.append(0)
+        return step_terms(*args)
+
+    def counted_bounds(*args):
+        calls[-1] += 1
+        return completion_bounds(*args)
+
+    monkeypatch.setattr(regdecode.search, "step_terms", counted_step_terms)
+    monkeypatch.setattr(regdecode.search, "completion_bounds", counted_bounds)
+    models = [(request.getfixturevalue(name), source) for name, source in (
+        ("m1", None), ("m2", None), ("m3", "s1"), ("m4", "m4"), ("beam_family", "s1"))]
+    models += [(sparse_ngram_model(np.random.default_rng(seed), order, 3), None)
+               for seed in range(5) for order in (1, 2, 3)]
+    bounded = 0
+    for model, source in models:
+        for spec in BOUND_OBJECTIVES:
+            calls.clear()
+            record = exact_search(model, source, parse_objective(spec), 5)
+            assert len(calls) == record.nodes_expanded
+            assert max(calls) <= 1, spec
+            bounded += sum(calls)
+    assert bounded > len(models) * len(BOUND_OBJECTIVES)  # most decodes bound some children
 
 
 def zero_entry_model() -> TableModel:

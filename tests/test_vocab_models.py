@@ -23,6 +23,8 @@ from regdecode import (
 import regdecode.models
 from regdecode.randmodels import _top_gap, random_distribution, random_table_model
 
+from .conftest import FIXTURES
+
 COLUMNS = ("contexts", "events_per_context", "event_tokens", "event_counts")
 
 
@@ -139,15 +141,49 @@ def test_ngram_unseen_context_is_uniform():
     assert np.exp(dist) == pytest.approx([1 / 3] * 3)
 
 
-def test_best_step_is_the_largest_entry_of_a_source_keyed_table(m3):
-    vocab = m3.vocabulary
+def _top_entry(model, sources=("",), depth=3) -> float:
+    """The largest entry of the rows of every prefix of fewer than ``depth``
+    tokens after the begin marker, under each source."""
+    vocab = model.vocabulary
     rows = [
-        m3.next_log_probs_ids(source, (vocab.bos_id, *body))
-        for source in ("s1", "s2", "s3", "unseen")
-        for depth in range(4)
-        for body in itertools.product(range(len(vocab.tokens)), repeat=depth)
+        model.next_log_probs_ids(source, (vocab.bos_id, *body))
+        for source in sources
+        for length in range(depth)
+        for body in itertools.product(range(len(vocab.tokens)), repeat=length)
     ]
-    assert m3.best_step == max(float(row.max()) for row in rows)
+    return max(float(row.max()) for row in rows)
+
+
+def _assert_bounds_ngram_rows(model) -> None:
+    """``best_step`` is the largest entry of the model's rows, raised by at
+    most one ulp."""
+    top = _top_entry(model)
+    assert top <= model.best_step <= math.nextafter(top, math.inf)
+
+
+def test_best_step_is_the_largest_entry_of_a_source_keyed_table(m3):
+    assert m3.best_step == _top_entry(m3, ("s1", "s2", "s3", "unseen"), 4)
+
+
+def test_every_model_sets_best_step_when_built(tmp_path):
+    """``best_step`` is an attribute the constructor sets, not a value
+    computed on first use: it is in the instance dict of a model fresh from
+    ``load_model`` (a table file and an n-gram file), ``train_ngram`` and
+    ``TableModel``, before any row is looked up."""
+    table = load_model(FIXTURES / "m3.json")
+    assert "best_step" in vars(table)
+    assert table.best_step == _top_entry(table, ("s1", "s2", "s3", "unseen"), 4)
+    built = TableModel(Vocabulary(("a", "b")), {"<s>": {"a": 0.25, "</s>": 0.75}},
+                       {"a": 0.5, "b": 0.5})
+    assert "best_step" in vars(built)
+    assert built.best_step == _top_entry(built) == math.log(0.75)
+    trained = train_ngram(_seeded_corpus(2), 2, 0.3)
+    assert "best_step" in vars(trained)
+    save_model(trained, tmp_path / "lm.json")
+    loaded = load_model(tmp_path / "lm.json")
+    assert "best_step" in vars(loaded)
+    for model in (trained, loaded):
+        _assert_bounds_ngram_rows(model)
 
 
 def test_best_step_bounds_every_ngram_row():
@@ -169,14 +205,13 @@ def test_best_step_bounds_every_ngram_row():
         models.append(NGramModel(vocab, 2, 0.5, _columns(contexts, sizes, tokens, counts)))
     unseen = 0
     for model in models:
+        _assert_bounds_ngram_rows(model)
         vocab = model.vocabulary
         prefixes = [
             (vocab.bos_id, *body)
             for depth in range(3)
             for body in itertools.product(range(len(vocab.tokens)), repeat=depth)
         ]
-        top = max(float(model.next_log_probs_ids("", p).max()) for p in prefixes)
-        assert top <= model.best_step <= math.nextafter(top, math.inf)
         stored = set(_count_map(model.to_spec()))
         unseen += sum(" ".join(vocab.decode(model._context_of(p))) not in stored for p in prefixes)
     assert unseen > 1  # rows of contexts never counted are among those checked
@@ -227,6 +262,10 @@ def test_ngram_rejects_bad_parameters():
     for add_k in (math.inf, math.nan):
         with pytest.raises(ContractError):
             train_ngram([["a"]], order=1, add_k=add_k)
+    # No float holds it, and its repr has more digits than int's string
+    # conversion allows.
+    with pytest.raises(ContractError, match="add_k must be a finite number > 0, got an int too"):
+        train_ngram([["a"]], order=1, add_k=10**5000)
     vocab = Vocabulary(("a",))
     for context in ("", "<s>", "<s> <s> <s>"):
         with pytest.raises(ContractError, match="an order-3 context holds 2"):
@@ -239,14 +278,14 @@ WRONG_TYPE_PARAMETERS = [
     # A float order built and failed on the first lookup (slice indices), a
     # boolean one named "an order-True context", and a non-number add_k
     # ended in a bare TypeError from math.isfinite.
-    pytest.param(2.0, 0.5, "order must be an integer, got 2.0", id="float-order"),
-    pytest.param(True, 0.5, "order must be an integer, got True", id="boolean-order"),
-    pytest.param("2", 0.5, "order must be an integer, got '2'", id="string-order"),
-    pytest.param(2, "0.5", "add_k must be a number, got '0.5'", id="string-add-k"),
-    pytest.param(2, None, "add_k must be a number, got None", id="none-add-k"),
-    pytest.param(2, True, "add_k must be a number, got True", id="boolean-add-k"),
-    pytest.param(2.0, None, "order must be an integer, got 2.0", id="order-named-first"),
-    pytest.param(2, [1], "add_k must be a number, got [1]", id="list-add-k"),
+    pytest.param(2.0, 0.5, "order must be an integer >= 1, got 2.0", id="float-order"),
+    pytest.param(True, 0.5, "order must be an integer >= 1, got True", id="boolean-order"),
+    pytest.param("2", 0.5, "order must be an integer >= 1, got '2'", id="string-order"),
+    pytest.param(2, "0.5", "add_k must be a finite number > 0, got '0.5'", id="string-add-k"),
+    pytest.param(2, None, "add_k must be a finite number > 0, got None", id="none-add-k"),
+    pytest.param(2, True, "add_k must be a finite number > 0, got True", id="boolean-add-k"),
+    pytest.param(2.0, None, "order must be an integer >= 1, got 2.0", id="order-named-first"),
+    pytest.param(2, [1], "add_k must be a finite number > 0, got [1]", id="list-add-k"),
 ]
 
 
