@@ -5,33 +5,38 @@ model (contexts are full target prefixes, optionally keyed by source) and
 an add-k smoothed n-gram model trained from a token corpus. Both return
 natural-log probabilities over the ordinary tokens plus the end marker.
 
-Distributions are fixed at construction: every row that
-``next_log_probs_ids`` returns is one array the model keeps for its
-lifetime. ``NGramModel`` stores its counts flat, whether they come from
-``train_ngram`` or from a model file's count columns: a map from each
-context, spelled as in a model file (its tokens joined by single spaces),
-to the slice that holds its events in two numpy columns, the event token
-ids and their int64 counts. A model file holds the same layout, with the
-event tokens by name. A row is built from its context's slice the first
-time that context is looked up (an unseen context gets the smoothed
-uniform row), and is then kept in a private cache, one row per distinct
-context visited. ``train_ngram`` counts a corpus into these columns in
-bulk numpy passes, contexts in first-seen corpus order and each context's
-events in first-seen order. ``NGramModel`` checks and stores a file's
-columns in bulk passes, so a valid file costs no per-event Python; columns
-that fail a check are walked event by event, and the walk names the first
-fault. The columns are the only n-gram file layout: a file that holds the
-older ``counts`` mapping instead is missing them, a format error.
-Every model also carries ``row_terms``, the decoders' memo of each
-distinct row's scoring terms (``objectives.step_terms``), keyed by the
-row's identity. It holds one entry per distinct row visited and lives as
-long as the model; the rows a beam step finds missing get their terms in
-one block, each entry a slice of it, so a block lives while any of its
-rows' entries does. Because of these memos, instances are not meant to be
-shared between threads. Every model sets ``best_step``, the bound exact
-search puts on every step it has not taken yet, when it is constructed, so
-a model decoded only by beam search pays for it too: about 0.4 ms of the
-7-10 ms load of a 200-token trigram model file with 3,621 contexts.
+Distributions are fixed at construction. ``NGramModel`` stores its counts
+flat, whether they come from ``train_ngram`` or from a model file's count
+columns: a map from each context, spelled as in a model file (its tokens
+joined by single spaces), to the slice that holds its events in two numpy
+columns, the event token ids and their int64 counts. A model file holds
+the same layout, with the event tokens by name. ``train_ngram`` counts a
+corpus into these columns in bulk numpy passes, contexts in first-seen
+corpus order and each context's events in first-seen order.
+``NGramModel`` checks and stores a file's columns in bulk passes, so a
+valid file costs no per-event Python; columns that fail a check are walked
+event by event, and the walk names the first fault. The columns are the
+only n-gram file layout: a file that holds the older ``counts`` mapping
+instead is missing them, a format error.
+
+Every model keys its rows by state (``SequenceModel.state``): prefixes of
+one state have one next-token row, an n-gram model's state being its
+context. Each model keeps one cache from state to ``StepTerms``, the row
+with the terms the decoders' expansion kernel reads of it
+(``objectives.step_terms``); it holds one entry per distinct state visited
+and lives as long as the model. The states a decoding step finds missing
+get their rows built together, as one block (for an n-gram model, one
+counts matrix from its columns), and their terms from that block, each
+row and entry a view of it, so a block lives while any of its entries
+does; a single missing state is built on its own. An n-gram model's
+``next_log_probs_ids`` reads and fills the same cache, so each of its
+contexts is built once (an unseen context gets the smoothed uniform row);
+a table model returns its stored rows. Because of this cache, instances
+are not meant to be shared between threads. Every model sets
+``best_step``, the bound exact search puts on every step it has not taken
+yet, when it is constructed, so a model decoded only by beam search pays
+for it too: about 0.4 ms of the 7-10 ms load of a 200-token trigram model
+file with 3,621 contexts.
 """
 
 from __future__ import annotations
@@ -41,7 +46,7 @@ import json
 import logging
 import math
 from pathlib import Path
-from typing import Iterable, Mapping, NamedTuple, NoReturn, Sequence
+from typing import Hashable, Iterable, Mapping, NamedTuple, NoReturn, Sequence
 
 import numpy as np
 
@@ -69,6 +74,93 @@ def _source_key(source: TokenSeq | str | None) -> str:
     return " ".join(source)
 
 
+# The terms the expansion kernel reads of some children, as the rows of a
+# children table: each child's surprisal, its greedy term (surprisal - step
+# minimum)**2 and its square term. Each row is an array whose columns are
+# aligned with ``StepTerms.ids`` for the allowed children of one row (or
+# with the candidates of a beam step, one row after another), or a float
+# for the end-marker child alone; the same arithmetic serves both. A
+# child's log-probability step is minus its surprisal: the kernel subtracts
+# the surprisal, which IEEE arithmetic defines as adding its negation, the
+# row entry itself.
+_SURPRISAL, _GAP_SQ, _SURPRISAL_SQ = range(3)
+
+
+class StepTerms:
+    """One next-token row in the form the expansion kernel reads.
+
+    ``ids`` are the allowed token ids (finite log-probability) in ascending
+    order (a ``range`` when every token is allowed) and ``table`` their
+    children table as one (3 x children) array, a view of the block it was
+    built in, so that a beam step joins its members' children in one
+    concatenation; ``children`` is the tuple of its rows, which a single
+    prefix's expansion reads without indexing the array. Forbidden tokens
+    never enter the table, so no ``0 * inf`` can arise. ``step_min`` is the
+    step's minimum surprisal. The end marker has the largest id of the row,
+    so when it is allowed it is the last child, and ``end`` holds its terms
+    as floats (``None`` otherwise), in the table's arithmetic.
+    """
+
+    __slots__ = ("row", "ids", "step_min", "table", "children", "end")
+
+    def __init__(self, row: np.ndarray, ids: Sequence[int], step_min: float,
+                 table: np.ndarray) -> None:
+        self.row = row
+        self.ids = ids
+        self.step_min = step_min
+        self.table = table
+        self.children = (table[_SURPRISAL], table[_GAP_SQ], table[_SURPRISAL_SQ])
+        self.end = None
+        if ids[-1] == len(row) - 1:
+            u = -float(row[-1])
+            gap = u - step_min
+            self.end = (u, gap * gap, u * u)
+
+
+def _terms_of_row(row: np.ndarray) -> StepTerms:
+    """The ``StepTerms`` of one row, on the row itself: the arithmetic of
+    ``_terms_of_block``, which costs more than this for a single row."""
+    allowed = np.nonzero(row > -math.inf)[0]
+    step_min = -float(np.maximum.reduce(row))
+    table = np.empty((3, len(allowed)))
+    if len(allowed) == len(row):
+        u, ids = np.negative(row, out=table[_SURPRISAL]), range(len(row))
+    else:
+        u, ids = np.negative(row[allowed], out=table[_SURPRISAL]), allowed.tolist()
+    gap_sq = np.subtract(u, step_min, out=table[_GAP_SQ])
+    gap_sq *= gap_sq
+    np.multiply(u, u, out=table[_SURPRISAL_SQ])
+    return StepTerms(row, ids, step_min, table)
+
+
+def _terms_of_block(block: np.ndarray) -> list[StepTerms]:
+    """The ``StepTerms`` of the rows of a 2-D block, one per row, in one set
+    of numpy calls: a (3 x rows x D) children table filled in place. Each
+    entry's row is a view of the block and its table a view of that table;
+    when the block holds forbidden entries they are dropped from one copy
+    of the table, row after row, and each entry's table is its slice."""
+    block.setflags(write=False)  # its rows are handed out
+    rows, size = block.shape
+    table = np.empty((3, rows, size))
+    u = np.negative(block, out=table[_SURPRISAL])
+    step_min = -np.maximum.reduce(block, axis=1)
+    gap_sq = np.subtract(u, step_min[:, None], out=table[_GAP_SQ])
+    gap_sq *= gap_sq
+    np.multiply(u, u, out=table[_SURPRISAL_SQ])
+    if np.minimum.reduce(block, axis=None) > -math.inf:
+        return [StepTerms(row, range(size), row_min, table[:, i])
+                for i, (row, row_min) in enumerate(zip(block, step_min.tolist()))]
+    allowed = (block > -math.inf).ravel().nonzero()[0]  # row after row
+    table = table.reshape(3, -1)[:, allowed]
+    ids = (allowed % size).tolist()
+    stops = np.searchsorted(allowed, np.arange(size, block.size + 1, size)).tolist()
+    terms, start = [], 0
+    for row, stop, row_min in zip(block, stops, step_min.tolist()):
+        terms.append(StepTerms(row, ids[start:stop], row_min, table[:, start:stop]))
+        start = stop
+    return terms
+
+
 class SequenceModel:
     """Interface: a next-token log-probability distribution per (source, prefix).
 
@@ -76,6 +168,13 @@ class SequenceModel:
     ended yet; the base class enforces prefix validity and the convention
     that an ended hypothesis only ever re-emits its end marker with
     probability one.
+
+    ``state`` keys the rows: two open prefixes with one state have one
+    row. The base class keys each (source key, prefix) apart and builds its
+    row with ``_step_log_probs``; a subclass whose prefixes share rows
+    overrides ``state`` and ``_state_row`` (and ``_state_rows``, to build
+    several rows at once). ``_terms`` is the decoders' cache of each
+    visited state's ``StepTerms`` (``objectives.step_terms``).
 
     Each subclass also sets ``best_step`` when it is constructed: at least
     every entry of every row ``_step_log_probs`` can return, so no step of
@@ -93,7 +192,7 @@ class SequenceModel:
         absorbed[vocabulary.eos_id] = 0.0
         absorbed.setflags(write=False)
         self._absorbed = absorbed
-        self.row_terms: dict[int, object] = {}
+        self._terms: dict[Hashable, StepTerms] = {}
 
     def next_log_probs(self, source: TokenSeq | str | None, prefix: TokenSeq) -> np.ndarray:
         """Log-probability vector over ordinary tokens plus eos.
@@ -112,11 +211,30 @@ class SequenceModel:
     def _step_log_probs(self, source_key: str, prefix_ids: tuple[int, ...]) -> np.ndarray:
         raise NotImplementedError
 
+    def state(self, source_key: str, prefix_ids: tuple[int, ...]) -> Hashable:
+        """The key of an open prefix's next-token row: prefixes of one state
+        have one row."""
+        return source_key, prefix_ids
+
+    def _state_row(self, state) -> np.ndarray:
+        """The row of one state."""
+        return self._step_log_probs(*state)
+
+    def _state_rows(self, states: Sequence) -> np.ndarray:
+        """The rows of distinct states, as the rows of one 2-D block."""
+        return np.array([self._state_row(state) for state in states])
+
 
 def _dist_to_log_array(dist: Mapping[str, float], vocab: Vocabulary, where: str) -> np.ndarray:
     probs = np.zeros(vocab.dist_size)
     for token, p in _json_object(dist, where).items():
-        if isinstance(p, bool) or not isinstance(p, (int, float)) or math.isnan(p):
+        try:
+            number = isinstance(p, (int, float)) and not isinstance(p, bool) and not math.isnan(p)
+        except OverflowError:  # an int beyond every float, maybe too long to print
+            raise ModelFormatError(
+                f"{where}: probability for {token!r} is an int too large for a float"
+            ) from None
+        if not number:
             raise ModelFormatError(f"{where}: probability for {token!r} is not a number")
         if p < 0:
             raise ModelFormatError(f"{where}: negative probability for {token!r}")
@@ -190,6 +308,16 @@ class TableModel(SequenceModel):
             if hit is not None:
                 return hit
         return self._default
+
+    def state(self, source_key: str, prefix_ids: tuple[int, ...]) -> Hashable:
+        """A stored prefix, with its table's source key ("" unless
+        ``source_keyed``), or ``None``, the one key of every prefix that
+        reads the default row."""
+        table_key = source_key if self.source_keyed else ""
+        return (table_key, prefix_ids) if prefix_ids in self._tables.get(table_key, ()) else None
+
+    def _state_row(self, state) -> np.ndarray:
+        return self._default if state is None else self._tables[state[0]][state[1]]
 
     def to_spec(self) -> dict:
         spec = {
@@ -285,35 +413,63 @@ class NGramModel(SequenceModel):
         # no context is formed: the order may be too large to pad a prefix to.
         self._need = order - 1 if counts.context_index else 0
         self._token_name = names.__getitem__
-        self._cache: dict[tuple[int, ...], np.ndarray] = {}
         self.best_step = self._best_step()
 
-    def _context_of(self, prefix_ids: tuple[int, ...]) -> tuple[int, ...]:
-        need = self._need
-        if need == 0:
-            return ()
-        padded = (self.vocabulary.bos_id,) * max(0, need - len(prefix_ids)) + prefix_ids
-        return padded[-need:]
+    def state(self, source_key: str, prefix_ids: tuple[int, ...]) -> tuple[int, ...]:
+        """The context: the last ``order - 1`` ids of the bos-padded prefix."""
+        short = self._need - len(prefix_ids)
+        if short <= 0:
+            return prefix_ids[-short:]
+        return (self.vocabulary.bos_id,) * short + prefix_ids
 
     def _step_log_probs(self, source_key: str, prefix_ids: tuple[int, ...]) -> np.ndarray:
-        ctx = self._context_of(prefix_ids)
-        cached = self._cache.get(ctx)
-        if cached is not None:
-            return cached
-        size = self.vocabulary.dist_size
-        counts = np.zeros(size)
+        ctx = self.state(source_key, prefix_ids)
+        terms = self._terms.get(ctx)
+        if terms is None:
+            terms = self._terms[ctx] = _terms_of_row(self._state_row(ctx))
+        return terms.row
+
+    def _events(self, ctx: tuple[int, ...]) -> slice | None:
+        """The slice of the event columns that holds a context's events, or
+        None for an unseen context."""
         columns = self._columns
         k = columns.context_index.get(" ".join(map(self._token_name, ctx)))
-        if k is not None:
-            start, end = columns.offsets[k], columns.offsets[k + 1]
+        return None if k is None else slice(columns.offsets[k], columns.offsets[k + 1])
+
+    def _state_row(self, ctx: tuple[int, ...]) -> np.ndarray:
+        size = self.vocabulary.dist_size
+        counts = np.zeros(size)
+        events = self._events(ctx)
+        if events is not None:
             # A context's event ids are distinct, and the int64 -> float64
             # cast rounds each count as float() of the int would.
-            counts[columns.event_ids[start:end]] = columns.event_counts[start:end]
+            counts[self._columns.event_ids[events]] = self._columns.event_counts[events]
         probs = (counts + self.add_k) / (counts.sum() + self.add_k * size)
         arr = np.log(probs)
         arr.setflags(write=False)
-        self._cache[ctx] = arr
         return arr
+
+    def _state_rows(self, contexts: Sequence[tuple[int, ...]]) -> np.ndarray:
+        """``_state_row`` of each context, as one block: the same float
+        operations on a counts matrix. A row sum along the matrix's
+        contiguous axis is numpy's pairwise sum of that row, grouped as a
+        1-D row's sum is, so even a total beyond 2**53, where the grouping
+        matters, equals the one-row build's."""
+        size = self.vocabulary.dist_size
+        counts = np.zeros((len(contexts), size))
+        spans = [(i, events) for i, events in enumerate(map(self._events, contexts))
+                 if events is not None]
+        if spans:
+            columns = self._columns
+            lengths = [events.stop - events.start for _, events in spans]
+            counts[np.repeat([i for i, _ in spans], lengths),
+                   np.concatenate([columns.event_ids[events] for _, events in spans])] = (
+                np.concatenate([columns.event_counts[events] for _, events in spans]))
+        totals = counts.sum(axis=1)
+        totals += self.add_k * size
+        counts += self.add_k
+        counts /= totals[:, None]
+        return np.log(counts, out=counts)
 
     def _best_step(self) -> float:
         # A row's largest entry belongs to its largest count, so the counts

@@ -20,7 +20,16 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .exceptions import ContractError
-from .models import SequenceModel, _source_key
+from .models import (
+    _GAP_SQ,
+    _SURPRISAL,
+    _SURPRISAL_SQ,
+    SequenceModel,
+    StepTerms,
+    _source_key,
+    _terms_of_block,
+    _terms_of_row,
+)
 
 Trace = Sequence[float]
 
@@ -98,107 +107,24 @@ def r_square(trace: Trace) -> float:
     return total
 
 
-# The terms the expansion kernel reads of some children, as the rows of a
-# children table: each child's surprisal, its greedy term (surprisal - step
-# minimum)**2 and its square term. Each row is an array whose columns are
-# aligned with ``StepTerms.ids`` for the allowed children of one row (or
-# with the candidates of a beam step, one row after another), or a float
-# for the end-marker child alone; the same arithmetic serves both. A
-# child's log-probability step is minus its surprisal: the kernel subtracts
-# the surprisal, which IEEE arithmetic defines as adding its negation, the
-# row entry itself.
-_SURPRISAL, _GAP_SQ, _SURPRISAL_SQ = range(3)
-
-
-class StepTerms:
-    """One next-token row in the form the expansion kernel reads.
-
-    ``ids`` are the allowed token ids (finite log-probability) in ascending
-    order (a ``range`` when every token is allowed) and ``table`` their
-    children table as one (3 x children) array, a slice of the block
-    ``_terms_block`` built, so that a beam step joins its members' children
-    in one concatenation; ``children`` is the tuple of its rows, which a
-    single prefix's expansion reads without indexing the array. Forbidden
-    tokens never enter the table, so no ``0 * inf`` can arise.
-    ``step_min`` is the step's minimum surprisal. The end marker has the
-    largest id of the row, so when it is allowed it is the last child, and
-    ``end`` holds its terms as floats (``None`` otherwise), in the table's
-    arithmetic.
-    """
-
-    __slots__ = ("row", "ids", "step_min", "table", "children", "end")
-
-    def __init__(self, row: np.ndarray, ids: Sequence[int], step_min: float,
-                 table: np.ndarray) -> None:
-        self.row = row
-        self.ids = ids
-        self.step_min = step_min
-        self.table = table
-        self.children = (table[_SURPRISAL], table[_GAP_SQ], table[_SURPRISAL_SQ])
-        self.end = None
-        if ids[-1] == len(row) - 1:
-            u = -float(row[-1])
-            gap = u - step_min
-            self.end = (u, gap * gap, u * u)
-
-
-def _terms_block(rows: Sequence[np.ndarray]) -> list[StepTerms]:
-    """``StepTerms`` of distinct rows of one size. Their terms are computed
-    together: one set of numpy calls on the stacked rows builds the
-    children table of all of them, the forbidden entries are dropped, and
-    each row's table is its slice of the result. A single row, as exact
-    search and a beam of width 1 expand, takes the same arithmetic on the
-    row itself, which costs less than stacking and splitting one row."""
-    if len(rows) == 1:
-        row = rows[0]
-        allowed = np.nonzero(row > -math.inf)[0]
-        step_min = -float(np.maximum.reduce(row))
-        table = np.empty((3, len(allowed)))
-        if len(allowed) == len(row):
-            u, ids = np.negative(row, out=table[_SURPRISAL]), range(len(row))
-        else:
-            u, ids = np.negative(row[allowed], out=table[_SURPRISAL]), allowed.tolist()
-        gap_sq = np.subtract(u, step_min, out=table[_GAP_SQ])
-        gap_sq *= gap_sq
-        np.multiply(u, u, out=table[_SURPRISAL_SQ])
-        return [StepTerms(row, ids, step_min, table)]
-    block = np.array(rows)
-    size = block.shape[1]
-    step_min = -np.maximum.reduce(block, axis=1)
-    u = -block
-    gap = u - step_min[:, None]
-    table = np.array((u, gap * gap, u * u)).reshape(3, -1)
-    allowed = block > -math.inf
-    if np.count_nonzero(allowed) == block.size:
-        ids, stops = None, range(size, block.size + 1, size)
-    else:
-        allowed = allowed.ravel().nonzero()[0]  # row after row
-        table = table[:, allowed]
-        ids = (allowed % size).tolist()
-        stops = np.searchsorted(allowed, np.arange(size, block.size + 1, size)).tolist()
-    terms, start = [], 0
-    for row, stop, row_min in zip(rows, stops, step_min.tolist()):
-        row_ids = range(size) if ids is None else ids[start:stop]
-        terms.append(StepTerms(row, row_ids, row_min, table[:, start:stop]))
-        start = stop
-    return terms
-
-
 def step_terms(model: SequenceModel, source_key: str,
                prefixes: Sequence[tuple[int, ...]]) -> list[StepTerms]:
-    """The next-token rows of some prefixes as ``StepTerms``, one model call
-    per prefix. Each distinct row's terms are memoized on the model; the
-    rows it lacks get theirs in one block."""
-    memo = model.row_terms  # it holds each row, so no other array shares the row's id
-    rows, terms = [], []
-    for ids in prefixes:
-        row = model.next_log_probs_ids(source_key, ids)
-        rows.append(row)
-        terms.append(memo.get(id(row)))
+    """The next-token rows of some open prefixes as ``StepTerms``, from the
+    model's cache, keyed by state (``SequenceModel.state``). The distinct
+    states the cache lacks get their rows from the model as one 2-D block,
+    and their terms from that block, one cache entry each; a single missing
+    state, as exact search and a width-1 beam meet it, is built on its own
+    row, which costs less than a block of one."""
+    cache = model._terms
+    states = [model.state(source_key, ids) for ids in prefixes]
+    terms = list(map(cache.get, states))
     if None in terms:
-        fresh = {id(row): row for row, known in zip(rows, terms) if known is None}
-        memo.update(zip(fresh, _terms_block(list(fresh.values()))))
-        terms = [memo[id(row)] for row in rows]
+        missing = list(dict.fromkeys(s for s, known in zip(states, terms) if known is None))
+        if len(missing) == 1:
+            cache[missing[0]] = _terms_of_row(model._state_row(missing[0]))
+        else:
+            cache.update(zip(missing, _terms_of_block(model._state_rows(missing))))
+        terms = list(map(cache.get, states))
     return terms
 
 

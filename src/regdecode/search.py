@@ -7,19 +7,20 @@ the lexicographically smallest token-id sequence.
 Greedy search is beam search at width 1 under the plain objective
 (``MAP_OBJECTIVE``), the paper's first result, and runs through beam's
 loop. So all three decoders score through one kernel,
-``objectives.child_scores``. One model call per expanded prefix fetches
-its next-token row (``objectives.step_terms``: each distinct row's terms
-are memoized on the model, and the rows a step lacks get theirs in one
-block), and the kernel scores children in one numpy expression from their
-prefixes' penalty partial sums. Every node carries its own partial sums,
-which the kernel returned when it scored the node as a child; the root's
-are constants. Beam search makes one kernel call per step for the
-children of all of its open members; exact search makes one per expanded
-prefix for the end-marker child, and ``objectives.completion_bounds``
-returns the open children's partial sums with their bounds. Survivors and
-queued prefixes also carry their trace and minima tuples, from which
-``ScoreBreakdown``s (through the spec, ``score_parts``) are built for the
-hypotheses a decoder returns; scoring reads no trace.
+``objectives.child_scores``. Each step reads its prefixes' next-token rows
+and their terms from the model's cache, keyed by state
+(``objectives.step_terms``: the states a step lacks get their rows and
+terms built in one block), and the kernel scores children in one numpy
+expression from their prefixes' penalty partial sums. Every node carries
+its own partial sums, which the kernel returned when it scored the node as
+a child; the root's are constants. Beam search makes one kernel call per
+step for the children of all of its open members; exact search makes one
+per expanded prefix for the end-marker child, and
+``objectives.completion_bounds`` returns the open children's partial sums
+with their bounds. Survivors and queued prefixes also carry their trace
+and minima tuples, from which ``ScoreBreakdown``s (through the spec,
+``score_parts``) are built for the hypotheses a decoder returns; scoring
+reads no trace.
 
 Beam search keeps, per step, the candidates at or above the k-th best
 total (one ``np.partition`` threshold, so every tie survives) and orders

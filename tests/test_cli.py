@@ -406,6 +406,30 @@ def test_decode_wrong_shaped_model_field_is_format_error(tmp_path, capsys, spec,
     assert named in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("field", ["entries", "default"])
+@pytest.mark.parametrize("value, fault", [
+    pytest.param("1" + "0" * 400, "probability for 'a' is an int too large for a float",
+                 id="401-digit-int"),
+    pytest.param("1e400", "distribution sums to inf, not 1", id="overflowing-exponent"),
+])
+def test_decode_table_probability_beyond_every_float_is_format_error(tmp_path, capsys, field,
+                                                                     value, fault):
+    """A JSON integer beyond every float ended in an OverflowError traceback
+    (exit 1); a JSON float that overflows reads as inf and fails the sum
+    check. Both exit 3 and name the distribution."""
+    dist = {"a": "P", "</s>": 0.5}
+    spec = _table_spec(**({"entries": {"<s>": dist}} if field == "entries" else {"default": dist}))
+    model = tmp_path / "m.json"
+    model.write_text(json.dumps(spec).replace('"P"', value))
+    inputs = tmp_path / "in.txt"
+    inputs.write_text("x\n")
+    code = run(["decode", model, inputs, "--decoder", "greedy", "--out", tmp_path / "o.jsonl"])
+    assert code == 3
+    err = capsys.readouterr().err
+    where = "entries['<s>']" if field == "entries" else "default"
+    assert f"{where}: {fault}" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("lambdas, named", [
     pytest.param("a,b", "bad numeric list 'a,b'", id="not-numbers"),
     pytest.param(",", "lambda list is empty", id="empty"),

@@ -26,10 +26,10 @@ from regdecode import (
     score_parts,
     trace,
 )
+from regdecode.models import _terms_of_block, _terms_of_row
 from regdecode.objectives import (
     _PENALTIES,
     _SetDeviationTable,
-    _terms_block,
     child_scores,
     completion_bounds,
     r_beam_ids,
@@ -234,7 +234,7 @@ def test_kernel_totals_equal_spec(row, steps, order, weights, length):
     trace = tuple(max(a, b) for a, b in steps)
     minima = tuple(min(a, b) for a, b in steps)
     log_prob = -sum(trace)
-    (terms,) = _terms_block([np.array(row)])
+    terms = _terms_of_row(np.array(row))
     sums = spec_sums(objective, trace, minima)
     totals, log_probs, carried = child_scores(objective, len(trace), sums, log_prob,
                                               terms.children)
@@ -339,7 +339,7 @@ def test_batched_kernel_totals_equal_spec(prefixes, order, weights, length):
     rows = [row for row, _ in prefixes]
     traces = [tuple(max(a, b) for a, b in steps) for _, steps in prefixes]
     minima = [tuple(min(a, b) for a, b in steps) for _, steps in prefixes]
-    block = _terms_block([np.array(row) for row in rows])
+    block = _terms_of_block(np.array(rows))
     counts = [len(terms.ids) for terms in block]
     owner = np.arange(len(prefixes)).repeat(counts)
     sums = [spec_sums(objective, trace, mins) for trace, mins in zip(traces, minima)]
@@ -371,8 +371,8 @@ def test_a_row_has_the_same_terms_alone_and_in_a_block(size, data):
     the same bits whether its terms are built alone, as exact search and a
     width-1 beam build them, or in a block with other rows."""
     rows = [np.array(data.draw(_row_of_size(size))) for _ in range(data.draw(st.integers(2, 4)))]
-    for row, in_block in zip(rows, _terms_block(rows)):
-        (alone,) = _terms_block([row])
+    for row, in_block in zip(rows, _terms_of_block(np.array(rows))):
+        alone = _terms_of_row(row)
         assert list(alone.ids) == list(in_block.ids)
         assert alone.table.tobytes() == np.ascontiguousarray(in_block.table).tobytes()
         assert all(same_bits(row, table_row)
@@ -406,7 +406,7 @@ def test_carried_partial_sums_equal_the_spec(rows, picks, order, weights):
     sums = objective._empty_sums
     assert same_bits(sums, spec_sums(objective, (), ()))
     for row, pick in zip(rows, picks):
-        (terms,) = _terms_block([np.array(row)])
+        terms = _terms_of_row(np.array(row))
         j = pick % len(terms.ids)
         _, log_probs, carried = child_scores(objective, len(trace), sums, log_prob,
                                              terms.children)
@@ -458,7 +458,7 @@ def test_completion_bounds_admissible(row, steps, best_step, rest, spare, order,
     minima = tuple(min(a, b) for a, b in steps)
     log_prob = -sum(trace)
     n_max = len(trace) + 1 + len(rest) + spare
-    (terms,) = _terms_block([np.array(row)])
+    terms = _terms_of_row(np.array(row))
     sums = spec_sums(objective, trace, minima)
     bounds, _, _ = completion_bounds(objective, len(trace), sums, log_prob, terms.children, n_max,
                                      best_step)
@@ -530,7 +530,7 @@ def test_completion_bounds_equal_the_bounds_taken_length_by_length(
     objective = Objective(regs, mode, float(lam or 0.0))
     trace = tuple(max(a, b) for a, b in steps)
     minima = tuple(min(a, b) for a, b in steps)
-    children = _terms_block([np.array(row)])[0].children
+    children = _terms_of_row(np.array(row)).children
     sums = spec_sums(objective, trace, minima)
     args = (objective, len(trace), sums, log_prob, children, len(trace) + 1 + lengths, best_step)
     bounds, log_probs, _ = completion_bounds(*args)

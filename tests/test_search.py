@@ -29,10 +29,10 @@ from regdecode import (
 )
 import regdecode.search
 from regdecode.cli import EXACTNESS_LAMBDAS, main
+from regdecode.models import _terms_of_block, _terms_of_row
 from regdecode.objectives import (
     _PENALTIES,
     _SetDeviationTable,
-    _terms_block,
     completion_bounds,
     r_beam_ids,
     score_parts,
@@ -391,7 +391,7 @@ def test_bound_admissible_on_small_models():
             run, steps, mins = 0.0, [], []
             for t in range(1, len(ids) - 1):
                 dist = model.next_log_probs_ids("", ids[:t])
-                (terms,) = _terms_block([dist])
+                terms = _terms_of_row(dist)
                 j = terms.ids.index(ids[t])
                 for objective, total in zip(objectives, totals):
                     sums = spec_sums(objective, steps, mins)
@@ -918,6 +918,36 @@ COLD_WARM_DECODES = [
 ]
 
 
+def recording_states(model) -> dict:
+    """Wraps ``model.state`` to record, per state it returns, the prefixes
+    it was asked for."""
+    prefixes_of = {}
+    state = model.state
+
+    def recorded(source_key, prefix_ids):
+        key = state(source_key, prefix_ids)
+        prefixes_of.setdefault(key, set()).add(prefix_ids)
+        return key
+
+    model.state = recorded
+    return prefixes_of
+
+
+def assert_one_entry_per_state(model, prefixes_of) -> None:
+    """The model's cache holds one entry for each state visited and no other,
+    each entry's row is the one-row build of its state, bit for bit, and its
+    table holds the finite terms of that row's allowed tokens only, so a
+    forbidden token never entered a block."""
+    assert model._terms.keys() == prefixes_of.keys()
+    for state, terms in model._terms.items():
+        row = model._state_row(state)
+        assert terms.row.tobytes() == row.tobytes()
+        allowed = np.flatnonzero(row > -math.inf).tolist()
+        assert list(terms.ids) == allowed
+        assert terms.table.shape == (3, len(allowed))
+        assert np.isfinite(terms.table).all()
+
+
 @pytest.mark.parametrize("make_model", [
     lambda: sparse_ngram_model(np.random.default_rng(3), 3, 4),
     lambda: train_ngram([line.split() for line in ("a b c", "b c", "c a b d", "", "d d a")], 3,
@@ -926,11 +956,12 @@ COLD_WARM_DECODES = [
 ], ids=["sparse-ngram", "trained-ngram", "zero-entries"])
 def test_cold_and_warm_models_give_identical_records(make_model):
     """Every decode gives the same record, bit for bit, on a fresh model,
-    whose rows all get their terms in new blocks, as on one model reused by
-    every decode before it, whose blocks hold other mixes of rows and whose
-    memo serves the rest: beam search at k in {1, 2, 5, 10} and exact
-    search. Every memoized row's table holds finite terms of its allowed
-    tokens only, so a forbidden token never entered a block."""
+    whose rows are all built in new blocks, as on one model reused by every
+    decode before it, whose blocks hold other mixes of rows and whose cache
+    serves the rest: beam search at k in {1, 2, 5, 10} and exact search.
+    After every decode, cold or warm, the cache holds one entry per state
+    visited. Prefixes share states: an n-gram model's prefixes of one
+    context, and a table model's prefixes that read the default row."""
     def outcome(model, k, objective):
         try:
             if k is None:
@@ -940,11 +971,57 @@ def test_cold_and_warm_models_give_identical_records(make_model):
             return repr(exc)
 
     warm = make_model()
+    warm_states = recording_states(warm)
     for k, spec in COLD_WARM_DECODES:
         objective = parse_objective(spec)
-        assert outcome(make_model(), k, objective) == outcome(warm, k, objective), (k, spec)
-    for terms in warm.row_terms.values():
-        allowed = np.flatnonzero(terms.row > -math.inf).tolist()
-        assert list(terms.ids) == allowed
-        assert terms.table.shape == (3, len(allowed))
-        assert np.isfinite(terms.table).all()
+        cold = make_model()
+        cold_states = recording_states(cold)
+        assert outcome(cold, k, objective) == outcome(warm, k, objective), (k, spec)
+        assert_one_entry_per_state(cold, cold_states)
+        assert_one_entry_per_state(warm, warm_states)
+    assert max(map(len, warm_states.values())) > 1
+    if isinstance(warm, TableModel):
+        assert len(warm_states[None]) > 1  # the default row's one entry
+
+
+def test_block_rows_and_terms_equal_one_row_builds():
+    """An n-gram model's rows and ``StepTerms`` built as one block equal the
+    one-row builds of the same contexts bit for bit: on sparse n-gram
+    draws, on a trained model, on count columns whose row totals pass
+    2**53, where the grouping of a float sum matters, and on a row whose
+    entries underflow to -inf (a tiny ``add_k`` against huge counts), so
+    that the block drops forbidden entries."""
+    huge = NGramModel(Vocabulary(("a", "b", "c")), 2, 0.5, {
+        "contexts": ["<s>", "a", "b", "c"],
+        "events_per_context": [4, 3, 2, 1],
+        "event_tokens": ["a", "b", "c", "</s>", "a", "c", "</s>", "b", "</s>", "a"],
+        "event_counts": [2**62 + 1, 3, 2**61 - 1, 2**60 + 7, 2**53 - 1, 1, 2**53 + 3, 5,
+                         2**62 + 2**61, 1],
+    })
+    underflow = NGramModel(Vocabulary(("a", "b")), 2, 5e-324, {
+        "contexts": ["<s>", "a"], "events_per_context": [2, 1],
+        "event_tokens": ["a", "b", "</s>"], "event_counts": [2**40, 3, 7],
+    })
+    models = [sparse_ngram_model(np.random.default_rng(seed), order, n_tokens)
+              for seed in range(6) for order in (1, 2, 3) for n_tokens in (2, 4)]
+    models += [train_ngram([line.split() for line in ("a b c", "b c", "c a b d", "", "d d a")],
+                           3, 0.5), huge, underflow]
+    forbidden = 0
+    for model in models:
+        vocab = model.vocabulary
+        contexts = list(itertools.product(range(vocab.bos_id + 1), repeat=model.order - 1))
+        with np.errstate(divide="ignore"):  # log(0) of an underflowed entry
+            for block in (contexts, contexts[::-1], contexts[1::2]):
+                if len(block) < 2:
+                    continue
+                rows = model._state_rows(block)
+                for ctx, row, terms in zip(block, rows, _terms_of_block(rows)):
+                    alone = model._state_row(ctx)
+                    assert row.tobytes() == alone.tobytes()
+                    single = _terms_of_row(alone)
+                    assert list(terms.ids) == list(single.ids)
+                    assert terms.step_min == single.step_min
+                    assert np.ascontiguousarray(terms.table).tobytes() == single.table.tobytes()
+                    assert terms.end == single.end
+                    forbidden += len(single.ids) < len(alone)
+    assert forbidden  # the underflowed rows took the forbidden-entry path

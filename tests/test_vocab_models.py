@@ -213,7 +213,7 @@ def test_best_step_bounds_every_ngram_row():
             for body in itertools.product(range(len(vocab.tokens)), repeat=depth)
         ]
         stored = set(_count_map(model.to_spec()))
-        unseen += sum(" ".join(vocab.decode(model._context_of(p))) not in stored for p in prefixes)
+        unseen += sum(" ".join(vocab.decode(model.state("", p))) not in stored for p in prefixes)
     assert unseen > 1  # rows of contexts never counted are among those checked
 
 
