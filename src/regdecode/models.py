@@ -22,21 +22,21 @@ instead is missing them, a format error.
 Every model keys its rows by state (``SequenceModel.state``): prefixes of
 one state have one next-token row, an n-gram model's state being its
 context. Each model keeps one cache from state to ``StepTerms``, the row
-with the terms the decoders' expansion kernel reads of it
-(``objectives.step_terms``); it holds one entry per distinct state visited
-and lives as long as the model. The states a decoding step finds missing
-get their rows built together, as one block (for an n-gram model, one
-counts matrix from its columns), and their terms from that block, each
-row and entry a view of it, so a block lives while any of its entries
-does; a single missing state is built on its own. An n-gram model's
-``next_log_probs_ids`` reads and fills the same cache, so each of its
-contexts is built once (an unseen context gets the smoothed uniform row);
-a table model returns its stored rows. Because of this cache, instances
-are not meant to be shared between threads. Every model sets
-``best_step``, the bound exact search puts on every step it has not taken
-yet, when it is constructed, so a model decoded only by beam search pays
-for it too: about 0.4 ms of the 7-10 ms load of a 200-token trigram model
-file with 3,621 contexts.
+with the terms the decoders' expansion kernel reads of it, and reads and
+fills it in one place, ``SequenceModel.step_terms``; the cache holds one
+entry per distinct state visited and lives as long as the model. The
+states a decoding step finds missing get their rows built together, as
+one block (for an n-gram model, one counts matrix from its columns), and
+their terms from that block, each row and entry a view of it, so a block
+lives while any of its entries does; a single missing state is built on
+its own. An n-gram model's ``next_log_probs_ids`` reads its rows from the
+same cache, so each of its contexts is built once (an unseen context gets
+the smoothed uniform row); a table model returns its stored rows. Because
+of this cache, instances are not meant to be shared between threads.
+Every model sets ``best_step``, the bound exact search puts on every step
+it has not taken yet, when it is constructed, so a model decoded only by
+beam search pays for it too: about 0.4 ms of the 7-10 ms load of a
+200-token trigram model file with 3,621 contexts.
 """
 
 from __future__ import annotations
@@ -173,8 +173,8 @@ class SequenceModel:
     row. The base class keys each (source key, prefix) apart and builds its
     row with ``_step_log_probs``; a subclass whose prefixes share rows
     overrides ``state`` and ``_state_row`` (and ``_state_rows``, to build
-    several rows at once). ``_terms`` is the decoders' cache of each
-    visited state's ``StepTerms`` (``objectives.step_terms``).
+    several rows at once). ``step_terms`` serves the decoders each visited
+    state's ``StepTerms`` from the ``_terms`` cache.
 
     Each subclass also sets ``best_step`` when it is constructed: at least
     every entry of every row ``_step_log_probs`` can return, so no step of
@@ -223,6 +223,31 @@ class SequenceModel:
     def _state_rows(self, states: Sequence) -> np.ndarray:
         """The rows of distinct states, as the rows of one 2-D block."""
         return np.array([self._state_row(state) for state in states])
+
+    def step_terms(self, source_key: str,
+                   prefixes: Sequence[tuple[int, ...]]) -> list[StepTerms]:
+        """The next-token rows of some open prefixes as ``StepTerms``, from
+        the cache, keyed by state. The distinct states the cache lacks get
+        their rows as one 2-D block, and their terms from that block, one
+        cache entry each; a single missing state, as exact search and a
+        width-1 beam meet it, is built on its own row (``_state_terms``),
+        which costs less than a block of one."""
+        cache = self._terms
+        states = [self.state(source_key, ids) for ids in prefixes]
+        terms = list(map(cache.get, states))
+        if None in terms:
+            missing = list(dict.fromkeys(s for s, known in zip(states, terms) if known is None))
+            if len(missing) > 1:
+                cache.update(zip(missing, _terms_of_block(self._state_rows(missing))))
+            terms = list(map(self._state_terms, states))
+        return terms
+
+    def _state_terms(self, state) -> StepTerms:
+        """The cache entry of one state, built on its own row if missing."""
+        terms = self._terms.get(state)
+        if terms is None:
+            terms = self._terms[state] = _terms_of_row(self._state_row(state))
+        return terms
 
 
 def _dist_to_log_array(dist: Mapping[str, float], vocab: Vocabulary, where: str) -> np.ndarray:
@@ -274,50 +299,45 @@ class TableModel(SequenceModel):
         super().__init__(vocabulary)
         self.source_keyed = source_keyed
         self._default = _dist_to_log_array(default, vocabulary, "default")
-        self._tables: dict[str, dict[tuple[int, ...], np.ndarray]] = {}
+        # The stored rows, keyed by (source key, prefix ids), the source key
+        # "" unless ``source_keyed``.
+        self._rows: dict[tuple[str, tuple[int, ...]], np.ndarray] = {}
         if source_keyed:
             for src, ctxs in _json_object(entries, "entries").items():
-                self._tables[src] = self._build_table(ctxs, f"entries[{src!r}]")
+                self._add_rows(src, ctxs, f"entries[{src!r}]")
         else:
-            self._tables[""] = self._build_table(entries, "entries")
+            self._add_rows("", entries, "entries")
         self._raw_entries = {k: dict(v) for k, v in entries.items()}
         self._raw_default = dict(default)
         # No entry exceeds 0: each is the log of a probability at most its
         # row's float sum, divided by that sum unless the sum is 1.
-        tables = (table.values() for table in self._tables.values())
-        self.best_step = float(np.concatenate([self._default, *itertools.chain(*tables)]).max())
+        self.best_step = float(np.concatenate([self._default, *self._rows.values()]).max())
 
-    def _build_table(self, ctxs: Mapping[str, Mapping[str, float]], where: str) -> dict:
-        table = {}
+    def _add_rows(self, table_key: str, ctxs: Mapping[str, Mapping[str, float]],
+                  where: str) -> None:
         vocab = self.vocabulary
         for ctx, dist in _json_object(ctxs, where).items():
             try:
-                ids = vocab.prefix_ids(ctx.split())
+                key = table_key, vocab.prefix_ids(ctx.split())
             except ContractError as exc:
                 raise ModelFormatError(f"{where}[{ctx!r}]: {exc}") from exc
-            if ids in table:  # the later distribution would silently win
+            if key in self._rows:  # the later distribution would silently win
                 earlier = next(c for c in ctxs if c.split() == ctx.split())
                 raise ModelFormatError(f"{where}: {earlier!r} and {ctx!r} spell the same prefix")
-            table[ids] = _dist_to_log_array(dist, vocab, f"{where}[{ctx!r}]")
-        return table
+            self._rows[key] = _dist_to_log_array(dist, vocab, f"{where}[{ctx!r}]")
 
     def _step_log_probs(self, source_key: str, prefix_ids: tuple[int, ...]) -> np.ndarray:
-        table = self._tables.get(source_key if self.source_keyed else "")
-        if table is not None:
-            hit = table.get(prefix_ids)
-            if hit is not None:
-                return hit
-        return self._default
+        return self._state_row(self.state(source_key, prefix_ids))
 
     def state(self, source_key: str, prefix_ids: tuple[int, ...]) -> Hashable:
         """A stored prefix, with its table's source key ("" unless
         ``source_keyed``), or ``None``, the one key of every prefix that
         reads the default row."""
-        table_key = source_key if self.source_keyed else ""
-        return (table_key, prefix_ids) if prefix_ids in self._tables.get(table_key, ()) else None
+        key = source_key if self.source_keyed else "", prefix_ids
+        return key if key in self._rows else None
 
     def _state_row(self, state) -> np.ndarray:
-        return self._default if state is None else self._tables[state[0]][state[1]]
+        return self._default if state is None else self._rows[state]
 
     def to_spec(self) -> dict:
         spec = {
@@ -423,11 +443,7 @@ class NGramModel(SequenceModel):
         return (self.vocabulary.bos_id,) * short + prefix_ids
 
     def _step_log_probs(self, source_key: str, prefix_ids: tuple[int, ...]) -> np.ndarray:
-        ctx = self.state(source_key, prefix_ids)
-        terms = self._terms.get(ctx)
-        if terms is None:
-            terms = self._terms[ctx] = _terms_of_row(self._state_row(ctx))
-        return terms.row
+        return self._state_terms(self.state(source_key, prefix_ids)).row
 
     def _events(self, ctx: tuple[int, ...]) -> slice | None:
         """The slice of the event columns that holds a context's events, or

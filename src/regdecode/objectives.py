@@ -25,10 +25,7 @@ from .models import (
     _SURPRISAL,
     _SURPRISAL_SQ,
     SequenceModel,
-    StepTerms,
     _source_key,
-    _terms_of_block,
-    _terms_of_row,
 )
 
 Trace = Sequence[float]
@@ -105,27 +102,6 @@ def r_square(trace: Trace) -> float:
     for u in trace:
         total += u * u
     return total
-
-
-def step_terms(model: SequenceModel, source_key: str,
-               prefixes: Sequence[tuple[int, ...]]) -> list[StepTerms]:
-    """The next-token rows of some open prefixes as ``StepTerms``, from the
-    model's cache, keyed by state (``SequenceModel.state``). The distinct
-    states the cache lacks get their rows from the model as one 2-D block,
-    and their terms from that block, one cache entry each; a single missing
-    state, as exact search and a width-1 beam meet it, is built on its own
-    row, which costs less than a block of one."""
-    cache = model._terms
-    states = [model.state(source_key, ids) for ids in prefixes]
-    terms = list(map(cache.get, states))
-    if None in terms:
-        missing = list(dict.fromkeys(s for s, known in zip(states, terms) if known is None))
-        if len(missing) == 1:
-            cache[missing[0]] = _terms_of_row(model._state_row(missing[0]))
-        else:
-            cache.update(zip(missing, _terms_of_block(model._state_rows(missing))))
-        terms = list(map(cache.get, states))
-    return terms
 
 
 # Partial sums: the floats a prefix carries per penalty, from which its

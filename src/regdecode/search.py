@@ -9,7 +9,7 @@ Greedy search is beam search at width 1 under the plain objective
 loop. So all three decoders score through one kernel,
 ``objectives.child_scores``. Each step reads its prefixes' next-token rows
 and their terms from the model's cache, keyed by state
-(``objectives.step_terms``: the states a step lacks get their rows and
+(``SequenceModel.step_terms``: the states a step lacks get their rows and
 terms built in one block), and the kernel scores children in one numpy
 expression from their prefixes' penalty partial sums. Every node carries
 its own partial sums, which the kernel returned when it scored the node as
@@ -67,7 +67,6 @@ from .objectives import (
     child_scores,
     completion_bounds,
     score_parts,
-    step_terms,
 )
 
 BRUTE_FORCE_PREFIX_GUARD = 10**7
@@ -198,7 +197,7 @@ def _beam(model: SequenceModel, source, objective: Objective, k: int,
         ended = [node for node in beams if node[0][-1] == eos]
         expanded += len(parents)
         ids, _, _, log_probs, _, sums = zip(*parents)
-        terms = step_terms(model, source_key, ids)
+        terms = model.step_terms(source_key, ids)
         counts, first, n_children = [], [], 0  # per member: its children, its first one
         for t in terms:
             first.append(n_children)
@@ -287,7 +286,7 @@ def exact_search(
             break
         expanded += 1
         log_prob = -neg_lp
-        (terms,) = step_terms(model, source_key, (ids,))
+        (terms,) = model.step_terms(source_key, (ids,))
         n_open = len(terms.ids)
         if terms.end is not None:
             n_open -= 1

@@ -867,18 +867,18 @@ def test_exact_search_bounds_each_expansion_once(request, monkeypatch):
     prefix (one ``step_terms`` call each), on the fixtures and on sparse
     n-gram models, under every penalty kind, mixes and both length modes."""
     calls = []  # per expansion, its completion_bounds calls
-    step_terms = regdecode.search.step_terms
     completion_bounds = regdecode.search.completion_bounds
 
-    def counted_step_terms(*args):
-        calls.append(0)
-        return step_terms(*args)
+    def counted_step_terms(step_terms):
+        def counted(*args):
+            calls.append(0)
+            return step_terms(*args)
+        return counted
 
     def counted_bounds(*args):
         calls[-1] += 1
         return completion_bounds(*args)
 
-    monkeypatch.setattr(regdecode.search, "step_terms", counted_step_terms)
     monkeypatch.setattr(regdecode.search, "completion_bounds", counted_bounds)
     models = [(request.getfixturevalue(name), source) for name, source in (
         ("m1", None), ("m2", None), ("m3", "s1"), ("m4", "m4"), ("beam_family", "s1"))]
@@ -886,6 +886,7 @@ def test_exact_search_bounds_each_expansion_once(request, monkeypatch):
                for seed in range(5) for order in (1, 2, 3)]
     bounded = 0
     for model, source in models:
+        monkeypatch.setattr(model, "step_terms", counted_step_terms(model.step_terms))
         for spec in BOUND_OBJECTIVES:
             calls.clear()
             record = exact_search(model, source, parse_objective(spec), 5)
@@ -991,13 +992,24 @@ def test_block_rows_and_terms_equal_one_row_builds():
     2**53, where the grouping of a float sum matters, and on a row whose
     entries underflow to -inf (a tiny ``add_k`` against huge counts), so
     that the block drops forbidden entries."""
-    huge = NGramModel(Vocabulary(("a", "b", "c")), 2, 0.5, {
-        "contexts": ["<s>", "a", "b", "c"],
-        "events_per_context": [4, 3, 2, 1],
-        "event_tokens": ["a", "b", "c", "</s>", "a", "c", "</s>", "b", "</s>", "a"],
-        "event_counts": [2**62 + 1, 3, 2**61 - 1, 2**60 + 7, 2**53 - 1, 1, 2**53 + 3, 5,
-                         2**62 + 2**61, 1],
+    # Rows of 21 entries: numpy sums 8 or more in interleaved partial sums,
+    # not in order, so a block summed in other groups than a 1-D row would
+    # give other totals on these.
+    tokens = tuple(f"t{i:02}" for i in range(20))
+    huge_rows = {
+        "<s>": [2**53] + [1] * 20,
+        "t00": [2**60 + 3**j for j in range(21)],
+        "t01": [2**53 + 1 if j % 3 else 3 for j in range(21)],
+    }
+    huge = NGramModel(Vocabulary(tokens), 2, 0.5, {
+        "contexts": list(huge_rows),
+        "events_per_context": [21] * len(huge_rows),
+        "event_tokens": [*tokens, "</s>"] * len(huge_rows),
+        "event_counts": [c for row in huge_rows.values() for c in row],
     })
+    for row in huge_rows.values():  # each total depends on the grouping
+        counts = np.array(row, dtype=float)  # in id order: the tokens, then the end marker
+        assert counts.sum() != sum(counts.tolist()) and counts.sum() > 2**53
     underflow = NGramModel(Vocabulary(("a", "b")), 2, 5e-324, {
         "contexts": ["<s>", "a"], "events_per_context": [2, 1],
         "event_tokens": ["a", "b", "</s>"], "event_counts": [2**40, 3, 7],
