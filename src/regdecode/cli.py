@@ -217,6 +217,9 @@ def cmd_sweep(args) -> int:
     lambdas = _parse_number_list(args.lambdas, float)
     if not lambdas:
         raise ContractError("lambda list is empty")
+    for lam in lambdas:  # every kind, "none" too, writes each weight to the CSV
+        if not (math.isfinite(lam) and lam >= 0):
+            raise ContractError(f"--lambdas weight {lam!r} must be finite and >= 0")
     kind = args.objective_kind
     if args.decoder == "greedy" and kind != "none" and any(lambdas):
         raise ContractError(

@@ -26,13 +26,15 @@ with the terms the decoders' expansion kernel reads of it, and reads and
 fills it in one place, ``SequenceModel.step_terms``; the cache holds one
 entry per distinct state visited and lives as long as the model. The
 states a decoding step finds missing get their rows built together, as
-one block (for an n-gram model, one counts matrix from its columns), and
-their terms from that block, each row and entry a view of it, so a block
-lives while any of its entries does; a single missing state is built on
-its own. An n-gram model's ``next_log_probs_ids`` reads its rows from the
-same cache, so each of its contexts is built once (an unseen context gets
-the smoothed uniform row); a table model returns its stored rows. Because
-of this cache, instances are not meant to be shared between threads.
+one block (for an n-gram model, one counts matrix filled row by row from
+its columns), and their terms from that block, each row and entry a view
+of it, so a block lives while any of its entries does; a block that holds
+a forbidden entry has each row's terms built as a single row's are, and a
+single missing state is built on its own. An n-gram model's
+``next_log_probs_ids`` reads its rows from the same cache, so each of its
+contexts is built once (an unseen context gets the smoothed uniform row);
+a table model returns its stored rows. Because of this cache, instances
+are not meant to be shared between threads.
 Every model sets ``best_step``, the bound exact search puts on every step
 it has not taken yet, when it is constructed, so a model decoded only by
 beam search pays for it too: about 0.4 ms of the 7-10 ms load of a
@@ -92,16 +94,15 @@ class StepTerms:
     ``ids`` are the allowed token ids (finite log-probability) in ascending
     order (a ``range`` when every token is allowed) and ``table`` their
     children table as one (3 x children) array, a view of the block it was
-    built in, so that a beam step joins its members' children in one
-    concatenation; ``children`` is the tuple of its rows, which a single
-    prefix's expansion reads without indexing the array. Forbidden tokens
+    built in when every entry of that block is allowed, so that a beam step
+    joins its members' children in one concatenation. Forbidden tokens
     never enter the table, so no ``0 * inf`` can arise. ``step_min`` is the
     step's minimum surprisal. The end marker has the largest id of the row,
     so when it is allowed it is the last child, and ``end`` holds its terms
     as floats (``None`` otherwise), in the table's arithmetic.
     """
 
-    __slots__ = ("row", "ids", "step_min", "table", "children", "end")
+    __slots__ = ("row", "ids", "step_min", "table", "end")
 
     def __init__(self, row: np.ndarray, ids: Sequence[int], step_min: float,
                  table: np.ndarray) -> None:
@@ -109,7 +110,6 @@ class StepTerms:
         self.ids = ids
         self.step_min = step_min
         self.table = table
-        self.children = (table[_SURPRISAL], table[_GAP_SQ], table[_SURPRISAL_SQ])
         self.end = None
         if ids[-1] == len(row) - 1:
             u = -float(row[-1])
@@ -136,10 +136,12 @@ def _terms_of_row(row: np.ndarray) -> StepTerms:
 def _terms_of_block(block: np.ndarray) -> list[StepTerms]:
     """The ``StepTerms`` of the rows of a 2-D block, one per row, in one set
     of numpy calls: a (3 x rows x D) children table filled in place. Each
-    entry's row is a view of the block and its table a view of that table;
-    when the block holds forbidden entries they are dropped from one copy
-    of the table, row after row, and each entry's table is its slice."""
+    entry's row is a view of the block and its table a view of that table.
+    A block that holds a forbidden entry has each row's terms built by
+    ``_terms_of_row``, on that row of the block."""
     block.setflags(write=False)  # its rows are handed out
+    if not np.minimum.reduce(block, axis=None) > -math.inf:
+        return [_terms_of_row(row) for row in block]
     rows, size = block.shape
     table = np.empty((3, rows, size))
     u = np.negative(block, out=table[_SURPRISAL])
@@ -147,18 +149,8 @@ def _terms_of_block(block: np.ndarray) -> list[StepTerms]:
     gap_sq = np.subtract(u, step_min[:, None], out=table[_GAP_SQ])
     gap_sq *= gap_sq
     np.multiply(u, u, out=table[_SURPRISAL_SQ])
-    if np.minimum.reduce(block, axis=None) > -math.inf:
-        return [StepTerms(row, range(size), row_min, table[:, i])
-                for i, (row, row_min) in enumerate(zip(block, step_min.tolist()))]
-    allowed = (block > -math.inf).ravel().nonzero()[0]  # row after row
-    table = table.reshape(3, -1)[:, allowed]
-    ids = (allowed % size).tolist()
-    stops = np.searchsorted(allowed, np.arange(size, block.size + 1, size)).tolist()
-    terms, start = [], 0
-    for row, stop, row_min in zip(block, stops, step_min.tolist()):
-        terms.append(StepTerms(row, ids[start:stop], row_min, table[:, start:stop]))
-        start = stop
-    return terms
+    return [StepTerms(row, range(size), row_min, table[:, i])
+            for i, (row, row_min) in enumerate(zip(block, step_min.tolist()))]
 
 
 class SequenceModel:
@@ -467,20 +459,17 @@ class NGramModel(SequenceModel):
 
     def _state_rows(self, contexts: Sequence[tuple[int, ...]]) -> np.ndarray:
         """``_state_row`` of each context, as one block: the same float
-        operations on a counts matrix. A row sum along the matrix's
+        operations on a counts matrix, each context's counts filled into its
+        row as ``_state_row`` fills a 1-D row. A row sum along the matrix's
         contiguous axis is numpy's pairwise sum of that row, grouped as a
         1-D row's sum is, so even a total beyond 2**53, where the grouping
         matters, equals the one-row build's."""
+        columns = self._columns
         size = self.vocabulary.dist_size
         counts = np.zeros((len(contexts), size))
-        spans = [(i, events) for i, events in enumerate(map(self._events, contexts))
-                 if events is not None]
-        if spans:
-            columns = self._columns
-            lengths = [events.stop - events.start for _, events in spans]
-            counts[np.repeat([i for i, _ in spans], lengths),
-                   np.concatenate([columns.event_ids[events] for _, events in spans])] = (
-                np.concatenate([columns.event_counts[events] for _, events in spans]))
+        for row, events in zip(counts, map(self._events, contexts)):
+            if events is not None:
+                row[columns.event_ids[events]] = columns.event_counts[events]
         totals = counts.sum(axis=1)
         totals += self.add_k * size
         counts += self.add_k

@@ -299,12 +299,12 @@ def exact_search(
                 floor = end_total
         if n_open and len(ids) < n_max:  # an open child still has a step left
             bounds, log_probs, sums = completion_bounds(objective, len(trace), sums, log_prob,
-                                                        terms.children, n_max, best_step)
+                                                        terms.table, n_max, best_step)
             bounds = bounds.tolist()
             if max(bounds[:n_open]) >= floor:  # some open child is queued
                 c_minima = minima + (terms.step_min,)
                 for j, lp, u, c_sums in zip(range(n_open), log_probs.tolist(),
-                                            terms.children[_SURPRISAL].tolist(),
+                                            terms.table[_SURPRISAL].tolist(),
                                             _per_child(sums)):
                     if bounds[j] >= floor:
                         heapq.heappush(heap, (-bounds[j], -lp, (*ids, terms.ids[j]),

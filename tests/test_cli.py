@@ -9,6 +9,7 @@ import pytest
 from regdecode import (
     MAP_OBJECTIVE,
     ModelFormatError,
+    RegularizerKind,
     beam_search,
     load_model,
     train_ngram,
@@ -433,13 +434,20 @@ def test_decode_table_probability_beyond_every_float_is_format_error(tmp_path, c
 @pytest.mark.parametrize("lambdas, named", [
     pytest.param("a,b", "bad numeric list 'a,b'", id="not-numbers"),
     pytest.param(",", "lambda list is empty", id="empty"),
+    pytest.param("0,nan", "weight nan must be", id="nan"),
+    pytest.param("inf", "weight inf must be", id="inf"),
+    pytest.param("1,-1", "weight -1.0 must be", id="negative"),
 ])
 def test_sweep_bad_lambdas_is_usage_error(tmp_path, capsys, lambdas, named):
+    """A weight that is not finite and >= 0 is rejected under every kind:
+    ``none`` scores no penalty but still writes each weight to the CSV."""
     rows = tmp_path / "rows.csv"
     fixture = [FIXTURES / "m3.json", FIXTURES / "m3.inputs.txt", FIXTURES / "m3.refs.txt"]
-    assert run(["sweep", *fixture, "--lambdas", lambdas, "--out", rows]) == 2
-    assert named in capsys.readouterr().err
-    assert not rows.exists()
+    for kind in ("none", *(k.value for k in RegularizerKind)):
+        assert run(["sweep", *fixture, "--objective-kind", kind, "--lambdas", lambdas,
+                    "--out", rows]) == 2
+        assert named in capsys.readouterr().err
+        assert not rows.exists()
 
 
 def test_decode_huge_order_without_counts(tmp_path, capsys):

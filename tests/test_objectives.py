@@ -237,7 +237,7 @@ def test_kernel_totals_equal_spec(row, steps, order, weights, length):
     terms = _terms_of_row(np.array(row))
     sums = spec_sums(objective, trace, minima)
     totals, log_probs, carried = child_scores(objective, len(trace), sums, log_prob,
-                                              terms.children)
+                                              terms.table)
     step_min = -max(row)
     allowed = [tid for tid, logv in enumerate(row) if logv != -math.inf]
     assert list(terms.ids) == allowed
@@ -375,8 +375,6 @@ def test_a_row_has_the_same_terms_alone_and_in_a_block(size, data):
         alone = _terms_of_row(row)
         assert list(alone.ids) == list(in_block.ids)
         assert alone.table.tobytes() == np.ascontiguousarray(in_block.table).tobytes()
-        assert all(same_bits(row, table_row)
-                   for row, table_row in zip(alone.children, alone.table))
         assert same_bits([alone.step_min], [in_block.step_min])
         assert (alone.end is None) == (in_block.end is None)
         if alone.end is not None:
@@ -409,8 +407,8 @@ def test_carried_partial_sums_equal_the_spec(rows, picks, order, weights):
         terms = _terms_of_row(np.array(row))
         j = pick % len(terms.ids)
         _, log_probs, carried = child_scores(objective, len(trace), sums, log_prob,
-                                             terms.children)
-        _, _, bounded = completion_bounds(objective, len(trace), sums, log_prob, terms.children,
+                                             terms.table)
+        _, _, bounded = completion_bounds(objective, len(trace), sums, log_prob, terms.table,
                                           len(trace) + 3, 0.0)
         assert all(same_bits(a, b) for a, b in zip(carried, bounded))
         trace += (-row[terms.ids[j]],)
@@ -460,7 +458,7 @@ def test_completion_bounds_admissible(row, steps, best_step, rest, spare, order,
     n_max = len(trace) + 1 + len(rest) + spare
     terms = _terms_of_row(np.array(row))
     sums = spec_sums(objective, trace, minima)
-    bounds, _, _ = completion_bounds(objective, len(trace), sums, log_prob, terms.children, n_max,
+    bounds, _, _ = completion_bounds(objective, len(trace), sums, log_prob, terms.table, n_max,
                                      best_step)
     step_min = -max(row)
     for j, tid in enumerate(terms.ids):
@@ -530,7 +528,7 @@ def test_completion_bounds_equal_the_bounds_taken_length_by_length(
     objective = Objective(regs, mode, float(lam or 0.0))
     trace = tuple(max(a, b) for a, b in steps)
     minima = tuple(min(a, b) for a, b in steps)
-    children = _terms_of_row(np.array(row)).children
+    children = _terms_of_row(np.array(row)).table
     sums = spec_sums(objective, trace, minima)
     args = (objective, len(trace), sums, log_prob, children, len(trace) + 1 + lengths, best_step)
     bounds, log_probs, _ = completion_bounds(*args)

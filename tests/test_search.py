@@ -396,7 +396,7 @@ def test_bound_admissible_on_small_models():
                 for objective, total in zip(objectives, totals):
                     sums = spec_sums(objective, steps, mins)
                     bounds, _, _ = completion_bounds(objective, len(steps), sums, run,
-                                                     terms.children, n_max, model.best_step)
+                                                     terms.table, n_max, model.best_step)
                     assert bounds[j] >= total
                 run += float(dist[ids[t]])
                 steps.append(-float(dist[ids[t]]))
@@ -989,9 +989,10 @@ def test_block_rows_and_terms_equal_one_row_builds():
     """An n-gram model's rows and ``StepTerms`` built as one block equal the
     one-row builds of the same contexts bit for bit: on sparse n-gram
     draws, on a trained model, on count columns whose row totals pass
-    2**53, where the grouping of a float sum matters, and on a row whose
-    entries underflow to -inf (a tiny ``add_k`` against huge counts), so
-    that the block drops forbidden entries."""
+    2**53, where the grouping of a float sum matters, on a context stored
+    with no events beside seen and unseen ones, and on a row whose entries
+    underflow to -inf (a tiny ``add_k`` against huge counts), so that a
+    block holds forbidden entries."""
     # Rows of 21 entries: numpy sums 8 or more in interleaved partial sums,
     # not in order, so a block summed in other groups than a 1-D row would
     # give other totals on these.
@@ -1014,10 +1015,16 @@ def test_block_rows_and_terms_equal_one_row_builds():
         "contexts": ["<s>", "a"], "events_per_context": [2, 1],
         "event_tokens": ["a", "b", "</s>"], "event_counts": [2**40, 3, 7],
     })
+    # "a" is stored with no events, "b" and "c" are unseen.
+    eventless = NGramModel(Vocabulary(("a", "b", "c")), 2, 0.5, {
+        "contexts": ["<s>", "a"], "events_per_context": [2, 0],
+        "event_tokens": ["a", "</s>"], "event_counts": [3, 1],
+    })
+    assert eventless._events((eventless.vocabulary.id_of("a"),)) == slice(2, 2)
     models = [sparse_ngram_model(np.random.default_rng(seed), order, n_tokens)
               for seed in range(6) for order in (1, 2, 3) for n_tokens in (2, 4)]
     models += [train_ngram([line.split() for line in ("a b c", "b c", "c a b d", "", "d d a")],
-                           3, 0.5), huge, underflow]
+                           3, 0.5), huge, eventless, underflow]
     forbidden = 0
     for model in models:
         vocab = model.vocabulary
@@ -1036,4 +1043,4 @@ def test_block_rows_and_terms_equal_one_row_builds():
                     assert np.ascontiguousarray(terms.table).tobytes() == single.table.tobytes()
                     assert terms.end == single.end
                     forbidden += len(single.ids) < len(alone)
-    assert forbidden  # the underflowed rows took the forbidden-entry path
+    assert forbidden  # the underflowed rows' blocks held forbidden entries
