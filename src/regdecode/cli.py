@@ -8,7 +8,10 @@ with no complete hypothesis within ``--n-max``, a brute-force search
 above its size guard, or an exact search whose agenda outgrows its guard
 is a usage error: the fix is always a flag (``--n-max`` or
 ``--decoder``). So is a negative or malformed seed
-(``--seed`` or ``$REGDECODE_SEED``) and a ``verify --trials`` below 1.
+(``--seed`` or ``$REGDECODE_SEED``), a ``verify --trials`` below 1, and
+a ``decode`` whose total, length term or penalty overflows to a
+non-finite float, which JSON cannot hold (the fix is a smaller weight in
+``--objective``); that decode writes no output file.
 Every output file gets a sidecar ``<name>.manifest.json`` recording the
 command, configuration, input digests, and seed; identical manifests give
 bit-identical outputs, so timing is deliberately kept out of the files.
@@ -160,6 +163,21 @@ def _record_json(source: list[str], record) -> dict:
     }
 
 
+def _check_finite(records) -> None:
+    """A decoded total, length term or penalty that overflowed to a
+    non-finite float is a usage error naming the input line and field: JSON
+    has no infinity, and the fix is a smaller weight."""
+    for line_no, record in enumerate(records, start=1):
+        breakdown = record.best.breakdown
+        fields = {"length_term": breakdown.length_term}
+        fields.update((f"penalties.{kind}", value) for kind, value in breakdown.penalties.items())
+        fields["total"] = breakdown.total
+        for name, value in fields.items():
+            if not math.isfinite(value):
+                raise ContractError(f"input line {line_no}: {name} is {value}, which JSON "
+                                    "cannot hold; use a smaller weight")
+
+
 def cmd_train_ngram(args) -> int:
     corpus = _read_corpus_lines(args.corpus)
     model = train_ngram(map(str.split, corpus), args.order, args.add_k)  # one line at a time
@@ -182,6 +200,7 @@ def cmd_decode(args) -> int:
     k = 1 if args.k is None else args.k
     _check_budget(k, args.n_max)  # so a bad flag fails on an empty input too
     records = _decode_corpus(args.decoder, model, sources, objective, k, args.n_max)
+    _check_finite(records)
     out = Path(args.out)
     with out.open("w", encoding="utf-8") as fh:
         for source, record in zip(sources, records):

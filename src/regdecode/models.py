@@ -22,13 +22,16 @@ instead is missing them, a format error.
 Every model keys its rows by state (``SequenceModel.state``): prefixes of
 one state have one next-token row, an n-gram model's state being its
 context. Each model keeps one cache from state to ``StepTerms``, the row
-with the terms the decoders' expansion kernel reads of it, and reads and
-fills it in one place, ``SequenceModel.step_terms``; the cache holds one
-entry per distinct state visited and lives as long as the model. The
-states a decoding step finds missing get their rows built together, as
-one block (for an n-gram model, one counts matrix filled row by row from
-its columns), and their terms from that block, each row and entry a view
-of it, so a block lives while any of its entries does; a block that holds
+with what the decoders' expansion kernel reads of it: the allowed ids,
+their surprisals and the step minimum. No penalty term is computed here;
+each penalty computes its own from these in ``objectives``. The model
+reads and fills the cache in one place, ``SequenceModel.step_terms``; the
+cache holds one entry per distinct state visited and lives as long as the
+model. The states a decoding step finds missing get their rows built
+together, as one block (for an n-gram model, one counts matrix filled row
+by row from its columns), and their surprisals from that block in one
+negation, each row and surprisal vector a view, so a block lives while
+any of its entries does; a block that holds
 a forbidden entry has each row's terms built as a single row's are, and a
 single missing state is built on its own. An n-gram model's
 ``next_log_probs_ids`` reads its rows from the same cache, so each of its
@@ -76,45 +79,31 @@ def _source_key(source: TokenSeq | str | None) -> str:
     return " ".join(source)
 
 
-# The terms the expansion kernel reads of some children, as the rows of a
-# children table: each child's surprisal, its greedy term (surprisal - step
-# minimum)**2 and its square term. Each row is an array whose columns are
-# aligned with ``StepTerms.ids`` for the allowed children of one row (or
-# with the candidates of a beam step, one row after another), or a float
-# for the end-marker child alone; the same arithmetic serves both. A
-# child's log-probability step is minus its surprisal: the kernel subtracts
-# the surprisal, which IEEE arithmetic defines as adding its negation, the
-# row entry itself.
-_SURPRISAL, _GAP_SQ, _SURPRISAL_SQ = range(3)
-
-
 class StepTerms:
     """One next-token row in the form the expansion kernel reads.
 
     ``ids`` are the allowed token ids (finite log-probability) in ascending
-    order (a ``range`` when every token is allowed) and ``table`` their
-    children table as one (3 x children) array, a view of the block it was
-    built in when every entry of that block is allowed, so that a beam step
-    joins its members' children in one concatenation. Forbidden tokens
-    never enter the table, so no ``0 * inf`` can arise. ``step_min`` is the
-    step's minimum surprisal. The end marker has the largest id of the row,
-    so when it is allowed it is the last child, and ``end`` holds its terms
-    as floats (``None`` otherwise), in the table's arithmetic.
+    order (a ``range`` when every token is allowed) and ``u`` their
+    surprisals, the negated row: a view of the negated block it was built
+    in when every entry of that block is allowed, so that a beam step joins
+    its members' children in one concatenation. Forbidden tokens never
+    enter ``u``, so no ``0 * inf`` can arise. ``step_min`` is the step's
+    minimum surprisal. A child's log-probability step is minus its
+    surprisal: the kernel subtracts the surprisal, which IEEE arithmetic
+    defines as adding its negation, the row entry itself. The end marker
+    has the largest id of the row, so when it is allowed it is the last
+    child, and ``end`` holds its surprisal as a float (``None`` otherwise).
     """
 
-    __slots__ = ("row", "ids", "step_min", "table", "end")
+    __slots__ = ("row", "ids", "step_min", "u", "end")
 
     def __init__(self, row: np.ndarray, ids: Sequence[int], step_min: float,
-                 table: np.ndarray) -> None:
+                 u: np.ndarray) -> None:
         self.row = row
         self.ids = ids
         self.step_min = step_min
-        self.table = table
-        self.end = None
-        if ids[-1] == len(row) - 1:
-            u = -float(row[-1])
-            gap = u - step_min
-            self.end = (u, gap * gap, u * u)
+        self.u = u
+        self.end = -float(row[-1]) if ids[-1] == len(row) - 1 else None
 
 
 def _terms_of_row(row: np.ndarray) -> StepTerms:
@@ -122,35 +111,24 @@ def _terms_of_row(row: np.ndarray) -> StepTerms:
     ``_terms_of_block``, which costs more than this for a single row."""
     allowed = np.nonzero(row > -math.inf)[0]
     step_min = -float(np.maximum.reduce(row))
-    table = np.empty((3, len(allowed)))
     if len(allowed) == len(row):
-        u, ids = np.negative(row, out=table[_SURPRISAL]), range(len(row))
-    else:
-        u, ids = np.negative(row[allowed], out=table[_SURPRISAL]), allowed.tolist()
-    gap_sq = np.subtract(u, step_min, out=table[_GAP_SQ])
-    gap_sq *= gap_sq
-    np.multiply(u, u, out=table[_SURPRISAL_SQ])
-    return StepTerms(row, ids, step_min, table)
+        return StepTerms(row, range(len(row)), step_min, np.negative(row))
+    return StepTerms(row, allowed.tolist(), step_min, np.negative(row[allowed]))
 
 
 def _terms_of_block(block: np.ndarray) -> list[StepTerms]:
-    """The ``StepTerms`` of the rows of a 2-D block, one per row, in one set
-    of numpy calls: a (3 x rows x D) children table filled in place. Each
-    entry's row is a view of the block and its table a view of that table.
-    A block that holds a forbidden entry has each row's terms built by
+    """The ``StepTerms`` of the rows of a 2-D block, one per row, from one
+    negation and one max over the block. Each entry's row is a view of the
+    block and its surprisals a view of the negated block. A block that
+    holds a forbidden entry has each row's terms built by
     ``_terms_of_row``, on that row of the block."""
     block.setflags(write=False)  # its rows are handed out
     if not np.minimum.reduce(block, axis=None) > -math.inf:
         return [_terms_of_row(row) for row in block]
-    rows, size = block.shape
-    table = np.empty((3, rows, size))
-    u = np.negative(block, out=table[_SURPRISAL])
+    ids = range(block.shape[1])
     step_min = -np.maximum.reduce(block, axis=1)
-    gap_sq = np.subtract(u, step_min[:, None], out=table[_GAP_SQ])
-    gap_sq *= gap_sq
-    np.multiply(u, u, out=table[_SURPRISAL_SQ])
-    return [StepTerms(row, range(size), row_min, table[:, i])
-            for i, (row, row_min) in enumerate(zip(block, step_min.tolist()))]
+    return [StepTerms(row, ids, row_min, u)
+            for row, row_min, u in zip(block, step_min.tolist(), np.negative(block))]
 
 
 class SequenceModel:

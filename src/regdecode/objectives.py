@@ -20,13 +20,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .exceptions import ContractError
-from .models import (
-    _GAP_SQ,
-    _SURPRISAL,
-    _SURPRISAL_SQ,
-    SequenceModel,
-    _source_key,
-)
+from .models import SequenceModel, _source_key
 
 Trace = Sequence[float]
 
@@ -112,8 +106,14 @@ def r_square(trace: Trace) -> float:
 # partial sums (or, in a beam step, each child's prefix's, as arrays over
 # the children) to its children's, which have n steps, by repeating the
 # spec's last loop step on the children, so they, and the values taken
-# from them, equal the spec on the child's trace bit for bit. The kernel
-# hands them back, and each child that is kept carries its own.
+# from them, equal the spec on the child's trace bit for bit. Its inputs
+# are the children's surprisals u, an array over them, and their step
+# minima m, an array too in a beam step or one prefix's float, which
+# broadcasts (both are floats for the end-marker child alone). Each carry
+# computes its own step term from them, greedy's ``d = u - m`` then
+# ``d * d`` and square's ``u * u``; nothing outside the carries computes
+# these. The kernel hands the partial sums back, and each child that is
+# kept carries its own.
 #
 # Lower-bound forms: a completion of a child to n steps has a penalty of at
 # least the child's first partial sum, over n when the penalty is
@@ -122,27 +122,27 @@ def r_square(trace: Trace) -> float:
 # final penalty never falls below it (for variance, see ``_variance_carry``).
 
 
-def _greedy_carry(partial, children, n):
-    return (partial[0] + children[_GAP_SQ],)
+def _greedy_carry(partial, u, m, n):
+    d = u - m
+    return (partial[0] + d * d,)
 
 
-def _local_carry(partial, children, n):
+def _local_carry(partial, u, m, n):
     total, prev = partial
-    u = children[_SURPRISAL]
     d = u - prev
     return (total + d * d, u)
 
 
-def _max_carry(partial, children, n):
-    u, top = children[_SURPRISAL], partial[0]
+def _max_carry(partial, u, m, n):
+    top = partial[0]
     return (np.where(u > top, u, top),)  # max() keeps the first of equal values
 
 
-def _square_carry(partial, children, n):
-    return (partial[0] + children[_SURPRISAL_SQ],)
+def _square_carry(partial, u, m, n):
+    return (partial[0] + u * u,)
 
 
-def _variance_carry(partial, children, n):
+def _variance_carry(partial, u, m, n):
     """Step n of ``r_variance``'s loop on the children.
 
     The added term ``d * (u - mean)`` is never negative in floats, so
@@ -154,7 +154,6 @@ def _variance_carry(partial, children, n):
     u, and ``d`` and ``u - mean`` share a sign.
     """
     m2, mean = partial
-    u = children[_SURPRISAL]
     d = u - mean
     mean = mean + d / n
     return (m2 + d * (u - mean), mean)
@@ -163,7 +162,7 @@ def _variance_carry(partial, children, n):
 class _Penalty(NamedTuple):
     spec: Callable  # (nonempty trace, minima) -> value
     empty: tuple  # the partial sums of the empty trace
-    carry: Callable  # (partial sums, children table, children's steps) -> theirs
+    carry: Callable  # (partial sums, surprisals, step minima, children's steps) -> theirs
     # The value is the first partial sum, over the steps when per_length;
     # it is also the lower-bound form.
     per_length: bool = False
@@ -313,15 +312,17 @@ def _total(objective: Objective, log_probs, n, weighted):
     return total
 
 
-def child_scores(objective: Objective, steps: int, sums, log_prob, children,
+def child_scores(objective: Objective, steps: int, sums, log_prob, u, step_min,
                  owner: np.ndarray | None = None):
     """(totals, log-probabilities, partial sums) of children, in one vector
-    expression: the children of one prefix of ``steps`` steps, given its
-    flat partial sums and log-probability (or one float expression for
-    ``StepTerms.end``), or the children of a beam step's members, all of
-    ``steps`` steps, given the members' partial sums and log-probabilities
-    as sequences and ``owner``, each child's member. The children's partial
-    sums come back flat, one array over the children each.
+    expression, from the children's surprisals ``u``: the children of one
+    prefix of ``steps`` steps, given its flat partial sums, log-probability
+    and step minimum (or one float expression for the end-marker child
+    alone, ``StepTerms.end``), or the children of a beam step's members, all
+    of ``steps`` steps, given the members' partial sums, log-probabilities
+    and step minima as sequences and ``owner``, each child's member. The
+    children's partial sums come back flat, one array over the children
+    each.
 
     This is the expansion kernel of beam and exact search. Each total
     equals ``score_parts(objective, child trace, child minima, child
@@ -331,11 +332,12 @@ def child_scores(objective: Objective, steps: int, sums, log_prob, children,
         log_prob = np.array(log_prob)[owner]
         if objective.regularizers:
             sums = [column[owner] for column in np.array(sums).T]
-    log_probs = log_prob - children[_SURPRISAL]
+            step_min = np.array(step_min)[owner]
+    log_probs = log_prob - u
     n = steps + 1
     weighted, flat = [], []
     for lam, penalty, part in objective._layout:
-        child_sums = penalty.carry(sums[part], children, n)
+        child_sums = penalty.carry(sums[part], u, step_min, n)
         flat += child_sums
         weighted.append((lam, child_sums[0] / n if penalty.per_length else child_sums[0]))
     return _total(objective, log_probs, n, weighted), log_probs, flat
@@ -352,11 +354,12 @@ def _lengths(n_max: int) -> np.ndarray:
 
 
 def completion_bounds(
-    objective: Objective, steps: int, sums: tuple, log_prob: float, children,
-    n_max: int, best_step: float,
+    objective: Objective, steps: int, sums: tuple, log_prob: float, u: np.ndarray,
+    step_min: float, n_max: int, best_step: float,
 ):
     """(bounds, log-probabilities, partial sums) of the children of a prefix,
-    given its flat partial sums, as ``child_scores`` returns them: each bound
+    given its flat partial sums and step minimum and the children's
+    surprisals ``u``, as ``child_scores`` returns them: each bound
     is at least the score, as computed in floats, of every completion of
     that child that has at most ``n_max`` steps and takes a step after it.
 
@@ -382,11 +385,11 @@ def completion_bounds(
     lowers, flat = [], []
     shortest = objective.length_mode == "none"
     for lam, penalty, part in objective._layout:
-        child_sums = penalty.carry(sums[part], children, steps + 1)
+        child_sums = penalty.carry(sums[part], u, step_min, steps + 1)
         flat += child_sums
         lowers.append((lam, child_sums[0], penalty.per_length))
         shortest = shortest and not penalty.per_length
-    log_probs = log_prob - children[_SURPRISAL]
+    log_probs = log_prob - u
     n = steps + 2
     one_length = shortest or n == n_max
     if one_length:

@@ -8,10 +8,13 @@ Greedy search is beam search at width 1 under the plain objective
 (``MAP_OBJECTIVE``), the paper's first result, and runs through beam's
 loop. So all three decoders score through one kernel,
 ``objectives.child_scores``. Each step reads its prefixes' next-token rows
-and their terms from the model's cache, keyed by state
-(``SequenceModel.step_terms``: the states a step lacks get their rows and
-terms built in one block), and the kernel scores children in one numpy
-expression from their prefixes' penalty partial sums. Every node carries
+from the model's cache, keyed by state, as ``StepTerms``: the allowed ids,
+their surprisals and the step minimum (``SequenceModel.step_terms``: the
+states a step lacks get their rows and surprisals built in one block). The
+kernel scores children in one numpy expression from their surprisals,
+step minima and prefixes' penalty partial sums; this module hands it
+those and reads back totals, log-probabilities and partial sums, and
+computes no penalty term itself. Every node carries
 its own partial sums, which the kernel returned when it scored the node as
 a child; the root's are constants. Beam search makes one kernel call per
 step for the children of all of its open members; exact search makes one
@@ -61,7 +64,6 @@ from .objectives import (
     Objective,
     ScoreBreakdown,
     _PENALTIES,
-    _SURPRISAL,
     _SetDeviationTable,
     _total,
     child_scores,
@@ -172,9 +174,9 @@ def _beam(model: SequenceModel, source, objective: Objective, k: int,
     once.
 
     One ``child_scores`` call per step scores the children of every open
-    member: their rows' children tables are concatenated, and an owner index
-    (each candidate's member) takes each member's log-probability and
-    partial sums to its children. Each ended member is its own only
+    member: their rows' surprisals are concatenated, and an owner index
+    (each candidate's member) takes each member's log-probability, partial
+    sums and step minimum to its children. Each ended member is its own only
     candidate, with its stored total. One ``np.partition`` over all
     candidates keeps those at or above the k-th best total (so every tie on
     it survives); each kept child takes its surprisal and partial sums from
@@ -204,9 +206,9 @@ def _beam(model: SequenceModel, source, objective: Objective, k: int,
             counts.append(len(t.ids))
             n_children += len(t.ids)
         owner = np.arange(len(parents)).repeat(counts)
-        tables = [t.table for t in terms]
-        children = tables[0] if len(tables) == 1 else np.concatenate(tables, axis=1)
-        totals, log_probs, sums = child_scores(objective, steps, sums, log_probs, children, owner)
+        u = terms[0].u if len(terms) == 1 else np.concatenate([t.u for t in terms])
+        totals, log_probs, sums = child_scores(objective, steps, sums, log_probs, u,
+                                               [t.step_min for t in terms], owner)
         if ended:  # each its own only candidate, after every child
             totals = np.concatenate((totals, [node[4] for node in ended]))
             log_probs = np.concatenate((log_probs, [node[3] for node in ended]))
@@ -220,7 +222,7 @@ def _beam(model: SequenceModel, source, objective: Objective, k: int,
         # The kept children's surprisals and partial sums, in order; the
         # ended members come last.
         kept_children = kept[:kept.searchsorted(n_children)] if ended else kept
-        carried = zip(children[_SURPRISAL][kept_children].tolist(),
+        carried = zip(u[kept_children].tolist(),
                       _per_child([column[kept_children] for column in sums]))
         # (-total, -log_prob, ids, member, surprisal, partial sums); an ended
         # member's surprisal and partial sums are None
@@ -290,21 +292,21 @@ def exact_search(
         n_open = len(terms.ids)
         if terms.end is not None:
             n_open -= 1
-            end_total, end_lp, _ = child_scores(objective, len(trace), sums, log_prob, terms.end)
+            end_total, end_lp, _ = child_scores(objective, len(trace), sums, log_prob, terms.end,
+                                                terms.step_min)
             end_total = float(end_total)
             key = (-end_total, -end_lp, (*ids, eos))
             if best_key is None or key < best_key:
                 best_key = key
-                best = (key[2], trace + terms.end[:1], minima + (terms.step_min,), end_lp)
+                best = (key[2], trace + (terms.end,), minima + (terms.step_min,), end_lp)
                 floor = end_total
         if n_open and len(ids) < n_max:  # an open child still has a step left
             bounds, log_probs, sums = completion_bounds(objective, len(trace), sums, log_prob,
-                                                        terms.table, n_max, best_step)
+                                                        terms.u, terms.step_min, n_max, best_step)
             bounds = bounds.tolist()
             if max(bounds[:n_open]) >= floor:  # some open child is queued
                 c_minima = minima + (terms.step_min,)
-                for j, lp, u, c_sums in zip(range(n_open), log_probs.tolist(),
-                                            terms.table[_SURPRISAL].tolist(),
+                for j, lp, u, c_sums in zip(range(n_open), log_probs.tolist(), terms.u.tolist(),
                                             _per_child(sums)):
                     if bounds[j] >= floor:
                         heapq.heappush(heap, (-bounds[j], -lp, (*ids, terms.ids[j]),

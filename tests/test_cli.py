@@ -182,6 +182,23 @@ def test_decode_bad_objective_is_usage_error(tmp_path, capsys):
     assert "coverage" in capsys.readouterr().err
 
 
+# Exact search's bounds overflow in numpy on the way, which warns.
+@pytest.mark.filterwarnings("ignore:overflow encountered in multiply:RuntimeWarning")
+@pytest.mark.parametrize("decoder", ["beam", "exact"])
+def test_decode_non_finite_score_is_usage_error(tmp_path, capsys, decoder):
+    """A finite length reward can still overflow a total: JSON has no
+    infinity, so the decode exits 2 naming the line and field, and writes
+    no output file."""
+    out = tmp_path / "out.jsonl"
+    code = run(["decode", FIXTURES / "m3.json", FIXTURES / "m3.inputs.txt",
+                "--decoder", decoder, "--objective", "len=reward:1e308", "--n-max", "5",
+                "--out", out])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "input line 1: length_term is inf" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_decode_calls_exact_search_through_cli_global(tmp_path, monkeypatch):
     """The benchmark times decodes by rebinding ``regdecode.cli.exact_search``
     (and the other public decoders); the CLI must look them up at call time."""

@@ -236,8 +236,8 @@ def test_kernel_totals_equal_spec(row, steps, order, weights, length):
     log_prob = -sum(trace)
     terms = _terms_of_row(np.array(row))
     sums = spec_sums(objective, trace, minima)
-    totals, log_probs, carried = child_scores(objective, len(trace), sums, log_prob,
-                                              terms.table)
+    totals, log_probs, carried = child_scores(objective, len(trace), sums, log_prob, terms.u,
+                                              terms.step_min)
     step_min = -max(row)
     allowed = [tid for tid, logv in enumerate(row) if logv != -math.inf]
     assert list(terms.ids) == allowed
@@ -252,7 +252,7 @@ def test_kernel_totals_equal_spec(row, steps, order, weights, length):
         assert terms.end is None
     else:  # the float path for the end-marker child alone
         end_total, end_log_prob, _ = child_scores(objective, len(trace), sums, log_prob,
-                                                  terms.end)
+                                                  terms.end, terms.step_min)
         assert end_total == totals[-1] and end_log_prob == log_probs[-1]
 
 
@@ -301,7 +301,7 @@ def test_variance_carry_never_lowers_m2(tr):
     sums = (0.0, 0.0)
     for n, u in enumerate(tr, 1):
         m2 = sums[0]
-        sums = carry(sums, (u,), n)  # variance reads the surprisal row only
+        sums = carry(sums, u, None, n)  # variance reads no step minimum
         assert sums[0] == 0.0 if n == 1 else sums[0] >= m2
         assert same_bits([sums[0] / n], [r_variance(tr[:n])])
 
@@ -345,7 +345,8 @@ def test_batched_kernel_totals_equal_spec(prefixes, order, weights, length):
     sums = [spec_sums(objective, trace, mins) for trace, mins in zip(traces, minima)]
     totals, log_probs, carried = child_scores(
         objective, len(traces[0]), sums, [-sum(trace) for trace in traces],
-        np.concatenate([terms.table for terms in block], axis=1), owner)
+        np.concatenate([terms.u for terms in block]), [terms.step_min for terms in block],
+        owner)
     assert len(totals) == len(log_probs) == sum(counts)
     c = 0
     for terms, row, trace, mins in zip(block, rows, traces, minima):
@@ -367,19 +368,19 @@ def test_batched_kernel_totals_equal_spec(prefixes, order, weights, length):
     data=st.data(),
 )
 def test_a_row_has_the_same_terms_alone_and_in_a_block(size, data):
-    """A row's ids, step minimum, children table and end-marker terms are
+    """A row's ids, step minimum, surprisals and end-marker surprisal are
     the same bits whether its terms are built alone, as exact search and a
     width-1 beam build them, or in a block with other rows."""
     rows = [np.array(data.draw(_row_of_size(size))) for _ in range(data.draw(st.integers(2, 4)))]
     for row, in_block in zip(rows, _terms_of_block(np.array(rows))):
         alone = _terms_of_row(row)
         assert list(alone.ids) == list(in_block.ids)
-        assert alone.table.tobytes() == np.ascontiguousarray(in_block.table).tobytes()
+        assert alone.u.tobytes() == np.ascontiguousarray(in_block.u).tobytes()
         assert same_bits([alone.step_min], [in_block.step_min])
         assert (alone.end is None) == (in_block.end is None)
         if alone.end is not None:
-            assert same_bits(alone.end, in_block.end)
-            assert same_bits(alone.end, alone.table[:, -1])
+            assert same_bits([alone.end], [in_block.end])
+            assert same_bits([alone.end], alone.u[-1:])
 
 
 @settings(max_examples=200, deadline=None)
@@ -406,10 +407,10 @@ def test_carried_partial_sums_equal_the_spec(rows, picks, order, weights):
     for row, pick in zip(rows, picks):
         terms = _terms_of_row(np.array(row))
         j = pick % len(terms.ids)
-        _, log_probs, carried = child_scores(objective, len(trace), sums, log_prob,
-                                             terms.table)
-        _, _, bounded = completion_bounds(objective, len(trace), sums, log_prob, terms.table,
-                                          len(trace) + 3, 0.0)
+        _, log_probs, carried = child_scores(objective, len(trace), sums, log_prob, terms.u,
+                                             terms.step_min)
+        _, _, bounded = completion_bounds(objective, len(trace), sums, log_prob, terms.u,
+                                          terms.step_min, len(trace) + 3, 0.0)
         assert all(same_bits(a, b) for a, b in zip(carried, bounded))
         trace += (-row[terms.ids[j]],)
         minima += (-max(row),)
@@ -458,8 +459,8 @@ def test_completion_bounds_admissible(row, steps, best_step, rest, spare, order,
     n_max = len(trace) + 1 + len(rest) + spare
     terms = _terms_of_row(np.array(row))
     sums = spec_sums(objective, trace, minima)
-    bounds, _, _ = completion_bounds(objective, len(trace), sums, log_prob, terms.table, n_max,
-                                     best_step)
+    bounds, _, _ = completion_bounds(objective, len(trace), sums, log_prob, terms.u,
+                                     terms.step_min, n_max, best_step)
     step_min = -max(row)
     for j, tid in enumerate(terms.ids):
         c_trace, c_minima, c_log_prob = [-row[tid]], [step_min], log_prob + row[tid]
@@ -472,13 +473,13 @@ def test_completion_bounds_admissible(row, steps, best_step, rest, spare, order,
         assert bounds[j] >= spec.total
 
 
-def _bounds_length_by_length(objective, steps, sums, log_prob, children, n_max, best_step):
+def _bounds_length_by_length(objective, steps, sums, log_prob, u, step_min, n_max, best_step):
     """``completion_bounds`` as one bound array per completion length, the
     highest kept: each length's running sum, total and lower forms built on
     their own, with no shortcut for a single deciding length."""
-    lowers = [(lam, penalty.carry(sums[part], children, steps + 1)[0], penalty.per_length)
+    lowers = [(lam, penalty.carry(sums[part], u, step_min, steps + 1)[0], penalty.per_length)
               for lam, penalty, part in objective._layout]
-    log_probs = run = log_prob - children[0]  # the surprisals' row
+    log_probs = run = log_prob - u
     bounds = None
     for n in range(steps + 2, n_max + 1):
         run = run + best_step
@@ -528,9 +529,10 @@ def test_completion_bounds_equal_the_bounds_taken_length_by_length(
     objective = Objective(regs, mode, float(lam or 0.0))
     trace = tuple(max(a, b) for a, b in steps)
     minima = tuple(min(a, b) for a, b in steps)
-    children = _terms_of_row(np.array(row)).table
+    terms = _terms_of_row(np.array(row))
     sums = spec_sums(objective, trace, minima)
-    args = (objective, len(trace), sums, log_prob, children, len(trace) + 1 + lengths, best_step)
+    args = (objective, len(trace), sums, log_prob, terms.u, terms.step_min,
+            len(trace) + 1 + lengths, best_step)
     bounds, log_probs, _ = completion_bounds(*args)
     want_bounds, want_log_probs = _bounds_length_by_length(*args)
     assert bounds.tobytes() == want_bounds.tobytes()

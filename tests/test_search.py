@@ -395,8 +395,8 @@ def test_bound_admissible_on_small_models():
                 j = terms.ids.index(ids[t])
                 for objective, total in zip(objectives, totals):
                     sums = spec_sums(objective, steps, mins)
-                    bounds, _, _ = completion_bounds(objective, len(steps), sums, run,
-                                                     terms.table, n_max, model.best_step)
+                    bounds, _, _ = completion_bounds(objective, len(steps), sums, run, terms.u,
+                                                     terms.step_min, n_max, model.best_step)
                     assert bounds[j] >= total
                 run += float(dist[ids[t]])
                 steps.append(-float(dist[ids[t]]))
@@ -937,7 +937,7 @@ def recording_states(model) -> dict:
 def assert_one_entry_per_state(model, prefixes_of) -> None:
     """The model's cache holds one entry for each state visited and no other,
     each entry's row is the one-row build of its state, bit for bit, and its
-    table holds the finite terms of that row's allowed tokens only, so a
+    surprisals are the finite ones of that row's allowed tokens only, so a
     forbidden token never entered a block."""
     assert model._terms.keys() == prefixes_of.keys()
     for state, terms in model._terms.items():
@@ -945,8 +945,8 @@ def assert_one_entry_per_state(model, prefixes_of) -> None:
         assert terms.row.tobytes() == row.tobytes()
         allowed = np.flatnonzero(row > -math.inf).tolist()
         assert list(terms.ids) == allowed
-        assert terms.table.shape == (3, len(allowed))
-        assert np.isfinite(terms.table).all()
+        assert terms.u.shape == (len(allowed),)
+        assert np.isfinite(terms.u).all()
 
 
 @pytest.mark.parametrize("make_model", [
@@ -1040,7 +1040,7 @@ def test_block_rows_and_terms_equal_one_row_builds():
                     single = _terms_of_row(alone)
                     assert list(terms.ids) == list(single.ids)
                     assert terms.step_min == single.step_min
-                    assert np.ascontiguousarray(terms.table).tobytes() == single.table.tobytes()
+                    assert np.ascontiguousarray(terms.u).tobytes() == single.u.tobytes()
                     assert terms.end == single.end
                     forbidden += len(single.ids) < len(alone)
     assert forbidden  # the underflowed rows' blocks held forbidden entries
