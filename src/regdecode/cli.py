@@ -10,16 +10,29 @@ is a usage error: the fix is always a flag (``--n-max`` or
 ``--decoder``). So is a negative or malformed seed
 (``--seed`` or ``$REGDECODE_SEED``), a ``verify --trials`` below 1, and
 a ``decode`` whose total, length term or penalty overflows to a
-non-finite float, which JSON cannot hold (the fix is a smaller weight in
-``--objective``); that decode writes no output file.
+non-finite float, which JSON cannot hold, or whose objective's arithmetic
+gives NaN (an overflowed length reward less an overflowed penalty); the
+fix is a smaller weight in ``--objective``, and that decode writes no
+output file.
+
 Every output file gets a sidecar ``<name>.manifest.json`` recording the
 command, configuration, input digests, and seed; identical manifests give
 bit-identical outputs, so timing is deliberately kept out of the files.
+A command reads each file it names once: the model, inputs and references
+are parsed from the bytes read, and the manifest digests those same bytes
+(a sweep's references included), so a file rewritten during a run cannot
+make a manifest describe other bytes than were decoded. ``train-ngram``
+digests its corpus the same way and its model file as written.
+
+``main`` may be called many times in one process (the sweep scripts and
+the benchmark do): it builds its argument parser on the first call and
+reuses it, and reads ``$REGDECODE_SEED`` afresh on every call.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -30,7 +43,7 @@ from pathlib import Path
 from . import __version__
 from .evaluate import corpus_bleu, summarize_run
 from .exceptions import ContractError, ModelFormatError, NoHypothesisError, RegdecodeError
-from .models import load_model, save_model, train_ngram
+from .models import load_model, read_utf8, save_model, train_ngram
 from .objectives import MAP_OBJECTIVE, Objective, RegularizerKind, parse_objective
 from .randmodels import exactness_instance, set_limit_instance, tie_free_instance
 from .search import (
@@ -64,13 +77,13 @@ def _versions() -> dict:
     }
 
 
-def _write_manifest(out: Path, args, config: dict, model: str, inputs: str) -> None:
-    """Write the ``<out>.manifest.json`` sidecar of one output file."""
+def _write_manifest(out: Path, args, config: dict, **digests: str) -> None:
+    """Write the ``<out>.manifest.json`` sidecar of one output file;
+    ``digests`` are the ``*_digest`` fields of the files it read."""
     payload = {
         "command": args.command,
         "config": config,
-        "model_digest": _digest(model),
-        "input_digest": _digest(inputs),
+        **digests,
         "seed": args.seed,
         "versions": _versions(),
     }
@@ -95,24 +108,26 @@ class _TextFormatError(RegdecodeError, ValueError):
     line holds a marker (exit 3)."""
 
 
-def _read_text(path: str) -> str:
+def _read_text(path: str) -> tuple[str, str]:
+    """A UTF-8 text file's text and the digest of its bytes (``read_utf8``)."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return read_utf8(path)
     except UnicodeDecodeError as exc:
         raise _TextFormatError(f"{path} is not UTF-8 text: {exc}") from exc
 
 
-def _read_token_lines(path: str) -> list[list[str]]:
-    """The whitespace-split lines of a UTF-8 text file."""
-    return [line.split() for line in _read_text(path).splitlines()]
+def _read_token_lines(path: str) -> tuple[list[list[str]], str]:
+    """The whitespace-split lines of a UTF-8 text file, and its digest."""
+    text, digest = _read_text(path)
+    return [line.split() for line in text.splitlines()], digest
 
 
-def _read_corpus_lines(path: str) -> list[str]:
+def _read_corpus_lines(path: str) -> tuple[list[str], str]:
     """The lines of a UTF-8 training corpus, not yet split, so that a
-    reader can split each in turn and hold no line's tokens past it. A line
-    that holds a begin or end marker is a format error that names the first
-    such line."""
-    text = _read_text(path)
+    reader can split each in turn and hold no line's tokens past it, and
+    the corpus digest. A line that holds a begin or end marker is a format
+    error that names the first such line."""
+    text, digest = _read_text(path)
     lines = text.splitlines()
     markers = {DEFAULT_BOS, DEFAULT_EOS}
     if any(marker in text for marker in markers):  # cheap; the line walk runs only on a hit
@@ -123,7 +138,7 @@ def _read_corpus_lines(path: str) -> list[str]:
                     f"{path} line {line_no} holds {' and '.join(sorted(found))}: the begin "
                     "and end markers are implicit and may not appear in a corpus"
                 )
-    return lines
+    return lines, digest
 
 
 def _decode_one(decoder: str, model, source, objective, k: int, n_max: int):
@@ -141,8 +156,8 @@ def _decode_corpus(decoder, model, sources, objective, k: int, n_max: int):
     for line_no, src in enumerate(sources, start=1):
         try:
             records.append(_decode_one(decoder, model, src, objective, k, n_max))
-        except NoHypothesisError as exc:
-            raise NoHypothesisError(f"input line {line_no}: {exc}") from exc
+        except (NoHypothesisError, ContractError) as exc:  # no hypothesis, or a NaN score
+            raise type(exc)(f"input line {line_no}: {exc}") from exc
     return records
 
 
@@ -179,12 +194,12 @@ def _check_finite(records) -> None:
 
 
 def cmd_train_ngram(args) -> int:
-    corpus = _read_corpus_lines(args.corpus)
+    corpus, corpus_digest = _read_corpus_lines(args.corpus)
     model = train_ngram(map(str.split, corpus), args.order, args.add_k)  # one line at a time
     out = Path(args.out)
     save_model(model, out)
     config = {"order": args.order, "add_k": args.add_k, "corpus": args.corpus}
-    _write_manifest(out, args, config, args.out, args.corpus)
+    _write_manifest(out, args, config, model_digest=_digest(args.out), input_digest=corpus_digest)
     print(f"trained order-{args.order} model on {len(corpus)} lines -> {args.out}")
     return 0
 
@@ -195,7 +210,7 @@ def cmd_decode(args) -> int:
     if args.decoder == "greedy" and args.objective.strip():
         raise ContractError("the greedy decoder scores no --objective: use beam, exact or brute")
     model = load_model(args.model)
-    sources = _read_token_lines(args.input)
+    sources, input_digest = _read_token_lines(args.input)
     objective = parse_objective(args.objective)
     k = 1 if args.k is None else args.k
     _check_budget(k, args.n_max)  # so a bad flag fails on an empty input too
@@ -211,7 +226,8 @@ def cmd_decode(args) -> int:
         "k": args.k,
         "n_max": args.n_max,
     }
-    _write_manifest(out, args, manifest_config, args.model, args.input)
+    _write_manifest(out, args, manifest_config, model_digest=model.file_digest,
+                    input_digest=input_digest)
     print(f"decoded {len(sources)} inputs -> {args.out}")
     return 0
 
@@ -227,8 +243,8 @@ def cmd_sweep(args) -> int:
     if args.ks and args.decoder != "beam":
         raise ContractError(f"--ks are beam widths: they need --decoder beam, not {args.decoder}")
     model = load_model(args.model)
-    sources = _read_token_lines(args.input)
-    references = _read_token_lines(args.refs)
+    sources, input_digest = _read_token_lines(args.input)
+    references, refs_digest = _read_token_lines(args.refs)
     if len(sources) != len(references):
         raise ContractError(
             f"{len(sources)} inputs but {len(references)} references"
@@ -273,7 +289,8 @@ def cmd_sweep(args) -> int:
         "ks": ks,
         "n_max": args.n_max,
     }
-    _write_manifest(out, args, manifest_config, args.model, args.input)
+    _write_manifest(out, args, manifest_config, model_digest=model.file_digest,
+                    input_digest=input_digest, refs_digest=refs_digest)
     print(f"swept {len(rows)} configurations -> {args.out}")
     return 0
 
@@ -416,7 +433,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Decode locally normalized sequence models under "
         "surprisal-regularized objectives.",
     )
-    parser.add_argument("--seed", type=int, default=_default_seed(),
+    parser.add_argument("--seed", type=int,
                         help=f"global seed (default from ${SEED_ENV_VAR} or 0)")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -461,9 +478,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """``build_parser()``, built on the first call and shared by every later
+    one; parsing leaves a parser as it was."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        # The seed default is read on every call, before parsing, so that a
+        # bad $REGDECODE_SEED is reported even beside a usage error.
+        args = _parser().parse_args(argv, argparse.Namespace(seed=_default_seed()))
         if args.seed < 0:
             raise ContractError(f"--seed must be a non-negative integer, got {args.seed}")
         return args.func(args)

@@ -46,6 +46,7 @@ beam search pays for it too: about 0.4 ms of the 7-10 ms load of a
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import json
 import logging
@@ -155,6 +156,9 @@ class SequenceModel:
 
     vocabulary: Vocabulary
     best_step: float
+    # The sha256 hex digest of the bytes ``load_model`` parsed this model
+    # from; None for a model built in memory.
+    file_digest: str | None = None
 
     def __init__(self, vocabulary: Vocabulary) -> None:
         self.vocabulary = vocabulary
@@ -756,7 +760,9 @@ def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
 
 def load_model(path: str | Path) -> SequenceModel:
     """Dispatch on the optional ``kind`` field: ``"ngram"``, or none for a
-    table model; any other ``kind`` is a format error.
+    table model; any other ``kind`` is a format error. The file is read
+    once, and the model's ``file_digest`` is the digest of the bytes it was
+    parsed from.
 
     Every malformed file ends in ``ModelFormatError``, one that is not UTF-8
     text or whose JSON repeats a key within one object included. In any
@@ -778,14 +784,31 @@ def load_model(path: str | Path) -> SequenceModel:
     of them are raised here, before any decode.
     """
     try:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"), object_pairs_hook=_unique_keys)
+        text, digest = read_utf8(path)
+        raw = json.loads(text, object_pairs_hook=_unique_keys)
     except (OSError, ValueError) as exc:  # ValueError: not UTF-8, not JSON, a repeated key
         raise ModelFormatError(f"cannot parse model {path}: {exc}") from exc
     if isinstance(raw, dict) and "kind" in raw:
         if raw["kind"] != "ngram":
             raise ModelFormatError(f"unknown model kind {raw['kind']!r}: expected 'ngram' or none")
-        return _ngram_model_from_spec(raw, path)
-    return _table_model_from_spec(raw)
+        model = _ngram_model_from_spec(raw, path)
+    else:
+        model = _table_model_from_spec(raw)
+    model.file_digest = digest
+    return model
+
+
+def read_utf8(path: str | Path) -> tuple[str, str]:
+    """A file's text and the sha256 hex digest of its bytes, from one read.
+
+    The bytes are decoded as ``Path.read_text(encoding="utf-8")`` decodes
+    them, universal newlines included, so the text and every
+    ``UnicodeDecodeError`` message are the same as that call's."""
+    data = Path(path).read_bytes()
+    text = data.decode("utf-8")
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text, hashlib.sha256(data).hexdigest()
 
 
 def save_model(model: TableModel | NGramModel, path: str | Path) -> None:

@@ -34,7 +34,10 @@ plus the model's ``best_step`` for every step still to come, through the
 length transform, minus a lower bound on each penalty, the highest over
 every completion length, all taken in one array expression), and stops
 once the best complete hypothesis found so far beats every bound left in
-the queue. The brute-force oracles keep their own enumeration and score
+the queue. Greedy, beam and exact search each run under one
+``np.errstate`` per call (``_nan_checked``): an overflow is silent, and a
+NaN in the objective's arithmetic raises a ``ContractError``. The
+brute-force oracles keep their own enumeration and score
 with the spec, so they stay independent of the search code. Each enumerates an
 instance once. ``brute_force`` streams one walk into ``_oracle_argmax``,
 which takes any number of objectives and reads the walk in bounded chunks:
@@ -49,6 +52,7 @@ scoring a set once its running penalty passes the incumbent's.
 from __future__ import annotations
 
 import bisect
+import functools
 import heapq
 import itertools
 import math
@@ -146,6 +150,23 @@ def _per_child(columns: list):
     return zip(*map(np.ndarray.tolist, columns))
 
 
+def _nan_checked(decoder):
+    """``decoder`` with its numpy arithmetic under one ``np.errstate`` per
+    call. An overflow is silent: a total of -inf ranks below every finite
+    one. An invalid operation (an overflowed length reward less an
+    overflowed penalty is inf - inf) would give a NaN that no key orders,
+    so it raises a ``ContractError`` that names the objective."""
+    @functools.wraps(decoder)
+    def checked(model, source, objective, *args):
+        try:
+            with np.errstate(over="ignore", invalid="raise"):
+                return decoder(model, source, objective, *args)
+        except FloatingPointError as exc:
+            raise ContractError(f"objective {objective.describe()!r} gives a NaN score ({exc}); "
+                                "use smaller weights") from exc
+    return checked
+
+
 def greedy_search(model: SequenceModel, source, n_max: int) -> DecodeRecord:
     """Beam search at width 1 under the plain objective: each step keeps the
     child with the highest log-probability so far, ties going to the smaller
@@ -167,6 +188,7 @@ def beam_search(
     return _beam(model, source, objective, k, n_max)
 
 
+@_nan_checked
 def _beam(model: SequenceModel, source, objective: Objective, k: int,
           n_max: int) -> DecodeRecord:
     """The loop behind ``beam_search`` and ``greedy_search``. Neither public
@@ -256,6 +278,7 @@ def _beam(model: SequenceModel, source, objective: Objective, k: int,
     return DecodeRecord(best=hyps[0], beam_set=hyps, nodes_expanded=expanded)
 
 
+@_nan_checked
 def exact_search(
     model: SequenceModel, source, objective: Objective, n_max: int
 ) -> DecodeRecord:

@@ -1,8 +1,10 @@
 import dataclasses
+import hashlib
 import importlib
 import importlib.util
 import json
 import math
+import warnings
 
 import pytest
 
@@ -182,8 +184,6 @@ def test_decode_bad_objective_is_usage_error(tmp_path, capsys):
     assert "coverage" in capsys.readouterr().err
 
 
-# Exact search's bounds overflow in numpy on the way, which warns.
-@pytest.mark.filterwarnings("ignore:overflow encountered in multiply:RuntimeWarning")
 @pytest.mark.parametrize("decoder", ["beam", "exact"])
 def test_decode_non_finite_score_is_usage_error(tmp_path, capsys, decoder):
     """A finite length reward can still overflow a total: JSON has no
@@ -197,6 +197,92 @@ def test_decode_non_finite_score_is_usage_error(tmp_path, capsys, decoder):
     err = capsys.readouterr().err
     assert "input line 1: length_term is inf" in err and "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("decoder", ["beam", "exact"])
+def test_decode_nan_score_is_usage_error(tmp_path, capsys, decoder):
+    """A length reward and a penalty that both overflow give inf - inf, a
+    NaN that no key orders: the decode exits 2 naming the objective and the
+    input line, where exact search used to certify the empty string."""
+    out = tmp_path / "out.jsonl"
+    code = run(["decode", FIXTURES / "m3.json", FIXTURES / "m3.inputs.txt",
+                "--decoder", decoder, "--objective", "square=1e308,len=reward:1e308",
+                "--n-max", "5", "--out", out])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "input line 1: objective 'square=1e+308,len=reward:1e+308' gives a NaN score" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["decode", FIXTURES / "m3.json", FIXTURES / "m3.inputs.txt", "--decoder", "beam",
+     "--objective", "square=1e308"],
+    ["sweep", FIXTURES / "m3.json", FIXTURES / "m3.inputs.txt", FIXTURES / "m3.refs.txt",
+     "--objective-kind", "square", "--lambdas", "1e308"],
+], ids=["decode", "sweep"])
+def test_overflowing_weight_prints_no_numpy_warning(tmp_path, capsys, argv):
+    """A weight that overflows on some candidate is legal; numpy says
+    nothing about it."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run([*argv, "--n-max", "5", "--out", tmp_path / "out"]) == 0
+    assert caught == []
+    assert capsys.readouterr().err == ""
+
+
+def _sha256(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("command", ["decode", "sweep"])
+def test_manifest_digests_the_bytes_decoded(tmp_path, monkeypatch, command):
+    """A file rewritten while the corpus is decoded does not change the
+    manifest: its digests are of the bytes the command read and decoded."""
+    from regdecode import cli
+
+    files = {"model": tmp_path / "m3.json", "input": tmp_path / "in.txt",
+             "refs": tmp_path / "refs.txt"}
+    files["model"].write_bytes((FIXTURES / "m3.json").read_bytes())
+    files["input"].write_bytes((FIXTURES / "m3.inputs.txt").read_bytes())
+    files["refs"].write_bytes((FIXTURES / "m3.refs.txt").read_bytes())
+    original = {name: _sha256(path) for name, path in files.items()}
+    decode_corpus = cli._decode_corpus
+
+    def rewriting(*args):
+        for path in files.values():
+            path.write_text(path.read_text() + "\n")
+        return decode_corpus(*args)
+
+    monkeypatch.setattr(cli, "_decode_corpus", rewriting)
+    out = tmp_path / "out"
+    argv = [command, files["model"], files["input"]]
+    argv += [files["refs"], "--lambdas", "0"] if command == "sweep" else []
+    assert run([*argv, "--decoder", "exact", "--n-max", "5", "--out", out]) == 0
+    manifest = json.loads((tmp_path / "out.manifest.json").read_text())
+    assert manifest["model_digest"] == original["model"]
+    assert manifest["input_digest"] == original["input"]
+    if command == "sweep":
+        assert manifest["refs_digest"] == original["refs"]
+    assert all(_sha256(path) != original[name] for name, path in files.items())
+
+
+def test_sweep_manifest_records_the_references(tmp_path):
+    """Two sweeps that differ only in their references write different
+    CSVs, so their manifests differ too."""
+    fixture = [FIXTURES / "beam_family.json", FIXTURES / "beam_family.inputs.txt"]
+    wrong = tmp_path / "wrong.refs.txt"
+    wrong.write_text("".join("zzz\n" for _ in fixture[1].read_text().splitlines()))
+    rows, manifests = [], []
+    for refs in (FIXTURES / "beam_family.refs.txt", wrong):
+        out = tmp_path / f"{refs.stem}.csv"
+        assert run(["sweep", *fixture, refs, "--objective-kind", "square", "--lambdas", "0,2",
+                    "--ks", "1,4", "--decoder", "beam", "--n-max", "8", "--out", out]) == 0
+        rows.append(out.read_text())
+        manifests.append(json.loads(out.with_name(out.name + ".manifest.json").read_text()))
+    assert ",100.0," in rows[0] and ",100.0," not in rows[1]
+    assert manifests[0]["refs_digest"] == _sha256(FIXTURES / "beam_family.refs.txt")
+    assert manifests[1]["refs_digest"] == _sha256(wrong)
 
 
 def test_decode_calls_exact_search_through_cli_global(tmp_path, monkeypatch):
@@ -831,10 +917,33 @@ def test_sweep_outputs_are_bit_identical(tmp_path):
 
 def test_seed_env_var_default(tmp_path, monkeypatch):
     monkeypatch.setenv("REGDECODE_SEED", "123")
-    from regdecode.cli import build_parser
+    report = tmp_path / "report.json"
+    assert run(["verify", "--suite", "bleu", "--out", report]) == 0
+    assert json.loads(report.read_text())["seed"] == 123
 
-    args = build_parser().parse_args(["verify", "--suite", "bleu"])
-    assert args.seed == 123
+
+def test_seed_env_var_is_read_on_every_call(tmp_path, monkeypatch):
+    """``main`` reuses its parser, but not a seed default: each call reads
+    $REGDECODE_SEED afresh."""
+    seeds = []
+    for env in ("7", "11"):
+        monkeypatch.setenv("REGDECODE_SEED", env)
+        report = tmp_path / f"report-{env}.json"
+        assert run(["verify", "--suite", "thm1", "--trials", "1", "--out", report]) == 0
+        seeds.append(json.loads(report.read_text())["seed"])
+    assert seeds == [7, 11]
+
+
+def test_usage_error_leaves_the_next_call_parsing(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("REGDECODE_SEED", raising=False)
+    with pytest.raises(SystemExit) as exc:
+        run(["verify", "--suite", "no-such-suite"])
+    assert exc.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
+    report = tmp_path / "report.json"
+    assert run(["--seed", "3", "verify", "--suite", "bleu", "--out", report]) == 0
+    payload = json.loads(report.read_text())
+    assert (payload["suite"], payload["seed"], payload["trials"]) == ("bleu", 3, 1)
 
 
 @pytest.mark.parametrize(
