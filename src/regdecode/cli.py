@@ -427,7 +427,11 @@ def cmd_verify(args) -> int:
     return 0 if not failures else 1
 
 
-def build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared by every
+    later one: parsing leaves it as it was. ``--seed`` has no default here;
+    ``main`` supplies it on each call."""
     parser = argparse.ArgumentParser(
         prog="regdecode",
         description="Decode locally normalized sequence models under "
@@ -476,13 +480,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify)
 
     return parser
-
-
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """``build_parser()``, built on the first call and shared by every later
-    one; parsing leaves a parser as it was."""
-    return build_parser()
 
 
 def main(argv=None) -> int:
