@@ -38,14 +38,25 @@ single missing state is built on its own. An n-gram model's
 contexts is built once (an unseen context gets the smoothed uniform row);
 a table model returns its stored rows. Because of this cache, instances
 are not meant to be shared between threads.
-Every model sets ``best_step``, the bound exact search puts on every step
-it has not taken yet, when it is constructed, so a model decoded only by
-beam search pays for it too: about 0.4 ms of the 7-10 ms load of a
-200-token trigram model file with 3,621 contexts.
+
+``best_step`` is the bound exact search puts on every step it has not
+taken yet. A table model sets it when it is constructed; an n-gram model
+computes it from its counts on first read, so a model decoded only by beam
+search never pays for it.
+
+``load_model`` remembers the last n-gram file that passed every check, one
+entry keyed by the sha256 of its bytes. Loading the same bytes again, as a
+sweep or a benchmark pass does, builds a new model from the remembered
+vocabulary, parameters and count columns, with no JSON parsing and no
+check. The instances share only read-only data: the column arrays are not
+writable, and nothing writes ``context_index`` or ``offsets``. Each
+instance has its own row cache, so its first decode builds every row it
+visits, as after a cold load.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 import json
@@ -147,11 +158,12 @@ class SequenceModel:
     several rows at once). ``step_terms`` serves the decoders each visited
     state's ``StepTerms`` from the ``_terms`` cache.
 
-    Each subclass also sets ``best_step`` when it is constructed: at least
-    every entry of every row ``_step_log_probs`` can return, so no step of
-    any hypothesis has a higher log-probability, and at most 0, since every
-    row is a distribution. Exact search reads it; a custom model used with
-    ``exact_search`` sets it too.
+    Each subclass also provides ``best_step``: at least every entry of
+    every row ``_step_log_probs`` can return, so no step of any hypothesis
+    has a higher log-probability, and at most 0, since every row is a
+    distribution. ``TableModel`` sets it when it is constructed and
+    ``NGramModel`` computes it on first read. Exact search reads it; a
+    custom model used with ``exact_search`` sets it itself.
     """
 
     vocabulary: Vocabulary
@@ -402,12 +414,14 @@ class NGramModel(SequenceModel):
         super().__init__(vocabulary)
         self.order = order
         self.add_k = float(add_k)
+        # Read-only, so that load_model can hand them to a later instance.
+        counts.event_ids.setflags(write=False)
+        counts.event_counts.setflags(write=False)
         self._columns = counts
         # With no stored context every lookup is the unseen-context row, so
         # no context is formed: the order may be too large to pad a prefix to.
         self._need = order - 1 if counts.context_index else 0
         self._token_name = names.__getitem__
-        self.best_step = self._best_step()
 
     def state(self, source_key: str, prefix_ids: tuple[int, ...]) -> tuple[int, ...]:
         """The context: the last ``order - 1`` ids of the bos-padded prefix."""
@@ -458,7 +472,9 @@ class NGramModel(SequenceModel):
         counts /= totals[:, None]
         return np.log(counts, out=counts)
 
-    def _best_step(self) -> float:
+    @functools.cached_property
+    def best_step(self) -> float:
+        """``SequenceModel.best_step``, computed on first read."""
         # A row's largest entry belongs to its largest count, so the counts
         # give every row's largest probability, with the arithmetic of
         # _step_log_probs, without building the rows. The leading zeros are
@@ -519,7 +535,9 @@ class _CountColumns(NamedTuple):
     ``event_ids[s:e]`` and ``event_counts[s:e]``, where
     ``s, e = offsets[k], offsets[k + 1]`` and ``k = context_index[c]``,
     ``c`` being the context's tokens joined by single spaces, as in a model
-    file. Each context is listed once and its events are distinct."""
+    file. Each context is listed once and its events are distinct. A
+    model makes the arrays read-only, and nothing writes ``context_index``
+    or ``offsets``, so models built from one file may share them."""
 
     context_index: dict[str, int]
     offsets: list[int]
@@ -758,11 +776,25 @@ def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
     return obj
 
 
+# The last n-gram model file load_model checked: the sha256 of its bytes,
+# then its vocabulary, order, add_k and count columns, NGramModel's
+# arguments. None until one loads; a file that fails a check never enters.
+_last_ngram_file: tuple[str, Vocabulary, int, float, _CountColumns] | None = None
+
+
 def load_model(path: str | Path) -> SequenceModel:
     """Dispatch on the optional ``kind`` field: ``"ngram"``, or none for a
     table model; any other ``kind`` is a format error. The file is read
     once, and the model's ``file_digest`` is the digest of the bytes it was
     parsed from.
+
+    The last n-gram file that passed every check is remembered, one entry
+    keyed by the sha256 of its bytes. When a load reads the same bytes, it
+    skips JSON parsing and every check, and builds a new ``NGramModel``
+    from the remembered vocabulary, parameters and read-only count columns,
+    with its own empty row cache. Table files are never remembered, since
+    their load may log a renormalization warning, and neither is a file
+    that fails a check, so a malformed file raises at every load.
 
     Every malformed file ends in ``ModelFormatError``, one that is not UTF-8
     text or whose JSON repeats a key within one object included. In any
@@ -783,15 +815,21 @@ def load_model(path: str | Path) -> SequenceModel:
     that is not a finite number above 0 (a boolean or a string is not); all
     of them are raised here, before any decode.
     """
+    global _last_ngram_file
     try:
         text, digest = read_utf8(path)
-        raw = json.loads(text, object_pairs_hook=_unique_keys)
+        last = _last_ngram_file
+        seen = last is not None and last[0] == digest  # bytes that passed every check
+        raw = None if seen else json.loads(text, object_pairs_hook=_unique_keys)
     except (OSError, ValueError) as exc:  # ValueError: not UTF-8, not JSON, a repeated key
         raise ModelFormatError(f"cannot parse model {path}: {exc}") from exc
-    if isinstance(raw, dict) and "kind" in raw:
+    if seen:
+        model = NGramModel(*last[1:])
+    elif isinstance(raw, dict) and "kind" in raw:
         if raw["kind"] != "ngram":
             raise ModelFormatError(f"unknown model kind {raw['kind']!r}: expected 'ngram' or none")
         model = _ngram_model_from_spec(raw, path)
+        _last_ngram_file = digest, model.vocabulary, model.order, model.add_k, model._columns
     else:
         model = _table_model_from_spec(raw)
     model.file_digest = digest

@@ -35,8 +35,9 @@ length transform, minus a lower bound on each penalty, the highest over
 every completion length, all taken in one array expression), and stops
 once the best complete hypothesis found so far beats every bound left in
 the queue. Greedy, beam and exact search each run under one
-``np.errstate`` per call (``_nan_checked``): an overflow is silent, and a
-NaN in the objective's arithmetic raises a ``ContractError``. The
+``np.errstate`` per call when the objective has a weight
+(``_nan_checked``): an overflow is silent, and a NaN in the objective's
+arithmetic raises a ``ContractError``. The
 brute-force oracles keep their own enumeration and score
 with the spec, so they stay independent of the search code. Each enumerates an
 instance once. ``brute_force`` streams one walk into ``_oracle_argmax``,
@@ -155,9 +156,16 @@ def _nan_checked(decoder):
     call. An overflow is silent: a total of -inf ranks below every finite
     one. An invalid operation (an overflowed length reward less an
     overflowed penalty is inf - inf) would give a NaN that no key orders,
-    so it raises a ``ContractError`` that names the objective."""
+    so it raises a ``ContractError`` that names the objective.
+
+    Only a weight can overflow, so an objective with no regularizer and no
+    length reward decodes without the errstate, which costs every numpy
+    call inside it: its totals and bounds are sums of finite surprisals,
+    divided by a length under ``len=norm``."""
     @functools.wraps(decoder)
     def checked(model, source, objective, *args):
+        if not objective.regularizers and objective.length_mode != "reward":
+            return decoder(model, source, objective, *args)
         try:
             with np.errstate(over="ignore", invalid="raise"):
                 return decoder(model, source, objective, *args)

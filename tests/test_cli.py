@@ -285,6 +285,39 @@ def test_sweep_manifest_records_the_references(tmp_path):
     assert manifests[1]["refs_digest"] == _sha256(wrong)
 
 
+@pytest.mark.parametrize("flags", [
+    ["--decoder", "beam", "--k", "3", "--objective", "greedy=1"],
+    ["--decoder", "exact", "--objective", "square=0.5"],
+])
+def test_decoding_a_reloaded_ngram_file_gives_identical_files(tmp_path, monkeypatch, flags):
+    """Two decodes of one n-gram file in one process parse it at most once
+    and write byte-identical JSONL and manifests: the second load is a new model
+    with a cold row cache, built from the first load's checked columns."""
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text("a b c\nb a\nc c a b\n\na\n")
+    model = tmp_path / "lm.json"
+    assert run(["train-ngram", corpus, "--order", "3", "--add-k", "0.5", "--out", model]) == 0
+    inputs = tmp_path / "in.txt"
+    inputs.write_text("x\ny\n")
+    real_loads = regdecode.models.json.loads
+    parsed = []
+
+    def counting_loads(*args, **kwargs):
+        parsed.append(args)
+        return real_loads(*args, **kwargs)
+
+    monkeypatch.setattr(regdecode.models.json, "loads", counting_loads)
+    written = []
+    for name in ("first", "second"):
+        out = tmp_path / name / "out.jsonl"
+        out.parent.mkdir()
+        assert run(["decode", model, inputs, *flags, "--n-max", "6", "--out", out]) == 0
+        written.append((out.read_bytes(), out.with_name("out.jsonl.manifest.json").read_bytes()))
+        parsed.append(None)
+    assert parsed[-2:] == [None, None]  # the second decode parsed nothing
+    assert written[0] == written[1]
+
+
 def test_decode_calls_exact_search_through_cli_global(tmp_path, monkeypatch):
     """The benchmark times decodes by rebinding ``regdecode.cli.exact_search``
     (and the other public decoders); the CLI must look them up at call time."""

@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -448,6 +449,39 @@ def test_exact_node_counts_on_small_ngram_model():
         assert e.best.score == b.best.score
         assert e.best.token_ids == b.best.token_ids
         assert e.nodes_expanded <= most < full_tree
+
+
+def test_plain_decodes_near_the_smallest_log_probability_run_without_errstate():
+    """An objective with no weight decodes outside ``np.errstate``, since its
+    totals and bounds are sums of finite surprisals: on rows whose entries
+    sit at log(5e-324) = -744.4, plain exact and beam decodes (and greedy)
+    emit no ``RuntimeWarning``, and numpy's error settings stay the default
+    while their rows are built. A weighted objective still gets the
+    errstate."""
+    settings_seen = []
+
+    class Recording(TableModel):
+        def _state_row(self, state):
+            settings_seen.append(np.geterr()["over"])
+            return super()._state_row(state)
+
+    def model():  # a new row cache, so every decode builds its rows
+        tiny = 5e-324
+        return Recording(Vocabulary(("a", "b")), {"<s>": {"a": tiny, "b": 0.5, "</s>": 0.5}},
+                         {"a": 0.4, "b": tiny, "</s>": 0.6})
+
+    assert model().next_log_probs(None, ["<s>"])[0] == math.log(5e-324)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        exact_search(model(), None, MAP_OBJECTIVE, 8)
+        beam_search(model(), None, MAP_OBJECTIVE, 3, 8)
+        greedy_search(model(), None, 8)
+        exact_search(model(), None, parse_objective("len=norm"), 8)
+    assert caught == []
+    assert set(settings_seen) == {np.geterr()["over"]} != {"ignore"}
+    settings_seen.clear()
+    beam_search(model(), None, parse_objective("square=1"), 3, 8)
+    assert set(settings_seen) == {"ignore"}
 
 
 def test_exact_agenda_guard(m1, monkeypatch):

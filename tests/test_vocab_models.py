@@ -10,12 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from regdecode import (
+    MAP_OBJECTIVE,
     ContractError,
     ModelFormatError,
     NGramModel,
     TableModel,
     Vocabulary,
     VocabularyError,
+    beam_search,
     load_model,
     save_model,
     train_ngram,
@@ -165,11 +167,12 @@ def test_best_step_is_the_largest_entry_of_a_source_keyed_table(m3):
     assert m3.best_step == _top_entry(m3, ("s1", "s2", "s3", "unseen"), 4)
 
 
-def test_every_model_sets_best_step_when_built(tmp_path):
-    """``best_step`` is an attribute the constructor sets, not a value
-    computed on first use: it is in the instance dict of a model fresh from
-    ``load_model`` (a table file and an n-gram file), ``train_ngram`` and
-    ``TableModel``, before any row is looked up."""
+def test_table_models_set_best_step_and_ngram_models_compute_it_on_read(tmp_path):
+    """A table model's constructor sets ``best_step``: it is in the instance
+    dict of a table model fresh from ``load_model`` or ``TableModel``,
+    before any row is looked up. An n-gram model, from ``train_ngram`` or
+    ``load_model``, computes it on first read, so a beam-only decode never
+    does."""
     table = load_model(FIXTURES / "m3.json")
     assert "best_step" in vars(table)
     assert table.best_step == _top_entry(table, ("s1", "s2", "s3", "unseen"), 4)
@@ -178,12 +181,14 @@ def test_every_model_sets_best_step_when_built(tmp_path):
     assert "best_step" in vars(built)
     assert built.best_step == _top_entry(built) == math.log(0.75)
     trained = train_ngram(_seeded_corpus(2), 2, 0.3)
-    assert "best_step" in vars(trained)
     save_model(trained, tmp_path / "lm.json")
     loaded = load_model(tmp_path / "lm.json")
-    assert "best_step" in vars(loaded)
     for model in (trained, loaded):
+        assert "best_step" not in vars(model)
+        beam_search(model, None, MAP_OBJECTIVE, 3, 6)
+        assert "best_step" not in vars(model)
         _assert_bounds_ngram_rows(model)
+        assert "best_step" in vars(model)
 
 
 def test_best_step_bounds_every_ngram_row():
@@ -522,14 +527,7 @@ def test_ngram_count_beyond_int64_is_format_error(tmp_path):
 def test_load_model_parses_an_ngram_file_once(tmp_path, monkeypatch):
     path = tmp_path / "lm.json"
     save_model(train_ngram([["a", "b"], ["b", "a"]], order=2, add_k=1.0), path)
-    real_loads = json.loads
-    calls = []
-
-    def counting_loads(*args, **kwargs):
-        calls.append(args)
-        return real_loads(*args, **kwargs)
-
-    monkeypatch.setattr(regdecode.models.json, "loads", counting_loads)
+    calls = _counting_loads(monkeypatch)
     assert load_model(path).order == 2
     assert len(calls) == 1
 
@@ -551,6 +549,96 @@ def test_load_model_looks_up_no_token_one_at_a_time(tmp_path, monkeypatch, order
     monkeypatch.setattr(Vocabulary, "id_of", counting_id_of)
     assert load_model(path).order == order
     assert calls == []
+
+
+def _counting_loads(monkeypatch) -> list:
+    """Patch ``json.loads`` in ``regdecode.models`` to record each call."""
+    real_loads = json.loads
+    calls = []
+
+    def counting_loads(*args, **kwargs):
+        calls.append(args)
+        return real_loads(*args, **kwargs)
+
+    monkeypatch.setattr(regdecode.models.json, "loads", counting_loads)
+    return calls
+
+
+def test_reloading_an_ngram_file_shares_only_read_only_columns(tmp_path, monkeypatch):
+    """A second load of the same bytes parses nothing and builds a new model
+    on the first one's count columns, which reject writes, with its own
+    empty row cache."""
+    path = tmp_path / "lm.json"
+    save_model(train_ngram(_seeded_corpus(11), order=3, add_k=0.25), path)
+    calls = _counting_loads(monkeypatch)
+    first = load_model(path)
+    beam_search(first, None, MAP_OBJECTIVE, 4, 8)
+    second = load_model(path)
+    assert len(calls) == 1
+    assert second is not first and second.file_digest == first.file_digest
+    assert second._columns is first._columns
+    assert first._terms and second._terms == {} and second._terms is not first._terms
+    beam_search(second, None, MAP_OBJECTIVE, 4, 8)
+    assert second._terms.keys() == first._terms.keys()
+    assert all(second._terms[s] is not first._terms[s] for s in first._terms)
+    for column in (first._columns.event_ids, first._columns.event_counts):
+        with pytest.raises(ValueError, match="read-only"):
+            column[0] = 0
+    assert second.to_spec() == first.to_spec()
+    assert second.best_step == first.best_step
+
+
+def test_rewritten_ngram_file_loads_the_new_model(tmp_path):
+    path = tmp_path / "lm.json"
+    corpus = _seeded_corpus(12)
+    save_model(train_ngram(corpus, order=2, add_k=0.5), path)
+    assert load_model(path).add_k == 0.5
+    save_model(train_ngram(corpus, order=2, add_k=0.75), path)
+    rewritten = load_model(path)
+    assert rewritten.add_k == 0.75
+    assert rewritten.to_spec() == train_ngram(corpus, order=2, add_k=0.75).to_spec()
+
+
+def test_malformed_ngram_file_raises_at_every_load(tmp_path):
+    """A file that fails a check is never remembered: at the path of a
+    valid file, and loaded twice, it raises each time with one message."""
+    path = tmp_path / "lm.json"
+    model = train_ngram(_seeded_corpus(13), order=2, add_k=0.5)
+    save_model(model, path)
+    load_model(path)
+    spec = model.to_spec()
+    spec["event_counts"][0] = -1
+    path.write_text(json.dumps(spec))
+    messages = []
+    for _ in range(2):
+        with pytest.raises(ModelFormatError, match="must be a non-negative integer") as info:
+            load_model(path)
+        messages.append(str(info.value))
+    assert messages[0] == messages[1]
+
+
+def test_load_model_remembers_one_ngram_file(tmp_path, monkeypatch):
+    """After two different files only the second is remembered: loading the
+    first again parses it, and a repeat of that load does not."""
+    paths = [tmp_path / "a.json", tmp_path / "b.json"]
+    for path, add_k in zip(paths, (0.5, 2.0)):
+        save_model(train_ngram(_seeded_corpus(14), order=2, add_k=add_k), path)
+    calls = _counting_loads(monkeypatch)
+    for path in (*paths, *paths[:1]):
+        load_model(path)
+    assert len(calls) == 3
+    assert regdecode.models._last_ngram_file[0] == load_model(paths[0]).file_digest
+    assert len(calls) == 3
+
+
+def test_table_file_logs_its_renormalization_at_every_load(tmp_path, caplog):
+    path = tmp_path / "near.json"
+    path.write_text(json.dumps({"vocab": ["a"], "entries": {},
+                                "default": {"a": 0.5, "</s>": 0.5 + 2e-7}}))
+    with caplog.at_level(logging.WARNING):
+        for _ in range(2):
+            load_model(path)
+    assert sum("renormalizing" in r.message for r in caplog.records) == 2
 
 
 def test_table_round_trip(tmp_path, m1):
