@@ -45,11 +45,12 @@ computes it from its counts on first read, so a model decoded only by beam
 search never pays for it.
 
 ``load_model`` remembers the last n-gram file that passed every check, one
-entry keyed by the sha256 of its bytes. Loading the same bytes again, as a
-sweep or a benchmark pass does, builds a new model from the remembered
-vocabulary, parameters and count columns, with no JSON parsing and no
-check. The instances share only read-only data: the column arrays are not
-writable, and nothing writes ``context_index`` or ``offsets``. Each
+entry keyed by the sha256 of its bytes. Loading the same bytes again, as
+repeated CLI calls in one process do, builds a new model from the
+remembered vocabulary, parameters and count columns, with no JSON parsing
+and no check. The instances share only read-only data: the column arrays
+are not writable, nothing writes ``context_index`` or ``offsets``, and the
+file's ``best_step`` is computed once, at the first repeat load. Each
 instance has its own row cache, so its first decode builds every row it
 visits, as after a cold load.
 """
@@ -776,10 +777,10 @@ def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
     return obj
 
 
-# The last n-gram model file load_model checked: the sha256 of its bytes,
-# then its vocabulary, order, add_k and count columns, NGramModel's
-# arguments. None until one loads; a file that fails a check never enters.
-_last_ngram_file: tuple[str, Vocabulary, int, float, _CountColumns] | None = None
+# The sha256 of the last n-gram file load_model checked, and a model built
+# from it that is never handed out: each later load of those bytes builds
+# on its vocabulary, parameters and columns, and copies its best_step.
+_last_ngram_file: tuple[str, NGramModel] | None = None
 
 
 def load_model(path: str | Path) -> SequenceModel:
@@ -792,7 +793,8 @@ def load_model(path: str | Path) -> SequenceModel:
     keyed by the sha256 of its bytes. When a load reads the same bytes, it
     skips JSON parsing and every check, and builds a new ``NGramModel``
     from the remembered vocabulary, parameters and read-only count columns,
-    with its own empty row cache. Table files are never remembered, since
+    with its own empty row cache and the file's ``best_step``, computed
+    once, at the first repeat load. Table files are never remembered, since
     their load may log a renormalization warning, and neither is a file
     that fails a check, so a malformed file raises at every load.
 
@@ -824,12 +826,17 @@ def load_model(path: str | Path) -> SequenceModel:
     except (OSError, ValueError) as exc:  # ValueError: not UTF-8, not JSON, a repeated key
         raise ModelFormatError(f"cannot parse model {path}: {exc}") from exc
     if seen:
-        model = NGramModel(*last[1:])
+        kept = last[1]
+        model = NGramModel(kept.vocabulary, kept.order, kept.add_k, kept._columns)
+        # Computed once for the file, so that no repeat load's first exact
+        # decode pays for it; a file loaded only once never computes it here.
+        model.best_step = kept.best_step
     elif isinstance(raw, dict) and "kind" in raw:
         if raw["kind"] != "ngram":
             raise ModelFormatError(f"unknown model kind {raw['kind']!r}: expected 'ngram' or none")
         model = _ngram_model_from_spec(raw, path)
-        _last_ngram_file = digest, model.vocabulary, model.order, model.add_k, model._columns
+        kept = NGramModel(model.vocabulary, model.order, model.add_k, model._columns)
+        _last_ngram_file = digest, kept
     else:
         model = _table_model_from_spec(raw)
     model.file_digest = digest

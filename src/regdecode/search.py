@@ -35,12 +35,11 @@ length transform, minus a lower bound on each penalty, the highest over
 every completion length, all taken in one array expression), and stops
 once the best complete hypothesis found so far beats every bound left in
 the queue. Greedy, beam and exact search each run under one
-``np.errstate`` per call when the objective has a weight
-(``_nan_checked``): an overflow is silent, and a NaN in the objective's
-arithmetic raises a ``ContractError``. The
-brute-force oracles keep their own enumeration and score
-with the spec, so they stay independent of the search code. Each enumerates an
-instance once. ``brute_force`` streams one walk into ``_oracle_argmax``,
+``np.errstate`` per call when the objective has a regularizer or a length
+reward (``_nan_checked``): an overflow is silent, and a NaN in the
+objective's arithmetic raises a ``ContractError``. The brute-force
+oracles keep their own enumeration and score with the spec, so they stay
+independent of the search code. Each enumerates an instance once. ``brute_force`` streams one walk into ``_oracle_argmax``,
 which takes any number of objectives and reads the walk in bounded chunks:
 per chunk it evaluates the spec of each penalty kind once per hypothesis
 and builds each objective's totals in one numpy expression, so the
@@ -158,10 +157,10 @@ def _nan_checked(decoder):
     overflowed penalty is inf - inf) would give a NaN that no key orders,
     so it raises a ``ContractError`` that names the objective.
 
-    Only a weight can overflow, so an objective with no regularizer and no
-    length reward decodes without the errstate, which costs every numpy
-    call inside it: its totals and bounds are sums of finite surprisals,
-    divided by a length under ``len=norm``."""
+    Only a weighted term can overflow, so an objective with no regularizer
+    and no length reward decodes outside the errstate, which slows every
+    numpy call made under it: its totals and bounds are sums of finite
+    surprisals, divided by a length under ``len=norm``."""
     @functools.wraps(decoder)
     def checked(model, source, objective, *args):
         if not objective.regularizers and objective.length_mode != "reward":

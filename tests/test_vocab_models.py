@@ -167,7 +167,7 @@ def test_best_step_is_the_largest_entry_of_a_source_keyed_table(m3):
     assert m3.best_step == _top_entry(m3, ("s1", "s2", "s3", "unseen"), 4)
 
 
-def test_table_models_set_best_step_and_ngram_models_compute_it_on_read(tmp_path):
+def test_table_models_set_best_step_and_ngram_models_compute_it_on_read(tmp_path, monkeypatch):
     """A table model's constructor sets ``best_step``: it is in the instance
     dict of a table model fresh from ``load_model`` or ``TableModel``,
     before any row is looked up. An n-gram model, from ``train_ngram`` or
@@ -182,6 +182,7 @@ def test_table_models_set_best_step_and_ngram_models_compute_it_on_read(tmp_path
     assert built.best_step == _top_entry(built) == math.log(0.75)
     trained = train_ngram(_seeded_corpus(2), 2, 0.3)
     save_model(trained, tmp_path / "lm.json")
+    monkeypatch.setattr(regdecode.models, "_last_ngram_file", None)  # a cold load
     loaded = load_model(tmp_path / "lm.json")
     for model in (trained, loaded):
         assert "best_step" not in vars(model)
@@ -567,14 +568,16 @@ def _counting_loads(monkeypatch) -> list:
 def test_reloading_an_ngram_file_shares_only_read_only_columns(tmp_path, monkeypatch):
     """A second load of the same bytes parses nothing and builds a new model
     on the first one's count columns, which reject writes, with its own
-    empty row cache."""
+    empty row cache and the file's ``best_step``, computed at that load."""
     path = tmp_path / "lm.json"
     save_model(train_ngram(_seeded_corpus(11), order=3, add_k=0.25), path)
+    monkeypatch.setattr(regdecode.models, "_last_ngram_file", None)
     calls = _counting_loads(monkeypatch)
     first = load_model(path)
     beam_search(first, None, MAP_OBJECTIVE, 4, 8)
     second = load_model(path)
     assert len(calls) == 1
+    assert "best_step" not in vars(first) and "best_step" in vars(second)
     assert second is not first and second.file_digest == first.file_digest
     assert second._columns is first._columns
     assert first._terms and second._terms == {} and second._terms is not first._terms
