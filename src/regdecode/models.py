@@ -24,20 +24,19 @@ one state have one next-token row, an n-gram model's state being its
 context. Each model keeps one cache from state to ``StepTerms``, the row
 with what the decoders' expansion kernel reads of it: the allowed ids,
 their surprisals and the step minimum. No penalty term is computed here;
-each penalty computes its own from these in ``objectives``. The model
-reads and fills the cache in one place, ``SequenceModel.step_terms``; the
-cache holds one entry per distinct state visited and lives as long as the
-model. The states a decoding step finds missing get their rows built
-together, as one block (for an n-gram model, one counts matrix filled row
-by row from its columns), and their surprisals from that block in one
-negation, each row and surprisal vector a view, so a block lives while
-any of its entries does; a block that holds
-a forbidden entry has each row's terms built as a single row's are, and a
-single missing state is built on its own. An n-gram model's
-``next_log_probs_ids`` reads its rows from the same cache, so each of its
-contexts is built once (an unseen context gets the smoothed uniform row);
-a table model returns its stored rows. Because of this cache, instances
-are not meant to be shared between threads.
+each penalty computes its own from these in ``objectives``. Every reader
+takes its rows from the cache: the decoders through
+``SequenceModel.step_terms``, scoring, tracing and the oracles through
+``next_log_probs_ids``. A table model fills it with all its rows when it
+is built, so it never misses; any other model adds one entry per distinct
+state visited, kept as long as the model. The states a decoding step
+finds missing get their rows built together, as one block (for an n-gram
+model, one counts matrix filled row by row from its columns), and their
+surprisals from that block in one negation, each row and surprisal
+vector a view, so a block lives while any of its entries does; a block
+that holds a forbidden entry has each row's terms built as a single
+row's are, and a single missing state is built on its own. Because of
+this cache, instances are not meant to be shared between threads.
 
 ``best_step`` is the bound exact search puts on every step it has not
 taken yet. A table model sets it when it is constructed; an n-gram model
@@ -147,20 +146,21 @@ def _terms_of_block(block: np.ndarray) -> list[StepTerms]:
 class SequenceModel:
     """Interface: a next-token log-probability distribution per (source, prefix).
 
-    Subclasses implement ``_step_log_probs`` for prefixes that have not
-    ended yet; the base class enforces prefix validity and the convention
-    that an ended hypothesis only ever re-emits its end marker with
-    probability one.
+    Subclasses implement ``_state_row(state)``, the row of an open prefix's
+    state, the one hook a model must provide; the base class enforces
+    prefix validity and the convention that an ended hypothesis only ever
+    re-emits its end marker with probability one.
 
     ``state`` keys the rows: two open prefixes with one state have one
-    row. The base class keys each (source key, prefix) apart and builds its
-    row with ``_step_log_probs``; a subclass whose prefixes share rows
-    overrides ``state`` and ``_state_row`` (and ``_state_rows``, to build
-    several rows at once). ``step_terms`` serves the decoders each visited
-    state's ``StepTerms`` from the ``_terms`` cache.
+    row. The base class keys each (source key, prefix) apart, so a model
+    that keeps it caches a row for every prefix it is asked for, as
+    decoding does; a subclass whose prefixes share rows overrides
+    ``state`` (and ``_state_rows``, to build several rows at once). Every
+    row is read from the ``_terms`` cache: ``step_terms`` serves the
+    decoders and ``next_log_probs_ids`` every other reader.
 
     Each subclass also provides ``best_step``: at least every entry of
-    every row ``_step_log_probs`` can return, so no step of any hypothesis
+    every row the model can return, so no step of any hypothesis
     has a higher log-probability, and at most 0, since every row is a
     distribution. ``TableModel`` sets it when it is constructed and
     ``NGramModel`` computes it on first read. Exact search reads it; a
@@ -190,13 +190,11 @@ class SequenceModel:
         return self.next_log_probs_ids(_source_key(source), self.vocabulary.prefix_ids(prefix))
 
     def next_log_probs_ids(self, source_key: str, prefix_ids: tuple[int, ...]) -> np.ndarray:
-        """Unvalidated fast path used by the decoders; ids include the leading bos."""
+        """Unvalidated fast path; ids include the leading bos. An open
+        prefix's row is read from the state cache, as the decoders read it."""
         if prefix_ids[-1] == self.vocabulary.eos_id:
             return self._absorbed
-        return self._step_log_probs(source_key, prefix_ids)
-
-    def _step_log_probs(self, source_key: str, prefix_ids: tuple[int, ...]) -> np.ndarray:
-        raise NotImplementedError
+        return self._state_terms(self.state(source_key, prefix_ids)).row
 
     def state(self, source_key: str, prefix_ids: tuple[int, ...]) -> Hashable:
         """The key of an open prefix's next-token row: prefixes of one state
@@ -205,7 +203,7 @@ class SequenceModel:
 
     def _state_row(self, state) -> np.ndarray:
         """The row of one state."""
-        return self._step_log_probs(*state)
+        raise NotImplementedError
 
     def _state_rows(self, states: Sequence) -> np.ndarray:
         """The rows of distinct states, as the rows of one 2-D block."""
@@ -273,7 +271,8 @@ class TableModel(SequenceModel):
 
     Any context absent from the table resolves through the default
     distribution, so lookup is total. When ``source_keyed`` is set the
-    table is nested one level deeper by source key.
+    table is nested one level deeper by source key. Every row is built
+    into the state cache when the model is.
     """
 
     def __init__(
@@ -285,22 +284,23 @@ class TableModel(SequenceModel):
     ) -> None:
         super().__init__(vocabulary)
         self.source_keyed = source_keyed
-        self._default = _dist_to_log_array(default, vocabulary, "default")
-        # The stored rows, keyed by (source key, prefix ids), the source key
-        # "" unless ``source_keyed``.
-        self._rows: dict[tuple[str, tuple[int, ...]], np.ndarray] = {}
+        # Every row, keyed by its state: None for the default row, then each
+        # stored prefix with its source key ("" unless ``source_keyed``).
+        rows = {None: _dist_to_log_array(default, vocabulary, "default")}
         if source_keyed:
             for src, ctxs in _json_object(entries, "entries").items():
-                self._add_rows(src, ctxs, f"entries[{src!r}]")
+                self._add_rows(rows, src, ctxs, f"entries[{src!r}]")
         else:
-            self._add_rows("", entries, "entries")
+            self._add_rows(rows, "", entries, "entries")
         self._raw_entries = {k: dict(v) for k, v in entries.items()}
         self._raw_default = dict(default)
+        block = np.array(list(rows.values()))
         # No entry exceeds 0: each is the log of a probability at most its
         # row's float sum, divided by that sum unless the sum is 1.
-        self.best_step = float(np.concatenate([self._default, *self._rows.values()]).max())
+        self.best_step = float(block.max())
+        self._terms.update(zip(rows, _terms_of_block(block)))
 
-    def _add_rows(self, table_key: str, ctxs: Mapping[str, Mapping[str, float]],
+    def _add_rows(self, rows: dict, table_key: str, ctxs: Mapping[str, Mapping[str, float]],
                   where: str) -> None:
         vocab = self.vocabulary
         for ctx, dist in _json_object(ctxs, where).items():
@@ -308,23 +308,19 @@ class TableModel(SequenceModel):
                 key = table_key, vocab.prefix_ids(ctx.split())
             except ContractError as exc:
                 raise ModelFormatError(f"{where}[{ctx!r}]: {exc}") from exc
-            if key in self._rows:  # the later distribution would silently win
+            if key[1][-1] == vocab.eos_id:  # an ended prefix only re-emits the end marker
+                raise ModelFormatError(f"{where}[{ctx!r}]: a context cannot end in the end marker")
+            if key in rows:  # the later distribution would silently win
                 earlier = next(c for c in ctxs if c.split() == ctx.split())
                 raise ModelFormatError(f"{where}: {earlier!r} and {ctx!r} spell the same prefix")
-            self._rows[key] = _dist_to_log_array(dist, vocab, f"{where}[{ctx!r}]")
-
-    def _step_log_probs(self, source_key: str, prefix_ids: tuple[int, ...]) -> np.ndarray:
-        return self._state_row(self.state(source_key, prefix_ids))
+            rows[key] = _dist_to_log_array(dist, vocab, f"{where}[{ctx!r}]")
 
     def state(self, source_key: str, prefix_ids: tuple[int, ...]) -> Hashable:
         """A stored prefix, with its table's source key ("" unless
         ``source_keyed``), or ``None``, the one key of every prefix that
         reads the default row."""
         key = source_key if self.source_keyed else "", prefix_ids
-        return key if key in self._rows else None
-
-    def _state_row(self, state) -> np.ndarray:
-        return self._default if state is None else self._rows[state]
+        return key if key in self._terms else None
 
     def to_spec(self) -> dict:
         spec = {
@@ -389,9 +385,10 @@ class NGramModel(SequenceModel):
     they are checked as ``load_model`` checks a file's: a fault raises
     ``ContractError``, or ``VocabularyError`` for an unknown token, naming
     the first fault in file order. ``train_ngram`` passes the
-    ``_CountColumns`` it has built instead. No token or marker is empty or
-    holds whitespace, since a context is stored, and written to a model
-    file, as its tokens joined by single spaces.
+    ``_CountColumns`` it has built instead. A context is stored, and
+    written to a model file, as its tokens joined by single spaces, which
+    the vocabulary's rule (no token or marker is empty or holds whitespace)
+    keeps readable.
     """
 
     def __init__(
@@ -407,11 +404,6 @@ class NGramModel(SequenceModel):
             counts = _checked_columns(*columns, vocabulary, order)
             if counts is None:  # a bulk check failed: the walk names the first fault
                 _name_fault(*columns, vocabulary, order)
-        names = vocabulary._names
-        if len(" ".join(names).split()) != len(names):
-            raise ContractError(
-                "n-gram tokens and markers must be non-empty and hold no whitespace"
-            )
         super().__init__(vocabulary)
         self.order = order
         self.add_k = float(add_k)
@@ -422,7 +414,7 @@ class NGramModel(SequenceModel):
         # With no stored context every lookup is the unseen-context row, so
         # no context is formed: the order may be too large to pad a prefix to.
         self._need = order - 1 if counts.context_index else 0
-        self._token_name = names.__getitem__
+        self._token_name = vocabulary._names.__getitem__
 
     def state(self, source_key: str, prefix_ids: tuple[int, ...]) -> tuple[int, ...]:
         """The context: the last ``order - 1`` ids of the bos-padded prefix."""
@@ -430,9 +422,6 @@ class NGramModel(SequenceModel):
         if short <= 0:
             return prefix_ids[-short:]
         return (self.vocabulary.bos_id,) * short + prefix_ids
-
-    def _step_log_probs(self, source_key: str, prefix_ids: tuple[int, ...]) -> np.ndarray:
-        return self._state_terms(self.state(source_key, prefix_ids)).row
 
     def _events(self, ctx: tuple[int, ...]) -> slice | None:
         """The slice of the event columns that holds a context's events, or
@@ -478,7 +467,7 @@ class NGramModel(SequenceModel):
         """``SequenceModel.best_step``, computed on first read."""
         # A row's largest entry belongs to its largest count, so the counts
         # give every row's largest probability, with the arithmetic of
-        # _step_log_probs, without building the rows. The leading zeros are
+        # _state_row, without building the rows. The leading zeros are
         # the unseen-context row (and any context stored without events).
         # np.log is the function the rows use, but its result here is not
         # taken from a row, so it is raised by one ulp, and then capped at 0.
@@ -799,13 +788,15 @@ def load_model(path: str | Path) -> SequenceModel:
     that fails a check, so a malformed file raises at every load.
 
     Every malformed file ends in ``ModelFormatError``, one that is not UTF-8
-    text or whose JSON repeats a key within one object included. In any
-    model file that is a ``vocab`` that is not a list of strings, or a
-    ``bos`` or ``eos`` that is not a string. For a table file it is also a
-    spec that is not a JSON object, a missing ``vocab`` or ``default``, an
-    ``entries``, source table or distribution that is not a JSON object, a
-    prefix spelled twice in one table (``"<s>"`` and ``"<s>  "``), or a
-    ``source_keyed`` that is not a boolean. For an n-gram file it is a
+    text, whose JSON repeats a key within one object or nests deeper than
+    the parser's recursion limit included. In any model file that is a
+    ``vocab`` that is not a list of strings, a ``bos`` or ``eos`` that is
+    not a string, or a token or marker that is empty or holds whitespace.
+    For a table file it is also a spec that is not a JSON object, a missing
+    ``vocab`` or ``default``, an ``entries``, source table or distribution
+    that is not a JSON object, a prefix spelled twice in one table
+    (``"<s>"`` and ``"<s>  "``), a context that ends in the end marker, or
+    a ``source_keyed`` that is not a boolean. For an n-gram file it is a
     missing field (a file with only the older ``counts`` mapping is missing
     the four count columns), count columns that are not lists, disagree in
     length or do not split the events among the contexts, a context that
@@ -823,7 +814,8 @@ def load_model(path: str | Path) -> SequenceModel:
         last = _last_ngram_file
         seen = last is not None and last[0] == digest  # bytes that passed every check
         raw = None if seen else json.loads(text, object_pairs_hook=_unique_keys)
-    except (OSError, ValueError) as exc:  # ValueError: not UTF-8, not JSON, a repeated key
+    except (OSError, ValueError, RecursionError) as exc:
+        # ValueError: not UTF-8, not JSON, a repeated key; RecursionError: too deep
         raise ModelFormatError(f"cannot parse model {path}: {exc}") from exc
     if seen:
         kept = last[1]

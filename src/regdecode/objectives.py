@@ -230,6 +230,12 @@ class Objective:
         return tuple(layout)
 
     @functools.cached_property
+    def _shortest_bounds(self) -> bool:
+        """Whether the shortest completion gives every completion bound: no
+        length transform and no lower form divided by n."""
+        return self.length_mode == "none" and not any(p.per_length for _, p, _ in self._layout)
+
+    @functools.cached_property
     def _empty_sums(self) -> tuple:
         """The flat partial sums of the empty prefix."""
         return tuple(itertools.chain.from_iterable(p.empty for _, p, _ in self._layout))
@@ -375,34 +381,31 @@ def completion_bounds(
     rows are the running sums (``best_step`` rows, the children's
     log-probabilities added into the first, then ``np.add.accumulate``
     down the rows, which adds in the real sum's order), put through
-    ``_total`` and the lower forms with the lengths as a column, and
-    reduced by ``np.maximum`` over the rows. When one length decides the
-    bound, the same expression runs on the children's vector with no
-    array set up: a child one step from ``n_max``, or an objective with no
-    length transform and no lower form divided by n, where a further
-    step can only lower the bound, so the shortest completion gives it.
+    ``_total`` with the lower forms as its weighted pairs and the lengths
+    as a column, and reduced by ``np.maximum`` over the rows. When one
+    length decides the bound, the same expression runs on the children's
+    vector with no array set up: a child one step from ``n_max``, or an
+    objective whose further steps can only lower the bound
+    (``Objective._shortest_bounds``).
     """
-    lowers, flat = [], []
-    shortest = objective.length_mode == "none"
+    n = steps + 2
+    one_length = objective._shortest_bounds or n == n_max
+    if not one_length:
+        n = _lengths(n_max)[n:]
+    weighted, flat = [], []
     for lam, penalty, part in objective._layout:
         child_sums = penalty.carry(sums[part], u, step_min, steps + 1)
         flat += child_sums
-        lowers.append((lam, child_sums[0], penalty.per_length))
-        shortest = shortest and not penalty.per_length
+        weighted.append((lam, child_sums[0] / n if penalty.per_length else child_sums[0]))
     log_probs = log_prob - u
-    n = steps + 2
-    one_length = shortest or n == n_max
     if one_length:
         run = log_probs + best_step
     else:
-        n = _lengths(n_max)[n:]
         run = np.empty((len(n), len(log_probs)))
         run.fill(best_step)  # np.full costs twice as much on these few rows
         run[0] += log_probs
         np.add.accumulate(run, out=run)
-    bounds = _total(objective, run, n, ())
-    for lam, values, per_length in lowers:
-        bounds = bounds - lam * (values / n if per_length else values)
+    bounds = _total(objective, run, n, weighted)
     return (bounds if one_length else np.maximum.reduce(bounds)), log_probs, flat
 
 

@@ -2,7 +2,9 @@
 
 Ordinary tokens get dense ids 0..n-1, the end marker gets id n, so a
 next-token distribution is a vector of length n+1. The begin marker sits
-outside that range (id n+1) and is never predicted.
+outside that range (id n+1) and is never predicted. No token or marker is
+empty or holds whitespace, since a model file spells a context as its
+tokens joined by single spaces.
 """
 
 from __future__ import annotations
@@ -33,6 +35,8 @@ class Vocabulary:
         if len(set(self.tokens)) != len(self.tokens):
             raise ContractError("tokens must be unique")
         names = (*self.tokens, self.eos, self.bos)
+        if len(" ".join(names).split()) != len(names):
+            raise ContractError("tokens and markers must be non-empty and hold no whitespace")
         object.__setattr__(self, "_names", names)
         object.__setattr__(self, "_index", {tok: i for i, tok in enumerate(names)})
 

@@ -705,6 +705,24 @@ def test_train_ngram_non_finite_add_k_is_usage_error(tmp_path, capsys, add_k):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("text", [
+    pytest.param("[" * 100_000 + "]" * 100_000, id="nested-lists"),
+    pytest.param('{"vocab": ["a"], "default": ' + '{"a": ' * 50_000 + "1" + "}" * 50_001,
+                 id="nested-default"),
+])
+def test_deeply_nested_model_file_is_format_error(tmp_path, capsys, text):
+    """JSON nested past the parser's recursion limit ended in a
+    ``RecursionError`` traceback (exit 1)."""
+    model = tmp_path / "m.json"
+    model.write_text(text)
+    inputs = tmp_path / "in.txt"
+    inputs.write_text("x\n")
+    code = run(["decode", model, inputs, "--decoder", "greedy", "--out", tmp_path / "o.jsonl"])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"i/o error: cannot parse model {model}: ") and "Traceback" not in err
+
+
 NOT_UTF8 = b"a b\n\xff\xfe c\n"
 
 

@@ -25,12 +25,14 @@ from regdecode import (
     brute_force_set,
     exact_search,
     greedy_search,
+    load_model,
     parse_objective,
+    score,
     train_ngram,
 )
 import regdecode.search
 from regdecode.cli import EXACTNESS_LAMBDAS, main
-from regdecode.models import _terms_of_block, _terms_of_row
+from regdecode.models import _dist_to_log_array, _terms_of_block, _terms_of_row
 from regdecode.objectives import (
     _PENALTIES,
     _SetDeviationTable,
@@ -45,7 +47,9 @@ from regdecode.randmodels import (
     tie_free_instance,
 )
 from regdecode.search import enumerate_complete
+from regdecode.surprisal import trace as surprisal_trace
 
+from .conftest import FIXTURES
 from .reference_sums import spec_sums
 
 
@@ -250,7 +254,8 @@ class LengthModel(SequenceModel):
                 row.setflags(write=False)
                 self.rows[steps, last] = row
 
-    def _step_log_probs(self, source_key, prefix_ids):
+    def _state_row(self, state):
+        _, prefix_ids = state
         return self.rows[len(prefix_ids) - 1, prefix_ids[-1]]
 
 
@@ -460,15 +465,20 @@ def test_plain_decodes_near_the_smallest_log_probability_run_without_errstate():
     errstate."""
     settings_seen = []
 
-    class Recording(TableModel):
+    class Recording(SequenceModel):
+        """The bare prefix's row, and one row for every longer prefix, each
+        built when a decode first asks for it."""
+
+        best_step = 0.0
+
         def _state_row(self, state):
             settings_seen.append(np.geterr()["over"])
-            return super()._state_row(state)
+            tiny = 5e-324
+            _, prefix_ids = state
+            return np.log([tiny, 0.5, 0.5] if len(prefix_ids) == 1 else [0.4, tiny, 0.6])
 
     def model():  # a new row cache, so every decode builds its rows
-        tiny = 5e-324
-        return Recording(Vocabulary(("a", "b")), {"<s>": {"a": tiny, "b": 0.5, "</s>": 0.5}},
-                         {"a": 0.4, "b": tiny, "</s>": 0.6})
+        return Recording(Vocabulary(("a", "b")))
 
     assert model().next_log_probs(None, ["<s>"])[0] == math.log(5e-324)
     with warnings.catch_warnings(record=True) as caught:
@@ -983,6 +993,31 @@ def assert_one_entry_per_state(model, prefixes_of) -> None:
         assert np.isfinite(terms.u).all()
 
 
+def stored_dists(model: TableModel) -> dict:
+    """A table model's distributions by state, as its spec spells them: each
+    stored prefix with its table's source key ("" unless ``source_keyed``),
+    and None, the default's."""
+    spec = model.to_spec()
+    tables = spec["entries"].items() if model.source_keyed else [("", spec["entries"])]
+    prefix_ids = model.vocabulary.prefix_ids
+    dists = {(key, prefix_ids(ctx.split())): dist
+             for key, ctxs in tables for ctx, dist in ctxs.items()}
+    dists[None] = spec["default"]
+    return dists
+
+
+def assert_table_cache(model: TableModel) -> None:
+    """A table model's cache holds exactly its stored states and the default
+    row's, each entry equal to the one-row build of its row."""
+    assert model._terms.keys() == stored_dists(model).keys()
+    for terms in model._terms.values():
+        single = _terms_of_row(terms.row)
+        assert list(terms.ids) == list(single.ids)
+        assert terms.step_min == single.step_min
+        assert np.ascontiguousarray(terms.u).tobytes() == single.u.tobytes()
+        assert terms.end == single.end
+
+
 @pytest.mark.parametrize("make_model", [
     lambda: sparse_ngram_model(np.random.default_rng(3), 3, 4),
     lambda: train_ngram([line.split() for line in ("a b c", "b c", "c a b d", "", "d d a")], 3,
@@ -994,9 +1029,11 @@ def test_cold_and_warm_models_give_identical_records(make_model):
     whose rows are all built in new blocks, as on one model reused by every
     decode before it, whose blocks hold other mixes of rows and whose cache
     serves the rest: beam search at k in {1, 2, 5, 10} and exact search.
-    After every decode, cold or warm, the cache holds one entry per state
-    visited. Prefixes share states: an n-gram model's prefixes of one
-    context, and a table model's prefixes that read the default row."""
+    After every decode, cold or warm, an n-gram model's cache holds one
+    entry per state visited; a table model's holds its stored states and
+    the default row's, from construction on. Prefixes share states: an
+    n-gram model's prefixes of one context, and a table model's prefixes
+    that read the default row."""
     def outcome(model, k, objective):
         try:
             if k is None:
@@ -1005,18 +1042,61 @@ def test_cold_and_warm_models_give_identical_records(make_model):
         except NoHypothesisError as exc:  # a width that keeps no ended member
             return repr(exc)
 
+    def assert_cache(model, prefixes_of):
+        if isinstance(model, TableModel):
+            assert_table_cache(model)
+            assert prefixes_of.keys() <= model._terms.keys()
+        else:
+            assert_one_entry_per_state(model, prefixes_of)
+
     warm = make_model()
     warm_states = recording_states(warm)
+    assert_cache(warm, warm_states)
     for k, spec in COLD_WARM_DECODES:
         objective = parse_objective(spec)
         cold = make_model()
         cold_states = recording_states(cold)
+        assert_cache(cold, cold_states)
         assert outcome(cold, k, objective) == outcome(warm, k, objective), (k, spec)
-        assert_one_entry_per_state(cold, cold_states)
-        assert_one_entry_per_state(warm, warm_states)
+        assert_cache(cold, cold_states)
+        assert_cache(warm, warm_states)
     assert max(map(len, warm_states.values())) > 1
     if isinstance(warm, TableModel):
         assert len(warm_states[None]) > 1  # the default row's one entry
+
+
+@pytest.mark.parametrize("make_model", [
+    lambda: load_model(FIXTURES / "m3.json"), lambda: load_model(FIXTURES / "beam_family.json"),
+    zero_entry_model,
+], ids=["m3", "beam-family", "zero-entries"])
+def test_table_model_builds_its_whole_cache_when_constructed(make_model):
+    """Right after construction a table model's cache holds exactly its
+    stored prefixes, with their source keys, and None, the default row's:
+    each entry's row is its distribution's ``_dist_to_log_array`` bit for
+    bit. Decoding, scoring, tracing and brute force then add no entry."""
+    model = make_model()
+    vocab = model.vocabulary
+    dists = stored_dists(model)
+    assert model._terms.keys() == dists.keys()
+    for state, dist in dists.items():
+        row = _dist_to_log_array(dist, vocab, "row")
+        assert model._terms[state].row.tobytes() == row.tobytes()
+    entries = dict(model._terms)
+    sources = sorted({state[0] for state in dists if state}) + ["unstored"]
+    objective = parse_objective("variance=1,square=0.1")
+    for source in sources:
+        for k in (1, 3):
+            beam_search(model, source, objective, k, 5)
+        greedy_search(model, source, 5)
+        exact_search(model, source, objective, 5)
+        brute_force(model, source, objective, 4)
+        if vocab.dist_size <= 4:  # the set decoder's guard
+            brute_force_set(model, source, 2, 0.5, 3)
+        for ids, *_ in enumerate_complete(model, source, 3):
+            tokens = vocab.decode(ids)
+            score(tokens, objective, model, source)
+            surprisal_trace(model, source, tokens)
+    assert model._terms == entries
 
 
 def test_block_rows_and_terms_equal_one_row_builds():

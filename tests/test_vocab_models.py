@@ -361,7 +361,8 @@ def _assert_same_model(loaded: NGramModel, trained: NGramModel) -> None:
         # that ends in the end marker without it.
         prefix = (vocab.bos_id, *ctx)
         assert np.array_equal(
-            loaded._step_log_probs("", prefix), trained._step_log_probs("", prefix)
+            loaded._state_row(loaded.state("", prefix)),
+            trained._state_row(trained.state("", prefix)),
         )
     assert loaded.best_step == trained.best_step
 
@@ -460,19 +461,23 @@ def test_ngram_contexts_split_on_whitespace(tmp_path, spelling, fault):
 
 
 @pytest.mark.parametrize("tokens, bos", [(["a", "a\tb"], "<s>"), (["a", ""], "<s>"),
-                                         (["a"], "< s >")])
+                                         (["a"], "< s >"), (["a b", "a", "b"], "<s>")])
 def test_ngram_tokens_and_markers_hold_no_whitespace(tmp_path, tokens, bos):
-    """A context is written as its tokens joined by spaces, so a token that
-    is empty or holds whitespace could not be read back."""
-    path = tmp_path / "lm.json"
-    columns = _columns(["a"], [1], ["a"], [1])
-    path.write_text(json.dumps({"kind": "ngram", "vocab": tokens, "bos": bos, "order": 2,
-                                "add_k": 1.0, **columns}))
-    with pytest.raises(ModelFormatError, match="whitespace"):
-        load_model(path)
-    vocab = Vocabulary(tuple(tokens), bos=bos)
+    """A context is written as its tokens joined by spaces, in a table file
+    as in an n-gram file, so a token that is empty or holds whitespace could
+    not be read back: the vocabulary rejects it, for every model. With
+    ``"a b"`` a token, a table row written for ``"<s> a b"`` was read as the
+    row of the prefix (<s>, a, b), and (<s>, a b) read the default row."""
     with pytest.raises(ContractError, match="whitespace"):
-        NGramModel(vocab, 2, 1.0, columns)
+        Vocabulary(tuple(tokens), bos=bos)
+    path = tmp_path / "lm.json"
+    table = {"vocab": tokens, "bos": bos, "entries": {"<s> a": {"a": 1.0}}, "default": {"a": 1.0}}
+    for spec in ({"kind": "ngram", "vocab": tokens, "bos": bos, "order": 2, "add_k": 1.0,
+                  **_columns(["a"], [1], ["a"], [1])},
+                 table, {**table, "source_keyed": True, "entries": {"x": table["entries"]}}):
+        path.write_text(json.dumps(spec))
+        with pytest.raises(ModelFormatError, match="whitespace"):
+            load_model(path)
     if bos == "<s>":
         with pytest.raises(ContractError, match="whitespace"):
             train_ngram([tokens], 2, 1.0)
@@ -706,7 +711,9 @@ def test_table_rejects_unknown_token(tmp_path):
         load_model(path)
 
 
-@pytest.mark.parametrize("context", ["a", "<s> a <s>", "<s> </s> a"])
+# The last two have ended, and an ended prefix only re-emits the end marker,
+# so their rows could never be read: they were stored, and counted in best_step.
+@pytest.mark.parametrize("context", ["a", "<s> a <s>", "<s> </s> a", "<s> a </s>", "<s> </s>"])
 def test_table_rejects_context_that_is_not_a_prefix(tmp_path, context):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({
