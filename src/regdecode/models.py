@@ -41,17 +41,23 @@ this cache, instances are not meant to be shared between threads.
 ``best_step`` is the bound exact search puts on every step it has not
 taken yet. A table model sets it when it is constructed; an n-gram model
 computes it from its counts on first read, so a model decoded only by beam
-search never pays for it.
+search never pays for it. An n-gram model's state is Markov, so it also
+has a ``CompletionTable``: per state and completion length, a bound on the
+log-probability of the best completion, which exact search reads for the
+children that pass its ``best_step`` bound. The table is built from the
+count columns, without building the rows, the first time a decode needs it.
 
 ``load_model`` remembers the last n-gram file that passed every check, one
 entry keyed by the sha256 of its bytes. Loading the same bytes again, as
 repeated CLI calls in one process do, builds a new model from the
 remembered vocabulary, parameters and count columns, with no JSON parsing
-and no check. The instances share only read-only data: the column arrays
-are not writable, nothing writes ``context_index`` or ``offsets``, and the
-file's ``best_step`` is computed once, at the first repeat load. Each
-instance has its own row cache, so its first decode builds every row it
-visits, as after a cold load.
+and no check. The instances share only read-only data and the file's
+completion table: the column arrays are not writable, nothing writes
+``context_index`` or ``offsets``, the file's ``best_step`` is computed
+once, at the first repeat load, and its completion table once, by the
+first decode of any of them that needs it, to rows that depend on the
+file alone. Each instance has its own row cache, so its first decode
+builds every row it visits, as after a cold load.
 """
 
 from __future__ import annotations
@@ -79,6 +85,10 @@ NORMALIZATION_TOL = 1e-6
 # many of the model file: at the guard, training and saving a 5-line
 # corpus peaks at 120 MB (tracemalloc) and writes a 40 MB file.
 NGRAM_PADDING_GUARD = 10**7
+# Completion lengths a ``CompletionTable`` holds a row for, whatever n_max
+# is; each row takes 8 bytes per stored context and context class. Longer
+# completions are bounded by the table's tail form.
+COMPLETION_TABLE_ROWS = 32
 
 TokenSeq = Sequence[str]
 
@@ -164,7 +174,8 @@ class SequenceModel:
     has a higher log-probability, and at most 0, since every row is a
     distribution. ``TableModel`` sets it when it is constructed and
     ``NGramModel`` computes it on first read. Exact search reads it; a
-    custom model used with ``exact_search`` sets it itself.
+    custom model used with ``exact_search`` sets it itself. Exact search
+    also reads ``completion_table``, which only ``NGramModel`` sets.
     """
 
     vocabulary: Vocabulary
@@ -172,6 +183,9 @@ class SequenceModel:
     # The sha256 hex digest of the bytes ``load_model`` parsed this model
     # from; None for a model built in memory.
     file_digest: str | None = None
+    # Per-state completion bounds for exact search (``CompletionTable``);
+    # None for a model whose state is not Markov, bounded by best_step alone.
+    completion_table: CompletionTable | None = None
 
     def __init__(self, vocabulary: Vocabulary) -> None:
         self.vocabulary = vocabulary
@@ -415,6 +429,7 @@ class NGramModel(SequenceModel):
         # no context is formed: the order may be too large to pad a prefix to.
         self._need = order - 1 if counts.context_index else 0
         self._token_name = vocabulary._names.__getitem__
+        self.completion_table = CompletionTable(vocabulary, order, self.add_k, counts)
 
     def state(self, source_key: str, prefix_ids: tuple[int, ...]) -> tuple[int, ...]:
         """The context: the last ``order - 1`` ids of the bos-padded prefix."""
@@ -497,6 +512,275 @@ class NGramModel(SequenceModel):
             "event_tokens": list(map(self._token_name, columns.event_ids.tolist())),
             "event_counts": columns.event_counts.tolist(),
         }
+
+
+def _raised(x):
+    """``x`` raised by one ulp: at least the exact result of the one
+    rounded float operation that gave ``x``."""
+    return np.nextafter(x, math.inf)
+
+
+def _row_codes(rows: np.ndarray, base: int) -> np.ndarray:
+    """An int64 code per row of ids below ``base``, equal for equal rows
+    only: built one column at a time and renumbered densely wherever the
+    next column could overflow, as ``train_ngram`` codes its contexts."""
+    codes, span = np.zeros(len(rows), dtype=np.int64), 1
+    for column in rows.T:
+        codes, span = _dense(codes, span, base)
+        codes = codes * base + column
+        span *= base
+    return codes
+
+
+def _row_index(keys: np.ndarray, queries: np.ndarray, base: int) -> np.ndarray:
+    """The index of each row of ``queries`` among the rows of ``keys``,
+    distinct rows of ids below ``base``, or -1 where it is none of them."""
+    if not len(keys):
+        return np.full(len(queries), -1, dtype=np.intp)
+    codes = _row_codes(np.concatenate((keys, queries)), base)
+    key_codes, query_codes = codes[:len(keys)], codes[len(keys):]
+    order = np.argsort(key_codes)
+    at = np.minimum(np.searchsorted(key_codes, query_codes, sorter=order), len(keys) - 1)
+    found = order[at]
+    return np.where(key_codes[found] == query_codes, found, -1)
+
+
+class CompletionTable:
+    """Per-state upper bounds on the log-probability of the best completion
+    of an n-gram prefix: the outside estimate of A* search (Klein & Manning,
+    NAACL 2003), which exact search reads for the children that pass its
+    ``best_step`` bound.
+
+    Let ``G[m][c]`` be the highest log-probability, in exact arithmetic on
+    the model's float rows, of a completion of exactly m more steps from
+    context c that ends in the end marker: ``G[1][c] = lp(eos | c)``, and
+    ``G[m][c]`` the max over ordinary tokens t of ``lp(t | c) +
+    G[m - 1][next(c, t)]``, where ``next(c, t)`` drops the first id of c and
+    appends t. ``rows[m - 1, s]`` is at least ``G[m][c]`` for every context
+    c of table state s, ``beyond[s]`` at least ``G[r][c]`` at every length
+    r, and ``step`` at least every row's entry of every ordinary token, so
+    that past the last row L, ``G[r][c] <= rows[L - 1].max() + (r - L) *
+    step``. ``best`` and ``by_length`` read these for the children of a
+    prefix, given their ``columns``.
+
+    Table states are the stored contexts, in file order, then the classes
+    of the others. An unseen context's row is the smoothed uniform one and
+    its next states depend only on ``c[1:]``, so the unseen contexts with
+    one ``c[1:]`` are one class; there is a class for each ``c[1:]`` that
+    is the prefix ``d[:-1]`` of some stored context d, and last one for
+    every other unseen context. Up to order 3 that class is exact too, as
+    the next states of all its contexts are unseen and share their classes;
+    above order 3 its value, and the value of the unseen next states of a
+    prefix class, is bounded by the best class of the previous length.
+
+    The sparse dynamic program: a stored context c with events ``E_c`` gives
+    every other token its row's one smoothed entry ``base_c``, at most
+    ``lp(t | c)`` for every event, so ``G[m][c]`` is the max of ``lp(t | c)
+    + G[m - 1][next(c, t)]`` over its events and ``base_c + M[c[1:]]``,
+    where ``M[p]`` is the best ``G[m - 1]`` over the next states ``p + (t,)``.
+    Those are the stored contexts with prefix p and, for the tokens that
+    make no stored context, their unseen classes: the best of these is the
+    first such token in the order of its class value. A length costs
+    O(events + contexts log contexts + |V| log |V|).
+
+    Every log and every addition is raised by one ulp (``_raised``), so each
+    entry is at least the exact ``G``; a log raised one ulp also covers
+    ``np.log`` giving the neighbour of the row's own entry here, as for
+    ``NGramModel.best_step``. An entry of row m exceeds ``G[m][c]`` by at
+    most ``(3m + 1) * 2**-53 * |G[m][c]|``: each log at most two ulps up,
+    each addition at most three half-ulps, all terms of one sign.
+
+    The table holds ``COMPLETION_TABLE_ROWS`` rows, whatever the model, so
+    its bounds never depend on a decode's ``n_max`` nor on which decode
+    built it. The step of the program distributes over max, in floats too
+    (rounding and ``_raised`` are monotone), so once the running max over
+    lengths repeats, it stays at that fixed point at every later length:
+    ``beyond`` is that running max when its last two lengths agree, and
+    otherwise also holds the tail bound ``rows[-1].max() + step``. Rows past
+    the fixed point still fall, and an objective with a length transform or
+    a per-length lower form reads each of them.
+
+    Built on the first ``columns`` call, so a decode that bounds no child
+    with it never pays for it, and kept while the table is; ``load_model``
+    hands one table to every model it builds from one file's bytes. The
+    children's columns are kept too, so, like a model's row cache, a table
+    is not meant to be shared between threads.
+    """
+
+    def __init__(self, vocabulary: Vocabulary, order: int, add_k: float,
+                 counts: _CountColumns) -> None:
+        self._model = vocabulary, order, add_k, counts
+        self.rows: np.ndarray | None = None
+        self._columns_of: dict[tuple[int, ...], np.ndarray] = {}
+
+    def columns(self, state: tuple[int, ...]) -> np.ndarray:
+        """The table state of each ordinary-token child of a context, in
+        token order. The children's contexts are ``state[1:]`` and a token,
+        so the columns are kept per ``state[1:]``, at most one entry per
+        prefix of a context."""
+        prefix = state[1:]
+        columns = self._columns_of.get(prefix)
+        if columns is None:
+            if self.rows is None:
+                self._build()
+            columns = self._columns_of[prefix] = self._children(prefix)
+        return columns
+
+    def best(self, columns: np.ndarray, left: int) -> np.ndarray:
+        """At least ``G[m]`` at every length m in 1..left, per column."""
+        if left <= len(self.rows):
+            return np.maximum.reduce(self.rows[:left, columns])
+        return self.beyond[columns]
+
+    def by_length(self, columns: np.ndarray, left: int) -> np.ndarray:
+        """At least ``G[m]`` per length m in 1..left (rows) and column, as a
+        new array: the table's rows, then the tail bound, never above
+        ``beyond``."""
+        stored = len(self.rows)
+        if left <= stored:
+            return self.rows[:left, columns]  # a new array
+        out = np.empty((left, len(columns)))
+        out[:stored] = self.rows[:, columns]
+        past = np.arange(1.0, left - stored + 1)[:, None]  # r - L, exact
+        tail = _raised(_raised(past * self.step) + self._top)
+        np.minimum(tail, self.beyond[columns], out=out[stored:])
+        return out
+
+    def _build(self) -> None:
+        vocab, order, add_k, counts = self._model
+        size, n_tokens, width = vocab.dist_size, len(vocab.tokens), order - 1
+        radix = vocab.bos_id + 1  # context ids are below it
+        n_ctx = len(counts.context_index)
+        ctx = np.array([[vocab._index[t] for t in c.split(" ")] if width else []
+                        for c in counts.context_index], dtype=np.intp).reshape(n_ctx, width)
+        # Each row's entries as _state_row builds them, each log raised.
+        owner = np.repeat(np.arange(n_ctx), np.diff(counts.offsets))
+        event_counts = counts.event_counts.astype(float)
+        totals = np.bincount(owner, event_counts, minlength=n_ctx)  # exact below 2**53
+        for k in np.flatnonzero(totals >= 2.0**53):  # a row sum whose grouping matters
+            totals[k] = self._counts_row(k).sum()
+        totals = totals + add_k * size  # a float even with no event
+        event_lp = _raised(np.log((event_counts + add_k) / totals[owner]))
+        smoothed = _raised(np.log(add_k / totals))  # each stored row's entry of a non-event
+        unseen = float(_raised(np.log(add_k / (0.0 + add_k * size))))
+        ends = counts.event_ids == vocab.eos_id
+        first = smoothed.copy()
+        first[owner[ends]] = event_lp[ends]
+        steps = ~ends
+        step_owner, step_lp = owner[steps], event_lp[steps]
+        self.step = max(unseen, float(smoothed.max(initial=-math.inf)),
+                        float(step_lp.max(initial=-math.inf)))
+
+        # Prefix classes; the class of a context's tail c[1:] is its index
+        # among the prefixes, or ``other``.
+        if width > 1 and n_ctx:
+            first_of = np.unique(_row_codes(ctx[:, :-1], radix), return_index=True)[1]
+            prefixes = ctx[np.sort(first_of), :-1]  # in the order the contexts first show them
+        else:  # no stored context, or the one empty prefix of them all
+            prefixes = np.zeros((min(n_ctx, 1) if width <= 1 else 0, max(width - 1, 0)), np.intp)
+        group = _row_index(prefixes, ctx[:, :-1], radix)
+        other = len(prefixes)
+
+        def class_of(tails):
+            index = _row_index(prefixes, tails, radix)
+            return np.where(index < 0, other, index)
+
+        # The next state of each step event: stored, or its unseen class.
+        nxt = np.column_stack((ctx[step_owner, 1:], counts.event_ids[steps]))[:, :width]
+        step_next = _row_index(ctx, nxt, radix)
+        unseen_next = step_next < 0
+        step_next[unseen_next] = n_ctx + class_of(nxt[unseen_next, 1:])
+        step_starts = np.flatnonzero(np.diff(step_owner, prepend=-1))
+        tail_class = class_of(ctx[:, 1:])
+        # The next states of a prefix p are p + (t,) for each of ``slots``
+        # tokens (one state for order 1): the stored ones, its members, and
+        # the unseen ones, whose classes, up to order 3, do not depend on p.
+        slots = n_tokens if width else 1
+        last = ctx[:, -1] if width else np.zeros(n_ctx, np.intp)
+        member = np.flatnonzero(last < slots)
+        member = member[np.argsort(group[member], kind="stable")]
+        starts = np.flatnonzero(np.diff(group[member], prepend=-1))
+        sizes = np.diff(starts, append=len(member))
+        present = group[member[starts]]
+        group_size = np.zeros(other, np.intp)
+        group_size[present] = sizes
+        position = np.arange(len(member)) - np.repeat(starts, sizes)
+        member_slot = last[member]
+        group_key = group[member].astype(np.int64) * slots  # sorts members by group first
+        unseen_class = (class_of(np.arange(slots)[:, None][:, :width - 1])
+                        if width <= 2 else None)
+
+        def advance(values: np.ndarray) -> np.ndarray:
+            """The next row of the program from the last."""
+            classes = values[n_ctx:]
+            unseen_best = (classes[unseen_class] if unseen_class is not None
+                           else np.full(slots, classes.max()))
+            ranked = np.argsort(-unseen_best, kind="stable")
+            rank = np.empty(slots, np.intp)
+            rank[ranked] = np.arange(slots)
+            best = np.full(other + 1, -math.inf)
+            best[other] = unseen_best.max()
+            if len(member):
+                # Per prefix, the first token in rank order that is no member.
+                ranks = np.sort(group_key + rank[member_slot]) - group_key
+                taken = np.where(ranks == position, np.repeat(sizes, sizes), position)
+                free = group_size.copy()
+                free[present] = np.minimum.reduceat(taken, starts)
+                best[:other] = np.append(unseen_best[ranked], -math.inf)[free]
+                stored_best = np.maximum.reduceat(values[member], starts)
+                best[present] = np.maximum(best[present], stored_best)
+            else:
+                best[:other] = unseen_best[ranked[0]]
+            stored = _raised(smoothed + best[tail_class])
+            if len(step_lp):
+                events = _raised(step_lp + values[step_next])
+                at = step_owner[step_starts]
+                stored[at] = np.maximum(stored[at], np.maximum.reduceat(events, step_starts))
+            return np.concatenate((stored, _raised(unseen + best)))
+
+        rows = [np.concatenate((first, np.full(other + 1, unseen)))]
+        running, last_running = rows[0], None
+        while len(rows) < COMPLETION_TABLE_ROWS:
+            rows.append(advance(rows[-1]))
+            running, last_running = np.maximum(running, rows[-1]), running
+        rows = np.array(rows)
+        self._top = float(rows[-1].max())
+        if last_running is not None and (running == last_running).all():  # the fixed point
+            self.beyond = running
+        else:
+            self.beyond = np.maximum(running, _raised(self._top + self.step))
+        # What ``_children`` reads.
+        self._groups = {tuple(p): j for j, p in enumerate(prefixes.tolist())}
+        self._group_members = {j: (member_slot[s:s + n], member[s:s + n])
+                               for j, s, n in zip(present.tolist(), starts.tolist(),
+                                                  sizes.tolist())}
+        self._unseen_columns = None if unseen_class is None else n_ctx + unseen_class
+        self._n_ctx, self._other = n_ctx, other
+        self.rows = rows  # last: a table with rows is built
+
+    def _counts_row(self, k: int) -> np.ndarray:
+        """Stored context k's counts as ``NGramModel._state_row`` lays them
+        out, so that their sum is that row's."""
+        vocab, _, _, counts = self._model
+        row = np.zeros(vocab.dist_size)
+        events = slice(counts.offsets[k], counts.offsets[k + 1])
+        row[counts.event_ids[events]] = counts.event_counts[events]
+        return row
+
+    def _children(self, prefix: tuple[int, ...]) -> np.ndarray:
+        n_tokens = len(self._model[0].tokens)
+        if self._model[1] == 1:  # every child is the one context
+            return np.full(n_tokens, 0 if self._n_ctx else self._n_ctx + self._other)
+        if self._unseen_columns is not None:
+            columns = self._unseen_columns.copy()
+        else:
+            columns = np.array([self._n_ctx + self._groups.get(prefix[1:] + (t,), self._other)
+                                for t in range(n_tokens)], dtype=np.intp)
+        j = self._groups.get(prefix)
+        if j in self._group_members:
+            slots, member = self._group_members[j]
+            columns[slots] = member
+        return columns
 
 
 def _check_parameters(order, add_k) -> None:
@@ -782,10 +1066,12 @@ def load_model(path: str | Path) -> SequenceModel:
     keyed by the sha256 of its bytes. When a load reads the same bytes, it
     skips JSON parsing and every check, and builds a new ``NGramModel``
     from the remembered vocabulary, parameters and read-only count columns,
-    with its own empty row cache and the file's ``best_step``, computed
-    once, at the first repeat load. Table files are never remembered, since
-    their load may log a renormalization warning, and neither is a file
-    that fails a check, so a malformed file raises at every load.
+    with its own empty row cache, the file's ``best_step``, computed
+    once, at the first repeat load, and the file's ``CompletionTable``,
+    built by the first decode of any model of those bytes that needs it.
+    Table files are never remembered, since their load may log a
+    renormalization warning, and neither is a file that fails a check, so
+    a malformed file raises at every load.
 
     Every malformed file ends in ``ModelFormatError``, one that is not UTF-8
     text, whose JSON repeats a key within one object or nests deeper than
@@ -823,11 +1109,13 @@ def load_model(path: str | Path) -> SequenceModel:
         # Computed once for the file, so that no repeat load's first exact
         # decode pays for it; a file loaded only once never computes it here.
         model.best_step = kept.best_step
+        model.completion_table = kept.completion_table
     elif isinstance(raw, dict) and "kind" in raw:
         if raw["kind"] != "ngram":
             raise ModelFormatError(f"unknown model kind {raw['kind']!r}: expected 'ngram' or none")
         model = _ngram_model_from_spec(raw, path)
         kept = NGramModel(model.vocabulary, model.order, model.add_k, model._columns)
+        kept.completion_table = model.completion_table  # built by whichever decode first needs it
         _last_ngram_file = digest, kept
     else:
         model = _table_model_from_spec(raw)

@@ -4,7 +4,9 @@ The total score of a hypothesis is its cumulative log-probability minus a
 weighted sum of regularizer penalties, optionally combined with a length
 reward or length normalization. ``child_scores`` scores the children of a
 prefix and ``completion_bounds`` bounds the score of every completion of
-each of them from above, which is what exact search prunes with.
+each of them from above, which is what exact search prunes with;
+``table_bounds`` tightens that bound from an n-gram model's
+``CompletionTable``.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .exceptions import ContractError
-from .models import SequenceModel, _source_key
+from .models import CompletionTable, SequenceModel, _source_key
 
 Trace = Sequence[float]
 
@@ -236,6 +238,11 @@ class Objective:
         return self.length_mode == "none" and not any(p.per_length for _, p, _ in self._layout)
 
     @functools.cached_property
+    def _reads_minima(self) -> bool:
+        """Whether a carry reads the step minima: greedy's alone does."""
+        return any(p.carry is _greedy_carry for _, p, _ in self._layout)
+
+    @functools.cached_property
     def _empty_sums(self) -> tuple:
         """The flat partial sums of the empty prefix."""
         return tuple(itertools.chain.from_iterable(p.empty for _, p, _ in self._layout))
@@ -326,9 +333,10 @@ def child_scores(objective: Objective, steps: int, sums, log_prob, u, step_min,
     and step minimum (or one float expression for the end-marker child
     alone, ``StepTerms.end``), or the children of a beam step's members, all
     of ``steps`` steps, given the members' partial sums, log-probabilities
-    and step minima as sequences and ``owner``, each child's member. The
-    children's partial sums come back flat, one array over the children
-    each.
+    and step minima as sequences and ``owner``, each child's member (the
+    minima are taken to the children only when greedy, their one reader,
+    is in the objective). The children's partial sums come back flat, one
+    array over the children each.
 
     This is the expansion kernel of beam and exact search. Each total
     equals ``score_parts(objective, child trace, child minima, child
@@ -338,6 +346,7 @@ def child_scores(objective: Objective, steps: int, sums, log_prob, u, step_min,
         log_prob = np.array(log_prob)[owner]
         if objective.regularizers:
             sums = [column[owner] for column in np.array(sums).T]
+        if objective._reads_minima:
             step_min = np.array(step_min)[owner]
     log_probs = log_prob - u
     n = steps + 1
@@ -368,6 +377,10 @@ def completion_bounds(
     surprisals ``u``, as ``child_scores`` returns them: each bound
     is at least the score, as computed in floats, of every completion of
     that child that has at most ``n_max`` steps and takes a step after it.
+
+    This is exact search's cheap first test, made at every expansion; on an
+    n-gram model the children that pass it get the lower of it and their
+    ``table_bounds``.
 
     ``best_step`` is at least every entry of every row, and at most 0. For
     each completion length n the bound repeats ``child_scores`` with every
@@ -407,6 +420,46 @@ def completion_bounds(
         np.add.accumulate(run, out=run)
     bounds = _total(objective, run, n, weighted)
     return (bounds if one_length else np.maximum.reduce(bounds)), log_probs, flat
+
+
+def table_bounds(objective: Objective, steps: int, n_max: int, table: CompletionTable,
+                 columns: np.ndarray, log_probs: np.ndarray, sums: list) -> np.ndarray:
+    """Completion bounds, as ``completion_bounds`` defines them, of some
+    children of a prefix of ``steps`` steps on an n-gram model, given
+    their table states (``CompletionTable.columns``), log-probabilities and
+    flat partial sums: from the table's bounds on the log-probability of
+    the best completion of m more steps, m in 1..``left``, through the
+    lower forms and ``_total`` as the cheap bound goes.
+
+    The table bounds the exact sum of a completion's row entries; the score
+    adds them in floats, from the child's log-probability forwards. For
+    terms of one sign that recursive sum is at most its exact value times
+    ``1 - gamma_m``, ``gamma_m = m u / (1 - m u)`` with ``u = 2**-53``
+    (Higham, *Accuracy and Stability of Numerical Algorithms*, 2nd ed.,
+    §4.2). So the log-probability bound of length m is the child's
+    log-probability plus the table's bound, times ``1 - (m + 2) * 2**-52``,
+    a float that is exact and below ``(1 - gamma_m) / (1 + u)**2``, which
+    also covers the rounding of that addition and that product. This is a
+    proven margin on the bound, not a tolerance on any comparison.
+
+    With no length transform and no per-length lower form one bound serves
+    every length, from the table's running max over 1..left and the margin
+    of the longest, since with the table the shortest completion need not
+    be the best. Otherwise each length has its row and the highest bound
+    over them is kept.
+    """
+    left = n_max - steps - 1
+    lowers = [(lam, penalty.per_length, sums[part.start])
+              for lam, penalty, part in objective._layout]
+    if objective._shortest_bounds:
+        run = (log_probs + table.best(columns, left)) * (1.0 - (left + 2) * 2.0**-52)
+        return _total(objective, run, None, [(lam, value) for lam, _, value in lowers])  # no n
+    n = _lengths(n_max)[steps + 2:]
+    run = table.by_length(columns, left)  # in place from here: it may hold n_max rows
+    run += log_probs
+    run *= 1.0 - (n - (steps - 1)) * 2.0**-52  # m + 2 = n - steps + 1
+    weighted = [(lam, value / n if per_length else value) for lam, per_length, value in lowers]
+    return np.maximum.reduce(_total(objective, run, n, weighted))
 
 
 def _walk(model: SequenceModel, source, tokens: Sequence[str]) -> tuple[tuple, list, float]:

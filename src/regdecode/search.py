@@ -29,21 +29,29 @@ Beam search keeps, per step, the candidates at or above the k-th best
 total (one ``np.partition`` threshold, so every tie survives) and orders
 only those by the shared tie-break. Exact search is a single best-first
 loop: it scores each end-marker child on the spot, orders the open
-children by ``objectives.completion_bounds`` (the child's log-probability
-plus the model's ``best_step`` for every step still to come, through the
-length transform, minus a lower bound on each penalty, the highest over
-every completion length, all taken in one array expression), and stops
-once the best complete hypothesis found so far beats every bound left in
-the queue. Greedy, beam and exact search each run under one
-``np.errstate`` per call when the objective has a regularizer or a length
-reward (``_nan_checked``): an overflow is silent, and a NaN in the
-objective's arithmetic raises a ``ContractError``. The brute-force
-oracles keep their own enumeration and score with the spec, so they stay
-independent of the search code. Each enumerates an instance once. ``brute_force`` streams one walk into ``_oracle_argmax``,
-which takes any number of objectives and reads the walk in bounded chunks:
-per chunk it evaluates the spec of each penalty kind once per hypothesis
-and builds each objective's totals in one numpy expression, so the
-exactness suite streams a trial's walk once into all of its objectives.
+children by an admissible bound, and stops once the best complete
+hypothesis found so far beats every bound left in the queue. The bound's
+cheap first test, at every expansion, is ``objectives.completion_bounds``
+(the child's log-probability plus the model's ``best_step`` for every
+step still to come, through the length transform, minus a lower bound on
+each penalty, the highest over every completion length, all taken in one
+array expression). On an n-gram model the children that pass it, a bound
+at least the incumbent's score, get the lower of it and
+``objectives.table_bounds``, which reads the best completion of each
+length from the child's state in the model's ``CompletionTable`` instead
+of ``best_step`` per step: the A* outside estimate (Klein & Manning 2003),
+in the best-first framing of Meister, Vieira & Cotterell (2020). Greedy,
+beam and exact search each run under one ``np.errstate`` per call when the
+objective has a regularizer or a length reward (``_nan_checked``): an
+overflow is silent, and a NaN in the objective's arithmetic raises a
+``ContractError``. The brute-force oracles keep their own enumeration and
+score with the spec, so they stay independent of the search code. Each
+enumerates an instance once. ``brute_force`` streams one walk into
+``_oracle_argmax``, which takes any number of objectives and reads the
+walk in bounded chunks: per chunk it evaluates the spec of each penalty
+kind once per hypothesis and builds each objective's totals in one numpy
+expression, so the exactness suite streams a trial's walk once into all of
+its objectives.
 ``brute_force_set`` scores every k-combination of its pool through one
 ``objectives._SetDeviationTable``; in the large-weight limit it stops
 scoring a set once its running penalty passes the incumbent's.
@@ -73,6 +81,7 @@ from .objectives import (
     child_scores,
     completion_bounds,
     score_parts,
+    table_bounds,
 )
 
 BRUTE_FORCE_PREFIX_GUARD = 10**7
@@ -292,14 +301,15 @@ def exact_search(
     """Optimal decoding with a certificate, restricted to |y| <= n_max.
 
     One best-first loop over open prefixes, keyed by an upper bound on the
-    score of any completion (``objectives.completion_bounds``; the root's
-    is infinite). End-marker children are scored on the spot and the best
-    is kept as the incumbent; the root's end-marker child is the empty
-    string, so unless the model forbids it the incumbent exists after the
-    first expansion. Open children whose bound is below the incumbent are
-    never queued. The loop stops once the best open bound is strictly
-    below the incumbent's score (equal bounds are still expanded so
-    tie-breaking matches the brute-force oracle). More than
+    score of any completion (``objectives.completion_bounds``, lowered by
+    ``objectives.table_bounds`` for the children that pass it when the model
+    has a ``completion_table``; the root's is infinite). End-marker children
+    are scored on the spot and the best is kept as the incumbent; the root's
+    end-marker child is the empty string, so unless the model forbids it the
+    incumbent exists after the first expansion. Open children whose bound is
+    below the incumbent are never queued. The loop stops once the best open
+    bound is strictly below the incumbent's score (equal bounds are still
+    expanded so tie-breaking matches the brute-force oracle). More than
     ``EXACT_AGENDA_GUARD`` queued prefixes raise ``SearchSpaceError``.
     """
     _check_budget(1, n_max)
@@ -307,6 +317,7 @@ def exact_search(
     source_key = _source_key(source)
     eos = vocab.eos_id
     best_step = model.best_step
+    table = model.completion_table
 
     best_key = best = None  # the incumbent's sort key and its (ids, trace, minima, log_prob)
     floor = -math.inf  # the incumbent's score
@@ -331,10 +342,17 @@ def exact_search(
                 best = (key[2], trace + (terms.end,), minima + (terms.step_min,), end_lp)
                 floor = end_total
         if n_open and len(ids) < n_max:  # an open child still has a step left
-            bounds, log_probs, sums = completion_bounds(objective, len(trace), sums, log_prob,
-                                                        terms.u, terms.step_min, n_max, best_step)
-            bounds = bounds.tolist()
-            if max(bounds[:n_open]) >= floor:  # some open child is queued
+            cheap, log_probs, sums = completion_bounds(objective, len(trace), sums, log_prob,
+                                                       terms.u, terms.step_min, n_max, best_step)
+            bounds = cheap.tolist()
+            if max(bounds[:n_open]) >= floor:  # some open child passes the cheap test
+                if table is not None:
+                    kept = (cheap[:n_open] >= floor).nonzero()[0]
+                    columns = table.columns(model.state(source_key, ids))[kept]
+                    tight = table_bounds(objective, len(trace), n_max, table, columns,
+                                         log_probs[kept], [column[kept] for column in sums])
+                    cheap[kept] = np.minimum(cheap[kept], tight)
+                    bounds = cheap.tolist()
                 c_minima = minima + (terms.step_min,)
                 for j, lp, u, c_sums in zip(range(n_open), log_probs.tolist(), terms.u.tolist(),
                                             _per_child(sums)):

@@ -14,6 +14,7 @@ from regdecode import (
     RegularizerKind,
     beam_search,
     load_model,
+    save_model,
     train_ngram,
 )
 import regdecode.models
@@ -793,6 +794,40 @@ def test_exact_agenda_above_guard_is_usage_error(tmp_path, capsys, monkeypatch):
     err = capsys.readouterr().err
     assert "guard of 5 open prefixes" in err
     assert "Traceback" not in err
+
+
+def test_exact_decodes_of_one_ngram_file_in_one_process_agree(tmp_path, monkeypatch,
+                                                              seeded_trigram):
+    """On the seeded trigram, a plain exact decode at ``--n-max 100000``
+    finishes, and the completion table it builds holds fewer rows than
+    n_max. Two exact decodes of the file in one process, which share the
+    file's table through ``load_model``, in either order, write the JSONL
+    bytes that each writes as the first decode after a cold load,
+    ``nodes_expanded`` included."""
+    model, inputs = tmp_path / "lm.json", tmp_path / "in.txt"
+    save_model(seeded_trigram, model)
+    inputs.write_text("t001 t002\n\n")
+
+    def decode(objective, n_max, name):
+        out = tmp_path / name
+        assert run(["decode", model, inputs, "--decoder", "exact", "--objective", objective,
+                    "--n-max", n_max, "--out", out]) == 0
+        return out.read_bytes()
+
+    monkeypatch.setattr(regdecode.models, "_last_ngram_file", None)
+    decode("", 100000, "huge.jsonl")
+    assert len(load_model(model).completion_table.rows) < 100000
+    decodes = [("len=reward:1", 12), ("square=0.1", 6)]
+    first = {}
+    for objective, n_max in decodes:
+        monkeypatch.setattr(regdecode.models, "_last_ngram_file", None)
+        first[objective] = decode(objective, n_max, "first.jsonl")
+    for pair in (decodes, decodes[::-1]):
+        monkeypatch.setattr(regdecode.models, "_last_ngram_file", None)
+        for objective, n_max in pair:
+            assert decode(objective, n_max, "again.jsonl") == first[objective], objective
+    nodes = [json.loads(line)["nodes_expanded"] for line in first["len=reward:1"].splitlines()]
+    assert nodes == [3, 3]  # 106,282 each when best_step bounded every child
 
 
 def test_sweep_single_lambda_matches_decode(tmp_path, m3):

@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -32,7 +33,12 @@ from regdecode import (
 )
 import regdecode.search
 from regdecode.cli import EXACTNESS_LAMBDAS, main
-from regdecode.models import _dist_to_log_array, _terms_of_block, _terms_of_row
+from regdecode.models import (
+    COMPLETION_TABLE_ROWS,
+    _dist_to_log_array,
+    _terms_of_block,
+    _terms_of_row,
+)
 from regdecode.objectives import (
     _PENALTIES,
     _SetDeviationTable,
@@ -938,6 +944,98 @@ def test_exact_search_bounds_each_expansion_once(request, monkeypatch):
             assert max(calls) <= 1, spec
             bounded += sum(calls)
     assert bounded > len(models) * len(BOUND_OBJECTIVES)  # most decodes bound some children
+
+
+def test_ngram_exact_decodes_keep_their_tokens_and_totals(seeded_trigram):
+    """Exact decodes on n-gram models return the token ids and totals, bit
+    for bit, that exact search returned when it bounded every child with
+    ``best_step`` alone; ``tests/ngram_exact_decodes.json`` also keeps that
+    search's node counts. They are ``sparse_ngram_model`` draws of orders 1
+    to 3 at n_max 3 to 6 under every ``BOUND_OBJECTIVES`` spec, and the
+    seeded trigram at n_max 12, whose decodes brute force cannot check."""
+    records = json.loads((Path(__file__).parent / "ngram_exact_decodes.json").read_text())
+    assert len(records) == 6 * 3 * len(BOUND_OBJECTIVES) + 5
+    models = {}
+    for (kind, *draw), spec, n_max, ids, total, _ in records:
+        if (kind, *draw) not in models:
+            models[kind, *draw] = (seeded_trigram if kind == "trigram" else
+                                   sparse_ngram_model(np.random.default_rng(draw[0]), *draw[1:]))
+        record = exact_search(models[kind, *draw], None, parse_objective(spec), n_max)
+        assert list(record.best.token_ids) == ids, (kind, draw, spec)
+        assert record.best.score.hex() == total.hex(), (kind, draw, spec)
+
+
+def exact_completions(model: NGramModel, lengths: int) -> tuple[list, dict]:
+    """The contexts an n-gram prefix can have (begin markers only as left
+    padding), and per context the exact best log-probability, as a
+    ``Fraction`` of the model's float row entries, of a completion of m more
+    steps ending in the end marker, for m in 1..lengths."""
+    vocab = model.vocabulary
+    width = model.order - 1
+    contexts = [(vocab.bos_id,) * (width - n) + body for n in range(width + 1)
+                for body in itertools.product(range(len(vocab.tokens)), repeat=n)]
+    rows = {c: [Fraction(v) for v in model._state_row(c).tolist()] for c in contexts}
+    best = {c: [rows[c][vocab.eos_id]] for c in contexts}
+    for _ in range(lengths - 1):
+        previous = {c: g[-1] for c, g in best.items()}
+        for c in contexts:
+            best[c].append(max(rows[c][t] + previous[(c + (t,))[1:] if width else ()]
+                               for t in range(len(vocab.tokens))))
+    return contexts, best
+
+
+def assert_table_bounds_completions(model: NGramModel, tight: bool) -> None:
+    """The table entry that every child of every context reads is at least
+    the exact best completion of each length from the child's context, and
+    with ``tight`` above it by no more than the proven margin ``(3m + 1) *
+    2**-53`` of its size. Past the last row, ``by_length``'s tail form,
+    ``best`` and ``beyond`` still bound every completion."""
+    table = model.completion_table
+    width, stored = model.order - 1, COMPLETION_TABLE_ROWS
+    contexts, best = exact_completions(model, stored + 3)
+    reached = {}  # per table state, the best completions of the contexts read through it
+    for c in contexts:
+        columns = table.columns(c)
+        assert columns.shape == (len(model.vocabulary.tokens),)
+        for t, s in enumerate(columns.tolist()):
+            child = best[(c + (t,))[1:] if width else ()]
+            reached[s] = [max(a, b) for a, b in zip(reached.get(s, child), child)]
+            assert all(Fraction(v) >= g for v, g in zip(table.by_length(columns[t:t + 1],
+                                                                        stored + 3)[:, 0], child))
+            for left in (1, stored // 2, stored + 3):
+                assert Fraction(float(table.best(columns[t:t + 1], left)[0])) >= max(child[:left])
+            assert Fraction(float(table.beyond[s])) >= max(child)
+    assert len(table.rows) == stored
+    for s, child in reached.items():
+        for m, (v, g) in enumerate(zip(table.rows[:, s].tolist(), child), 1):
+            assert Fraction(v) >= g
+            if tight:
+                assert Fraction(v) - g <= (3 * m + 1) * Fraction(2) ** -53 * abs(g), (s, m)
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), order=st.integers(1, 4), n_tokens=st.integers(1, 3))
+def test_completion_table_bounds_every_completion(seed, order, n_tokens):
+    """``assert_table_bounds_completions`` on sparse n-gram models, with
+    unseen contexts, stored contexts without events and contexts holding
+    markers anywhere; tight up to order 3, where every class is exact."""
+    model = sparse_ngram_model(np.random.default_rng(seed), order, n_tokens)
+    assert_table_bounds_completions(model, tight=order <= 3)
+
+
+def test_completion_table_bounds_rows_whose_counts_sum_past_2_53():
+    """A context whose counts sum past 2**53, where the order of the sum
+    matters, still has its completions bounded: in event order the two 1s
+    of context ``a`` add up before 2**53 does, while its row, in token
+    order, loses each, and ``a b </s>`` has a log-probability of about
+    -4.4e-16, which a table built on the event-order sum would put below
+    the row's. The table takes that sum as the row does."""
+    columns = {"contexts": ["<s>", "a", "b"], "events_per_context": [1, 3, 1],
+               "event_tokens": ["a", "</s>", "a", "b", "</s>"],
+               "event_counts": [1, 1, 1, 2**53, 2**53]}
+    for add_k in (0.5, 3.0):
+        model = NGramModel(Vocabulary(("a", "b")), 2, add_k, columns)
+        assert_table_bounds_completions(model, tight=True)
 
 
 def zero_entry_model() -> TableModel:
