@@ -447,12 +447,7 @@ class NGramModel(SequenceModel):
 
     def _state_row(self, ctx: tuple[int, ...]) -> np.ndarray:
         size = self.vocabulary.dist_size
-        counts = np.zeros(size)
-        events = self._events(ctx)
-        if events is not None:
-            # A context's event ids are distinct, and the int64 -> float64
-            # cast rounds each count as float() of the int would.
-            counts[self._columns.event_ids[events]] = self._columns.event_counts[events]
+        counts = _put_counts(np.zeros(size), self._columns, self._events(ctx))
         probs = (counts + self.add_k) / (counts.sum() + self.add_k * size)
         arr = np.log(probs)
         arr.setflags(write=False)
@@ -460,17 +455,16 @@ class NGramModel(SequenceModel):
 
     def _state_rows(self, contexts: Sequence[tuple[int, ...]]) -> np.ndarray:
         """``_state_row`` of each context, as one block: the same float
-        operations on a counts matrix, each context's counts filled into its
-        row as ``_state_row`` fills a 1-D row. A row sum along the matrix's
-        contiguous axis is numpy's pairwise sum of that row, grouped as a
-        1-D row's sum is, so even a total beyond 2**53, where the grouping
-        matters, equals the one-row build's."""
+        operations on a counts matrix, each context's counts put into its
+        row by ``_put_counts``, as into ``_state_row``'s 1-D row. A row sum
+        along the matrix's contiguous axis is numpy's pairwise sum of that
+        row, grouped as a 1-D row's sum is, so even a total beyond 2**53,
+        where the grouping matters, equals the one-row build's."""
         columns = self._columns
         size = self.vocabulary.dist_size
         counts = np.zeros((len(contexts), size))
         for row, events in zip(counts, map(self._events, contexts)):
-            if events is not None:
-                row[columns.event_ids[events]] = columns.event_counts[events]
+            _put_counts(row, columns, events)
         totals = counts.sum(axis=1)
         totals += self.add_k * size
         counts += self.add_k
@@ -622,7 +616,10 @@ class CompletionTable:
         columns = self._columns_of.get(prefix)
         if columns is None:
             if self.rows is None:
-                self._build()
+                # A forbidden entry's log is -inf and a sum of two raised ones
+                # may overflow to it; _raised makes either the lowest float.
+                with np.errstate(divide="ignore", over="ignore"):
+                    self._build()
             columns = self._columns_of[prefix] = self._children(prefix)
         return columns
 
@@ -658,7 +655,8 @@ class CompletionTable:
         event_counts = counts.event_counts.astype(float)
         totals = np.bincount(owner, event_counts, minlength=n_ctx)  # exact below 2**53
         for k in np.flatnonzero(totals >= 2.0**53):  # a row sum whose grouping matters
-            totals[k] = self._counts_row(k).sum()
+            events = slice(counts.offsets[k], counts.offsets[k + 1])
+            totals[k] = _put_counts(np.zeros(size), counts, events).sum()  # the row's sum
         totals = totals + add_k * size  # a float even with no event
         event_lp = _raised(np.log((event_counts + add_k) / totals[owner]))
         smoothed = _raised(np.log(add_k / totals))  # each stored row's entry of a non-event
@@ -758,15 +756,6 @@ class CompletionTable:
         self._n_ctx, self._other = n_ctx, other
         self.rows = rows  # last: a table with rows is built
 
-    def _counts_row(self, k: int) -> np.ndarray:
-        """Stored context k's counts as ``NGramModel._state_row`` lays them
-        out, so that their sum is that row's."""
-        vocab, _, _, counts = self._model
-        row = np.zeros(vocab.dist_size)
-        events = slice(counts.offsets[k], counts.offsets[k + 1])
-        row[counts.event_ids[events]] = counts.event_counts[events]
-        return row
-
     def _children(self, prefix: tuple[int, ...]) -> np.ndarray:
         n_tokens = len(self._model[0].tokens)
         if self._model[1] == 1:  # every child is the one context
@@ -817,6 +806,18 @@ class _CountColumns(NamedTuple):
     offsets: list[int]
     event_ids: np.ndarray  # intp
     event_counts: np.ndarray  # int64
+
+
+def _put_counts(row: np.ndarray, counts: _CountColumns, events: slice | None) -> np.ndarray:
+    """``row``, zeros of the distribution size, with the counts of a
+    context's ``events`` (``NGramModel._events``; None, an unseen context,
+    has none) put at their ids, and returned: the one layout of the counts
+    that a model row is built from, so that every sum of them is the row's.
+    A context's event ids are distinct, and the int64 -> float64 cast
+    rounds each count as float() of the int would."""
+    if events is not None:
+        row[counts.event_ids[events]] = counts.event_counts[events]
+    return row
 
 
 def train_ngram(corpus: Iterable[TokenSeq], order: int, add_k: float) -> NGramModel:

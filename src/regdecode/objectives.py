@@ -394,32 +394,42 @@ def completion_bounds(
     rows are the running sums (``best_step`` rows, the children's
     log-probabilities added into the first, then ``np.add.accumulate``
     down the rows, which adds in the real sum's order), put through
-    ``_total`` with the lower forms as its weighted pairs and the lengths
-    as a column, and reduced by ``np.maximum`` over the rows. When one
-    length decides the bound, the same expression runs on the children's
-    vector with no array set up: a child one step from ``n_max``, or an
-    objective whose further steps can only lower the bound
-    (``Objective._shortest_bounds``).
+    ``_bounds``, which ``table_bounds`` shares: ``_total`` with the lower
+    forms as its weighted pairs and the lengths as a column, reduced by
+    ``np.maximum`` over the rows. When one length decides the bound, the
+    same expression runs on the children's vector with no array set up: a
+    child one step from ``n_max``, or an objective whose further steps can
+    only lower the bound (``Objective._shortest_bounds``).
     """
-    n = steps + 2
-    one_length = objective._shortest_bounds or n == n_max
-    if not one_length:
-        n = _lengths(n_max)[n:]
-    weighted, flat = [], []
-    for lam, penalty, part in objective._layout:
-        child_sums = penalty.carry(sums[part], u, step_min, steps + 1)
-        flat += child_sums
-        weighted.append((lam, child_sums[0] / n if penalty.per_length else child_sums[0]))
+    flat = []
+    for _, penalty, part in objective._layout:
+        flat += penalty.carry(sums[part], u, step_min, steps + 1)
     log_probs = log_prob - u
-    if one_length:
+    n = steps + 2
+    if objective._shortest_bounds or n == n_max:
         run = log_probs + best_step
     else:
+        n = _lengths(n_max)[n:]
         run = np.empty((len(n), len(log_probs)))
         run.fill(best_step)  # np.full costs twice as much on these few rows
         run[0] += log_probs
         np.add.accumulate(run, out=run)
+    return _bounds(objective, run, n, flat), log_probs, flat
+
+
+def _bounds(objective: Objective, run: np.ndarray, n, sums: list) -> np.ndarray:
+    """The completion bounds of some children from ``run``, upper bounds on
+    the log-probabilities of their completions, and their flat partial sums:
+    ``_total`` of the run with each penalty's lower form (its first partial
+    sum, divided by n if the penalty is per length) as the weighted pairs.
+    ``run`` is a vector over the children when one length ``n`` decides the
+    bounds (``None`` serves under ``Objective._shortest_bounds``, which
+    reads no n), or one row per length, ``n`` the lengths as a column, of
+    which the highest bound is kept."""
+    weighted = [(lam, sums[part.start] / n if penalty.per_length else sums[part.start])
+                for lam, penalty, part in objective._layout]
     bounds = _total(objective, run, n, weighted)
-    return (bounds if one_length else np.maximum.reduce(bounds)), log_probs, flat
+    return np.maximum.reduce(bounds) if run.ndim == 2 else bounds
 
 
 def table_bounds(objective: Objective, steps: int, n_max: int, table: CompletionTable,
@@ -428,8 +438,8 @@ def table_bounds(objective: Objective, steps: int, n_max: int, table: Completion
     children of a prefix of ``steps`` steps on an n-gram model, given
     their table states (``CompletionTable.columns``), log-probabilities and
     flat partial sums: from the table's bounds on the log-probability of
-    the best completion of m more steps, m in 1..``left``, through the
-    lower forms and ``_total`` as the cheap bound goes.
+    the best completion of m more steps, m in 1..``left``, through
+    ``_bounds`` as the cheap bound goes.
 
     The table bounds the exact sum of a completion's row entries; the score
     adds them in floats, from the child's log-probability forwards. For
@@ -449,17 +459,14 @@ def table_bounds(objective: Objective, steps: int, n_max: int, table: Completion
     over them is kept.
     """
     left = n_max - steps - 1
-    lowers = [(lam, penalty.per_length, sums[part.start])
-              for lam, penalty, part in objective._layout]
     if objective._shortest_bounds:
         run = (log_probs + table.best(columns, left)) * (1.0 - (left + 2) * 2.0**-52)
-        return _total(objective, run, None, [(lam, value) for lam, _, value in lowers])  # no n
+        return _bounds(objective, run, None, sums)
     n = _lengths(n_max)[steps + 2:]
     run = table.by_length(columns, left)  # in place from here: it may hold n_max rows
     run += log_probs
     run *= 1.0 - (n - (steps - 1)) * 2.0**-52  # m + 2 = n - steps + 1
-    weighted = [(lam, value / n if per_length else value) for lam, per_length, value in lowers]
-    return np.maximum.reduce(_total(objective, run, n, weighted))
+    return _bounds(objective, run, n, sums)
 
 
 def _walk(model: SequenceModel, source, tokens: Sequence[str]) -> tuple[tuple, list, float]:

@@ -348,7 +348,10 @@ def exact_search(
             if max(bounds[:n_open]) >= floor:  # some open child passes the cheap test
                 if table is not None:
                     kept = (cheap[:n_open] >= floor).nonzero()[0]
-                    columns = table.columns(model.state(source_key, ids))[kept]
+                    # The columns are in token order, the children in the order of
+                    # the allowed tokens: the two differ once a row forbids a token.
+                    tokens = kept if isinstance(terms.ids, range) else np.array(terms.ids)[kept]
+                    columns = table.columns(model.state(source_key, ids))[tokens]
                     tight = table_bounds(objective, len(trace), n_max, table, columns,
                                          log_probs[kept], [column[kept] for column in sums])
                     cheap[kept] = np.minimum(cheap[kept], tight)

@@ -873,11 +873,14 @@ def test_exact_equals_brute_on_random_objective_mixes(seed, n_tokens, n_max, wei
     assert e.best.token_ids == b.best.token_ids
 
 
-def sparse_ngram_model(rng: np.random.Generator, order: int, n_tokens: int) -> NGramModel:
+def sparse_ngram_model(rng: np.random.Generator, order: int, n_tokens: int,
+                       add_k: float | None = None) -> NGramModel:
     """A random n-gram model from its count columns: each possible context
     is stored with probability one half, and each of its events with
     probability one half and a count in [0, 4], so zero counts, contexts
-    without events and unseen contexts all occur."""
+    without events and unseen contexts all occur. ``add_k`` is drawn from
+    0.1, 0.5 and 1 unless given; the draw comes last, so giving it leaves
+    the counts as they were."""
     vocab = Vocabulary(tuple("abcd"[:n_tokens]))
     columns = {"contexts": [], "events_per_context": [], "event_tokens": [], "event_counts": []}
     for ctx in itertools.product(vocab._names, repeat=order - 1):
@@ -888,7 +891,9 @@ def sparse_ngram_model(rng: np.random.Generator, order: int, n_tokens: int) -> N
             columns["events_per_context"].append(len(events))
             columns["event_tokens"] += events
             columns["event_counts"] += events.values()
-    return NGramModel(vocab, order, float(rng.choice([0.1, 0.5, 1.0])), columns)
+    if add_k is None:
+        add_k = float(rng.choice([0.1, 0.5, 1.0]))
+    return NGramModel(vocab, order, add_k, columns)
 
 
 @settings(max_examples=100, deadline=None)
@@ -910,6 +915,50 @@ def test_exact_equals_brute_on_random_ngram_models(seed, order, n_tokens, n_max)
         b = brute_force(model, None, objective, n_max)
         assert e.best.score == b.best.score
         assert e.best.token_ids == b.best.token_ids
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    order=st.integers(1, 3),
+    n_tokens=st.integers(2, 4),
+    n_max=st.integers(1, 5),
+)
+def test_exact_equals_brute_where_ngram_rows_forbid_tokens(seed, order, n_tokens, n_max):
+    """Exact search matches the brute-force oracle on sparse n-gram models
+    with ``add_k`` 5e-324, where the smoothed entry of a row whose counts
+    sum to 2 or more rounds to probability 0: such rows forbid the tokens
+    they have not seen, so a prefix's allowed children are not its token
+    ids, while the completion table's columns are in token order."""
+    model = sparse_ngram_model(np.random.default_rng(seed), order, n_tokens, add_k=5e-324)
+    with np.errstate(divide="ignore"):  # the rows' log(0)
+        for spec in BOUND_OBJECTIVES:
+            objective = parse_objective(spec)
+            try:
+                b = brute_force(model, None, objective, n_max)
+            except NoHypothesisError:
+                with pytest.raises(NoHypothesisError):
+                    exact_search(model, None, objective, n_max)
+                continue
+            e = exact_search(model, None, objective, n_max)
+            assert e.best.score == b.best.score
+            assert e.best.token_ids == b.best.token_ids
+
+
+def test_exact_search_reads_the_table_column_of_each_allowed_child():
+    """At ``<s>`` the row forbids ``a`` (add_k 5e-324 against 8 counts), so
+    the first open child is ``b``. Read through the column of token ``a``,
+    an unseen context whose completions are worth about log(1/3), its bound
+    would fall below the empty string's log(3/8) and prune it; the optimum
+    is ``b </s>`` at log(5/8)."""
+    model = NGramModel(Vocabulary(("a", "b")), 2, 5e-324, {
+        "contexts": ["<s>", "b"], "events_per_context": [2, 1],
+        "event_tokens": ["b", "</s>", "</s>"], "event_counts": [5, 3, 100],
+    })
+    with np.errstate(divide="ignore"):
+        record = exact_search(model, None, MAP_OBJECTIVE, 4)
+    assert record.best.tokens == ("<s>", "b", "</s>")
+    assert record.best.score == math.log(5 / 8)
 
 
 def test_exact_search_bounds_each_expansion_once(request, monkeypatch):
